@@ -3,7 +3,8 @@
 The allocators match the comparison set used in the experiments:
 equal split, round robin over a fixed-size active set, and greedy
 selection by channel gain or by plant-state norm. Ties break toward
-the lower plant index.
+the lower plant index. The state-dependent ones take any leading batch
+shape: gains (..., m), plant states (..., m, p).
 """
 from __future__ import annotations
 
@@ -58,8 +59,10 @@ def lqr_gain(a: np.ndarray, b: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.n
 
 
 def lqr_control(gain: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """u = -K x."""
-    return -np.asarray(gain, dtype=float) @ np.asarray(x, dtype=float)
+    """u = -K x: one gain (q, p) on a state (p,), or stacked per-plant gains
+    (m, q, p) on states (..., m, p) in one matmul, giving (..., m, q)."""
+    x = np.asarray(x, dtype=float)
+    return np.matmul(-np.asarray(gain, dtype=float), x[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -81,9 +84,18 @@ def _check_alloc_args(m: int, n_active: int, p_total: float) -> None:
 
 
 def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest scores; equal scores go to the lower index."""
+    """Indices of the k largest scores along the last axis; equal scores go to
+    the lower index."""
     scores = np.asarray(scores, dtype=float)
-    return np.argsort(-scores, kind="stable")[:k]
+    return np.argsort(-scores, axis=-1, kind="stable")[..., :k]
+
+
+def _share_top_k(scores: np.ndarray, n_active: int, p_total: float) -> np.ndarray:
+    """p_total/n_active to each of the n_active largest scores along the last axis."""
+    _check_alloc_args(scores.shape[-1], n_active, p_total)
+    alpha = np.zeros(scores.shape)
+    np.put_along_axis(alpha, top_k_indices(scores, n_active), p_total / n_active, axis=-1)
+    return alpha
 
 
 def equal_power(m: int, p_total: float) -> np.ndarray:
@@ -102,22 +114,14 @@ def round_robin(m: int, n_active: int, p_total: float, t: int) -> np.ndarray:
 
 
 def channel_aware(gains: np.ndarray, n_active: int, p_total: float) -> np.ndarray:
-    """Give the n_active best channels p_total/n_active each."""
-    gains = np.asarray(gains, dtype=float)
-    _check_alloc_args(gains.size, n_active, p_total)
-    alpha = np.zeros(gains.size)
-    alpha[top_k_indices(gains, n_active)] = p_total / n_active
-    return alpha
+    """Give the n_active best channels of gains (..., m) p_total/n_active each."""
+    return _share_top_k(np.asarray(gains, dtype=float), n_active, p_total)
 
 
 def control_aware(x_stack: np.ndarray, n_active: int, p_total: float) -> np.ndarray:
-    """Give the n_active plants farthest from equilibrium (largest state norm)
-    p_total/n_active each."""
+    """Give the n_active plants farthest from equilibrium (largest state norm
+    in x_stack (..., m, p)) p_total/n_active each."""
     x_stack = np.asarray(x_stack, dtype=float)
-    if x_stack.ndim != 2:
-        raise ValueError(f"x_stack must be (m, p), got {x_stack.shape}")
-    _check_alloc_args(x_stack.shape[0], n_active, p_total)
-    norms = np.linalg.norm(x_stack, axis=1)
-    alpha = np.zeros(x_stack.shape[0])
-    alpha[top_k_indices(norms, n_active)] = p_total / n_active
-    return alpha
+    if x_stack.ndim < 2:
+        raise ValueError(f"x_stack must be (..., m, p), got {x_stack.shape}")
+    return _share_top_k(np.linalg.norm(x_stack, axis=-1), n_active, p_total)

@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 import wcsrl
+from wcsrl import baselines
 
 
 class ConfigError(ValueError):
@@ -356,7 +357,7 @@ def _resolve(cfg: ExperimentConfig) -> None:
         # Instantaneous power cap: the region scenarios tie it to the plant count.
         cfg.alloc_total = float(m)
     if cfg.alloc_n_active is None:
-        cfg.alloc_n_active = max(1, int(round(m / 3)))
+        cfg.alloc_n_active = baselines.default_active_count(m)
 
 
 def _validate(cfg: ExperimentConfig) -> None:

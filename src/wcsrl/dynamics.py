@@ -111,9 +111,6 @@ class PlantModel:
     def input_dim(self) -> int:
         return 1 if self.kind == "cartpole" else self.b_mat.shape[1]
 
-    def sample_noise(self, rng: np.random.Generator) -> np.ndarray:
-        return self._noise_factor @ rng.standard_normal(self.state_dim)
-
     def step(self, x: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
         if self.kind == "linear":
             return linear_step(self, x, u, w)

@@ -28,13 +28,16 @@ class SystemState:
 
 @dataclass
 class Observation:
-    """Noisy view the policies act on: channel entries first, then plant states."""
+    """Noisy view the policies act on: channel entries (..., m) first, then
+    plant states (..., m, p); the leading batch shape may be empty."""
 
     channel: np.ndarray
     plant: np.ndarray
 
     def stacked(self) -> np.ndarray:
-        return np.concatenate([self.channel, self.plant.ravel()])
+        """Flat rows (..., m * (1 + p)): the channel entries, then the states."""
+        flat_plant = self.plant.reshape(self.plant.shape[:-2] + (-1,))
+        return np.concatenate([self.channel, flat_plant], axis=-1)
 
 
 @dataclass
@@ -113,7 +116,6 @@ class StepResult:
     signals: np.ndarray
     delivered: np.ndarray
     snr: np.ndarray
-    delivery_probs: np.ndarray
     realized_u: np.ndarray
 
 
@@ -283,6 +285,5 @@ class WirelessControlEnv:
             signals=signals,
             delivered=delivered,
             snr=snr_values,
-            delivery_probs=probs,
             realized_u=realized_u,
         )

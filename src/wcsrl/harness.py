@@ -11,6 +11,8 @@ identical noise.
 """
 from __future__ import annotations
 
+import dataclasses
+import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -304,14 +306,9 @@ def train_approach(
 def eval_policy_for(
     bundle: ScenarioBundle, approach: str, agents: TrainedAgents, stochastic: bool = False
 ) -> policies.AgentPolicy:
-    """Wrap trained agents with the fixed action halves used at evaluation."""
-    allocator = None
-    controller = None
-    if approach == "alloc_lqr":
-        controller = bundle.riccati_controller()
-    elif approach == "control_only":
-        allocator = policies.equal_allocator(bundle.m, bundle.baseline_power_total())
-    return policies.AgentPolicy(agents, allocator, controller, stochastic)
+    """Wrap trained agents with the fixed action halves they trained with."""
+    setup = approach_setup(bundle, approach)
+    return policies.AgentPolicy(agents, setup.alloc_provider, setup.control_provider, stochastic)
 
 
 def baseline_policies(bundle: ScenarioBundle) -> dict[str, policies.HeuristicPolicy]:
@@ -527,18 +524,23 @@ def write_eval_csv(path: str, cfg: ExperimentConfig, report: EvalReport) -> None
         fh.write("\n".join(lines) + "\n")
 
 
+def _checkpoint_files(agents: TrainedAgents) -> list[tuple[str, str, object, object]]:
+    """(actor file, critic file, actor, critic) for every trained pair."""
+    if agents.topology == "single":
+        return [("actor.npz", "critic.npz", agents.actor, agents.critic)]
+    pairs = []
+    if agents.actor is not None:
+        pairs.append(("ap_actor.npz", "ap_critic.npz", agents.actor, agents.critic))
+    for i, (actor, critic) in enumerate(zip(agents.rc_actors, agents.rc_critics)):
+        pairs.append((f"rc_actor_{i}.npz", f"rc_critic_{i}.npz", actor, critic))
+    return pairs
+
+
 def save_agents(dir_path: str, agents: TrainedAgents) -> None:
     os.makedirs(dir_path, exist_ok=True)
-    if agents.topology == "single":
-        neuralnet.save_actor(os.path.join(dir_path, "actor.npz"), agents.actor)
-        neuralnet.save_critic(os.path.join(dir_path, "critic.npz"), agents.critic)
-        return
-    if agents.actor is not None:
-        neuralnet.save_actor(os.path.join(dir_path, "ap_actor.npz"), agents.actor)
-        neuralnet.save_critic(os.path.join(dir_path, "ap_critic.npz"), agents.critic)
-    for i, (actor, critic) in enumerate(zip(agents.rc_actors, agents.rc_critics)):
-        neuralnet.save_actor(os.path.join(dir_path, f"rc_actor_{i}.npz"), actor)
-        neuralnet.save_critic(os.path.join(dir_path, f"rc_critic_{i}.npz"), critic)
+    for actor_file, critic_file, actor, critic in _checkpoint_files(agents):
+        neuralnet.save_actor(os.path.join(dir_path, actor_file), actor)
+        neuralnet.save_critic(os.path.join(dir_path, critic_file), critic)
 
 
 def load_agents(dir_path: str) -> TrainedAgents:
@@ -564,6 +566,24 @@ def load_agents(dir_path: str) -> TrainedAgents:
     if agents.actor is None and not agents.rc_actors:
         raise FileNotFoundError(f"no checkpoints under {dir_path}")
     return agents
+
+
+def check_agents(dir_path: str, loaded: TrainedAgents, expected: TrainedAgents) -> None:
+    """Raise ValueError, naming the checkpoint file, the field and both values,
+    when the loaded actors are not the ones the rebuilt scenario trains."""
+    want = {name: actor for name, _, actor, _ in _checkpoint_files(expected)}
+    got = {name: actor for name, _, actor, _ in _checkpoint_files(loaded)}
+    if sorted(got) != sorted(want):
+        raise ValueError(f"{dir_path} holds actors {sorted(got)}, the config trains {sorted(want)}")
+    keys = ["obs_dim"] + [f"head.{f.name}" for f in dataclasses.fields(neuralnet.HeadSpec)]
+    for name, actor in want.items():
+        for key in keys:
+            need, have = operator.attrgetter(key)(actor), operator.attrgetter(key)(got[name])
+            if need != have:
+                raise ValueError(
+                    f"checkpoint {os.path.join(dir_path, name)}: {key} is {have!r}, "
+                    f"but the scenario in config.txt needs {need!r}"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -640,9 +660,13 @@ def evaluate_run(out_dir: str) -> RunResult:
     """Re-evaluate a finished run from its saved config and checkpoints."""
     cfg = config_mod.load_config(path=os.path.join(out_dir, "config.txt"))
     bundle = build_scenario(cfg)
+    env = bundle.env_factory(np.random.default_rng(0))  # for its dimensions only
     trained = {}
     for approach in cfg.train_approaches:
-        trained[approach] = load_agents(os.path.join(out_dir, "checkpoints", approach))
+        path = os.path.join(out_dir, "checkpoints", approach)
+        trained[approach] = load_agents(path)
+        expected = learner.build_agents(env, approach_setup(bundle, approach).settings, None)
+        check_agents(path, trained[approach], expected)
     eval_policies: dict[str, object] = {
         approach: eval_policy_for(bundle, approach, agents, cfg.eval_stochastic)
         for approach, agents in trained.items()

@@ -14,15 +14,25 @@ small per-plant controller actor maps that plant's slice
 [channel_i, state_i, alpha_i] to its control input; each actor has
 its own critic, and only the access-point agent sees the constraint
 penalty.
+
+Each step stacks the workers' observations into one batch, and one call
+to policies.compose_action (which evaluation uses too) forms the actions
+of all workers. The halves the agents do not learn come from one call to
+the fixed allocator or controller. The pending segment update runs inside
+that call: after the access-point draw in the separate layout, before
+the joint draw in the single one.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from wcsrl.baselines import control_aware, default_active_count, equal_power
+from wcsrl import policies
+from wcsrl.baselines import default_active_count
+from wcsrl.baselines import control_aware  # noqa: F401  traced by name in perfbench/layers.py
 from wcsrl.environment import JointAction, Observation, WirelessControlEnv
 from wcsrl.neuralnet import (
     GaussianActor,
@@ -31,8 +41,6 @@ from wcsrl.neuralnet import (
     clip_global_norm,
     make_optimizer,
 )
-
-Provider = Callable[[Observation, int], np.ndarray]
 
 
 class TrainingDivergedError(RuntimeError):
@@ -265,33 +273,26 @@ class SegmentAgent:
 # observation plumbing
 
 
-def stack_observations(obs_list: list[Observation]) -> np.ndarray:
-    return np.stack([o.stacked() for o in obs_list])
+def stack_observations(obs_list: list[Observation]) -> Observation:
+    """The workers' observations as one batch: channel (N, m), plant (N, m, p)."""
+    return Observation(
+        channel=np.stack([o.channel for o in obs_list]),
+        plant=np.stack([o.plant for o in obs_list]),
+    )
 
 
-def controller_slice(obs_list: list[Observation], alpha: np.ndarray, plant: int) -> np.ndarray:
-    """Per-plant controller input [channel_i, state_i, alpha_i] across workers."""
-    chan = np.array([o.channel[plant] for o in obs_list])
-    states = np.stack([o.plant[plant] for o in obs_list])
-    return np.concatenate([chan[:, None], states, alpha[:, plant : plant + 1]], axis=1)
+# Called through policies.compose_action; kept here because perfbench/layers.py traces it by name.
+controller_slice = policies.controller_slice
 
 
 # ---------------------------------------------------------------------------
 # training
 
 
-def _equal_power_provider(m: int, per_step_total: float) -> Provider:
-    alloc = equal_power(m, per_step_total) if per_step_total > 0 else np.zeros(m)
-
-    def provider(obs: Observation, t: int) -> np.ndarray:
-        return alloc
-
-    return provider
-
-
-def _build_agents(
-    env: WirelessControlEnv, settings: TrainSettings, rng: np.random.Generator
+def build_agents(
+    env: WirelessControlEnv, settings: TrainSettings, rng: Optional[np.random.Generator]
 ) -> TrainedAgents:
+    """The actors and critics settings train on env; rng=None gives zero weights."""
     m, p, q = env.m, env.state_dim, env.input_dim
     if settings.topology == "single":
         head = HeadSpec(
@@ -335,7 +336,7 @@ def pretrain_allocation(
     actor: GaussianActor,
     env: WirelessControlEnv,
     settings: TrainSettings,
-    control_provider: Optional[Provider],
+    controller: policies.Controller,
     rng: np.random.Generator,
 ) -> None:
     """Warm-start the allocation head toward the state-norm heuristic.
@@ -348,10 +349,10 @@ def pretrain_allocation(
     p_total = actor.head.alpha_total
     if p_total is None:
         p_total = (1.0 - settings.gamma) * (env.constraint.power_budget if env.constraint else m)
-    n_active = default_active_count(m)
-
-    def target_for(obs: Observation) -> np.ndarray:
-        return control_aware(obs.plant, n_active, p_total)
+    heuristic = policies.ActionSources(
+        allocator=policies.make_allocator("control_aware", m, default_active_count(m), p_total),
+        controller=controller,
+    )
 
     pool_obs: list[np.ndarray] = []
     pool_target: list[np.ndarray] = []
@@ -359,15 +360,10 @@ def pretrain_allocation(
         state = env.reset()
         for t in range(settings.horizon):
             obs = env.observe(state)
-            alpha = target_for(obs)
-            u = (
-                control_provider(obs, t)
-                if control_provider is not None
-                else np.zeros((m, env.input_dim))
-            )
+            action = policies.compose_action(heuristic, obs, t)
             pool_obs.append(obs.stacked())
-            pool_target.append(alpha)
-            state = env.step(state, JointAction(alpha=alpha, u=u)).next_state
+            pool_target.append(action.alpha)
+            state = env.step(state, JointAction(alpha=action.alpha, u=action.u)).next_state
 
     obs_mat = np.stack(pool_obs)
     target_mat = np.stack(pool_target)
@@ -382,17 +378,18 @@ def train(
     env_factory: Callable[[np.random.Generator], WirelessControlEnv],
     settings: TrainSettings,
     seed: int | np.random.SeedSequence,
-    control_provider: Optional[Provider] = None,
-    alloc_provider: Optional[Provider] = None,
+    control_provider: Optional[policies.Controller] = None,
+    alloc_provider: Optional[policies.Allocator] = None,
     progress: Optional[Callable[[EpisodeRow], None]] = None,
 ) -> TrainResult:
     """Run the full primal-dual training loop and return the trained agents.
 
     env_factory builds one environment per worker around a dedicated
     generator. When allocation (control) is not learned, alloc_provider
-    (control_provider) supplies that half of the action; both default
-    to zero actions when absent. seed may be a SeedSequence so callers
-    can keep training streams separate from scenario or evaluation draws.
+    (control_provider) supplies that half of the action for the whole
+    worker batch; both default to zero actions when absent. seed may be a
+    SeedSequence so callers can keep training streams separate from
+    scenario or evaluation draws.
     """
     if isinstance(seed, np.random.SeedSequence):
         seq = seed
@@ -409,116 +406,60 @@ def train(
         raise ValueError(
             f"environment discount {env0.gamma} does not match settings {settings.gamma}"
         )
-    m, q = env0.m, env0.input_dim
+    m = env0.m
     n_sig = env0.n_signals
     n = settings.n_workers
 
-    agents = _build_agents(env0, settings, init_rng)
-    seg_agents: list[tuple[str, SegmentAgent]] = []
-    ap_agent = None
-    if agents.actor is not None:
-        ap_agent = SegmentAgent(agents.actor, agents.critic, settings)
-        seg_agents.append(("ap", ap_agent))
+    agents = build_agents(env0, settings, init_rng)
+    ap_agent = None if agents.actor is None else SegmentAgent(agents.actor, agents.critic, settings)
     rc_agents = [
         SegmentAgent(a, c, settings) for a, c in zip(agents.rc_actors, agents.rc_critics)
     ]
-    seg_agents.extend((f"rc{i}", ag) for i, ag in enumerate(rc_agents))
+    seg_agents = ([ap_agent] if ap_agent is not None else []) + rc_agents
 
-    joint_single = settings.topology == "single" and agents.actor is not None
-
+    controller = control_provider or policies.zero_controller(m, env0.input_dim)
     if settings.pretrain_iters > 0 and settings.learn_alloc and agents.actor is not None:
-        pretrain_allocation(agents.actor, envs[0], settings, control_provider, pretrain_rng)
+        pretrain_allocation(agents.actor, envs[0], settings, controller, pretrain_rng)
 
-    warm_alloc = None
-    if settings.warm_episodes > 0:
+    split = settings.topology == "separate"
+    allocator = alloc_provider or policies.zero_allocator(m)
+    sources = policies.ActionSources(agents.actor, agents.rc_actors, allocator, controller, split)
+    warm_sources = sources
+    if split and agents.actor is not None and settings.warm_episodes > 0:
+        # the allocation actor sits out; equal power at the per-step share of the budget
         budget = env0.constraint.power_budget if env0.constraint is not None else float(m)
-        warm_alloc = _equal_power_provider(m, (1.0 - settings.gamma) * budget)
+        warm = policies.equal_allocator(m, (1.0 - settings.gamma) * budget)
+        warm_sources = dataclasses.replace(sources, actor=None, allocator=warm)
 
     dual = DualState(multipliers=np.zeros(n_sig), step_size=settings.dual_lr)
     log: list[EpisodeRow] = []
 
     for episode in range(settings.episodes):
-        warm = episode < settings.warm_episodes
+        episode_sources = warm_sources if episode < settings.warm_episodes else sources
+
+        def segment_update(rows: np.ndarray, rc_inputs: list) -> None:
+            if ap_agent is not None:
+                ap_agent.update(rows, at_end=False, episode=episode)
+            for ag, x in zip(rc_agents, rc_inputs):
+                ag.update(x, at_end=False, episode=episode)
+
         states = [env.reset() for env in envs]
         obs_list = [env.observe(s) for env, s in zip(envs, states)]
         disc = 1.0
         ep_pen = np.zeros(n)
         ep_sig = np.zeros((n, n_sig))
-        pending_update = False
 
         for t in range(settings.horizon):
-            obs_mat = stack_observations(obs_list)
-
-            if joint_single:
-                if pending_update:
-                    for _, ag in seg_agents:
-                        ag.update(obs_mat, at_end=False, episode=episode)
-                    pending_update = False
-                sample = agents.actor.sample(obs_mat, sample_rng)
-                if settings.learn_alloc:
-                    alpha = sample.alpha
-                else:
-                    alpha = np.stack(
-                        [alloc_provider(o, t) if alloc_provider else np.zeros(m) for o in obs_list]
-                    )
-                if settings.learn_control:
-                    u = sample.u
-                else:
-                    u = np.stack(
-                        [
-                            control_provider(o, t)
-                            if control_provider
-                            else np.zeros((m, q))
-                            for o in obs_list
-                        ]
-                    )
-                rc_slices = None
-                rc_samples = None
-                ap_raw = sample.raw
-            else:
-                # Allocation first (the controllers see it), then the pending
-                # segment update, then control sampling. The allocation draw at a
-                # boundary step is one update older than its segment's parameters,
-                # which the pooled on-policy step tolerates.
-                if warm or not settings.learn_alloc or agents.actor is None:
-                    provider = warm_alloc if (warm and settings.learn_alloc) else alloc_provider
-                    alpha = np.stack(
-                        [provider(o, t) if provider else np.zeros(m) for o in obs_list]
-                    )
-                    ap_raw = None
-                else:
-                    ap_sample = agents.actor.sample(obs_mat, sample_rng)
-                    alpha = ap_sample.alpha
-                    ap_raw = ap_sample.raw
-                rc_slices = [controller_slice(obs_list, alpha, i) for i in range(m)]
-                if pending_update:
-                    if ap_agent is not None:
-                        ap_agent.update(obs_mat, at_end=False, episode=episode)
-                    for i, ag in enumerate(rc_agents):
-                        ag.update(rc_slices[i], at_end=False, episode=episode)
-                    pending_update = False
-                if rc_agents:
-                    rc_samples = [
-                        agents.rc_actors[i].sample(rc_slices[i], sample_rng) for i in range(m)
-                    ]
-                    u = np.stack([s.u[:, 0, :] for s in rc_samples], axis=1)
-                else:
-                    rc_samples = None
-                    u = np.stack(
-                        [
-                            control_provider(o, t)
-                            if control_provider
-                            else np.zeros((m, q))
-                            for o in obs_list
-                        ]
-                    )
+            obs = stack_observations(obs_list)
+            update = segment_update if t > 0 and t % settings.seg_len == 0 else None
+            action = policies.compose_action(episode_sources, obs, t, sample_rng, update)
 
             step_costs = np.empty(n)
             step_sigs = np.empty((n, n_sig))
             per_plant_batch = np.empty((n, m))
             next_states = []
             for i, env in enumerate(envs):
-                res = env.step(states[i], JointAction(alpha=alpha[i], u=u[i]))
+                res = env.step(states[i], JointAction(alpha=action.alpha[i], u=action.u[i]))
                 next_states.append(res.next_state)
                 step_costs[i] = res.stage_cost
                 step_sigs[i] = res.signals
@@ -529,21 +470,16 @@ def train(
             ep_sig += disc * step_sigs
             disc *= settings.gamma
 
-            if ap_agent is not None and ap_raw is not None:
-                ap_agent.record(obs_mat, ap_raw, pen_costs)
+            if ap_agent is not None and action.raw is not None:
+                ap_agent.record(action.rows, action.raw, pen_costs)
             for i, ag in enumerate(rc_agents):
-                ag.record(rc_slices[i], rc_samples[i].raw, per_plant_batch[:, i])
+                ag.record(action.rc_inputs[i], action.rc_raw[i], per_plant_batch[:, i])
 
             states = next_states
-            at_end = t == settings.horizon - 1
-            if at_end:
-                for _, ag in seg_agents:
-                    ag.update(None, at_end=True, episode=episode)
-                pending_update = False
-            else:
+            if t < settings.horizon - 1:
                 obs_list = [env.observe(s) for env, s in zip(envs, states)]
-                if (t + 1) % settings.seg_len == 0:
-                    pending_update = True
+        for ag in seg_agents:
+            ag.update(None, at_end=True, episode=episode)
 
         violation = ep_sig.mean(axis=0)
         if n_sig > 0:

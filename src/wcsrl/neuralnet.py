@@ -53,11 +53,6 @@ def interval_layer(raw: np.ndarray, low: float, high: float) -> np.ndarray:
     return low + (high - low) * sigmoid(raw)
 
 
-def interval_layer_grad(raw: np.ndarray, low: float, high: float, grad_out: np.ndarray) -> np.ndarray:
-    s = sigmoid(raw)
-    return grad_out * (high - low) * s * (1.0 - s)
-
-
 def positive_layer(raw: np.ndarray) -> np.ndarray:
     """Softplus map onto the nonnegative orthant."""
     return np.logaddexp(0.0, raw)
@@ -109,10 +104,6 @@ class MLP:
     @property
     def in_dim(self) -> int:
         return self.sizes[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.sizes[-1]
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         x = np.asarray(x, dtype=float)
@@ -226,7 +217,6 @@ class ActionSample:
     raw: np.ndarray
     alpha: Optional[np.ndarray]
     u: Optional[np.ndarray]
-    log_prob: np.ndarray
 
 
 class GaussianActor:
@@ -276,9 +266,7 @@ class GaussianActor:
         std = np.exp(self.log_std)
         raw = mean + std * rng.standard_normal(mean.shape)
         alpha, u = self.transform(raw)
-        return ActionSample(
-            raw=raw, alpha=alpha, u=u, log_prob=gaussian_log_prob(raw, mean, self.log_std)
-        )
+        return ActionSample(raw=raw, alpha=alpha, u=u)
 
     def act_mean(self, obs: np.ndarray) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
         mean, _ = self.net.forward(obs)

@@ -15,9 +15,10 @@ Proves:
    9.  Training logs and evaluation are bitwise repeatable across reruns
   10.  evaluate_run reproduces the stored evaluation byte for byte
   11.  save/load round-trips separate-topology agents
+  12.  evaluate_run names the checkpoint, field and values on a config mismatch
  Group 4: Command line
-  12.  train/evaluate/baselines/gradcheck all exit zero on a tiny run
-  13.  Config errors exit 2 with a one-line message
+  13.  train/evaluate/baselines/gradcheck all exit zero on a tiny run
+  14.  Config errors exit 2 with a one-line message
 """
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ import sys
 import numpy as np
 import pytest
 
+import wcsrl
 from wcsrl import config as config_mod
 from wcsrl import harness, policies
 from wcsrl.learner import TrainedAgents
@@ -248,15 +250,38 @@ def test_save_load_separate_agents(tmp_path):
         assert np.array_equal(a.get_flat(), b.get_flat())
 
 
+def test_evaluate_run_rejects_mismatched_checkpoint(tmp_path):
+    harness.run_experiment(tiny_config(tmp_path / "run"))
+    config_path = tmp_path / "run" / "config.txt"
+    text = config_path.read_text()
+    actor = os.path.join(str(tmp_path / "run"), "checkpoints", "alloc_lqr", "actor.npz")
+    cases = [
+        ("plants.count = 2", "plants.count = 3", "obs_dim is 8", "needs 12"),
+        ("alloc.total = 2", "alloc.total = 3", "head.alpha_total is 2.0", "needs 3.0"),
+    ]
+    for old, new, have, need in cases:
+        assert old in text
+        config_path.write_text(text.replace(old, new))
+        with pytest.raises(ValueError) as info:
+            harness.evaluate_run(str(tmp_path / "run"))
+        assert str(info.value) == (
+            f"checkpoint {actor}: {have}, but the scenario in config.txt {need}"
+        )
+
+
 # Group 4 -------------------------------------------------------------------
 
 
 def run_cli(*args):
+    # the child imports the same wcsrl as this process, installed or not
+    src = os.path.dirname(os.path.dirname(wcsrl.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "wcsrl.cli", *args],
         capture_output=True,
         text=True,
         timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
