@@ -9,13 +9,18 @@ A config file looks like
     train.episodes = 1000
     train.hidden = 64 64
 
+Every key is declared once, as one row of `_TABLE`: its file key, value
+kind, default and, for enum keys, the allowed values. `KEY_SPECS`,
+`BASE_DEFAULTS`, the `ExperimentConfig` attributes and the enum checks
+are all derived from those rows, so adding a key means adding one row.
+
 Scenario presets fill in everything not stated; file values override
 presets; command-line overrides beat both. Unknown keys are an error.
 """
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
+from dataclasses import make_dataclass
 from typing import Optional
 
 import numpy as np
@@ -28,8 +33,7 @@ class ConfigError(ValueError):
     pass
 
 
-# kind -> parser; "auto" entries stay None until resolve() fills them in.
-_SCALAR_KINDS = ("int", "float", "str", "bool")
+_TYPES = {"int": int, "float": float, "str": str, "bool": bool}
 
 
 def _parse_scalar(kind: str, tokens: list[str], key: str):
@@ -37,17 +41,13 @@ def _parse_scalar(kind: str, tokens: list[str], key: str):
         raise ConfigError(f"{key}: expected a single value, got {' '.join(tokens)!r}")
     tok = tokens[0]
     try:
-        if kind == "int":
-            return int(tok)
-        if kind == "float":
-            return float(tok)
-        if kind == "bool":
-            if tok.lower() in ("true", "1", "yes", "on"):
-                return True
-            if tok.lower() in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(tok)
-        return tok
+        if kind != "bool":
+            return _TYPES[kind](tok)
+        if tok.lower() in ("true", "1", "yes", "on"):
+            return True
+        if tok.lower() in ("false", "0", "no", "off"):
+            return False
+        raise ValueError(tok)
     except ValueError:
         raise ConfigError(f"{key}: cannot read {tok!r} as {kind}") from None
 
@@ -62,118 +62,75 @@ def _parse_value(kind: str, tokens: list[str], key: str):
     return _parse_scalar(base, tokens, key)
 
 
+# One row per config key: (file key, kind, default[, allowed values]).
+# The attribute name is the key with its dot made an underscore. A kind is
+# int, float, str or bool, or one of those with "_list" for a list of them;
+# an "opt_" prefix lets "none" read as None, which _resolve fills in for
+# some keys. Adding a key means adding one row.
+_TABLE: tuple[tuple, ...] = (
+    ("scenario", "str", "custom"),
+    ("seed", "int", 0),
+    ("out_dir", "str", "runs/out"),
+    ("plants.count", "int", 2),
+    ("plants.family", "str", "random_triangular", ("random_triangular", "fixed_mixed", "cartpole")),
+    ("plants.a_low", "float", 1.05),
+    ("plants.a_high", "float", 1.15),
+    ("plants.a_values", "opt_float_list", None),
+    ("plants.process_noise", "float", 0.1),
+    ("plants.init", "str", "normal", ("normal", "uniform", "zero")),
+    ("plants.init_scale", "float", 1.0),
+    ("channel.path_loss", "float", 2.0),
+    ("channel.fading_scale", "float", 1.0),
+    ("channel.area_half_width", "opt_float", None),
+    ("channel.min_distance", "float", 0.1),
+    ("channel.positions", "opt_float_list", None),
+    ("cost.q", "float_list", [1.0]),
+    ("cost.r", "float_list", [1.0]),
+    ("constraint.kind", "str", "region", ("sum_power", "region", "none")),
+    ("constraint.power_budget", "opt_float", None),
+    ("constraint.region_half_width", "float", 15.0),
+    ("constraint.region_budget", "float", 5.0),
+    ("alloc.head", "str", "simplex", ("simplex", "softplus")),
+    ("alloc.total", "opt_float", None),
+    ("alloc.n_active", "opt_int", None),
+    ("obs.noise", "float", 1.0),
+    ("obs.noise_channel", "opt_float", None),
+    ("obs.noise_plant", "opt_float", None),
+    ("train.approaches", "str_list", ["alloc_lqr"],
+     ("alloc_lqr", "codesign", "codesign_joint", "control_only")),
+    ("train.episodes", "int", 200),
+    ("train.horizon", "int", 100),
+    ("train.workers", "int", 16),
+    ("train.segment", "int", 5),
+    ("train.gamma", "float", 0.99),
+    ("train.policy_lr", "float", 5e-4),
+    ("train.value_lr", "float", 5e-4),
+    ("train.dual_lr", "float", 1e-4),
+    ("train.optimizer", "str", "rmsprop", ("sgd", "rmsprop")),
+    ("train.entropy_coef", "float", 0.0),
+    ("train.grad_clip", "float", 0.5),
+    ("train.hidden", "int_list", [64, 64]),
+    ("train.init_std", "float", 0.5),
+    ("train.pretrain_iters", "int", 0),
+    ("train.pretrain_lr", "float", 1e-2),
+    ("train.pretrain_batch", "int", 64),
+    ("train.warm_episodes", "int", 0),
+    ("train.ceiling", "float", 1e12),
+    ("eval.tests", "int", 10),
+    ("eval.group", "int", 10),
+    ("eval.horizon", "int", 120),
+    ("eval.stochastic", "bool", False),
+    ("eval.baselines", "str_list", ["equal", "round_robin", "channel_aware", "control_aware"],
+     ("equal", "round_robin", "channel_aware", "control_aware", "all_on", "zero")),
+)
+
 # file key -> (attribute, kind)
 KEY_SPECS: dict[str, tuple[str, str]] = {
-    "scenario": ("scenario", "str"),
-    "seed": ("seed", "int"),
-    "out_dir": ("out_dir", "str"),
-    "plants.count": ("plants_count", "int"),
-    "plants.family": ("plants_family", "str"),
-    "plants.a_low": ("plants_a_low", "float"),
-    "plants.a_high": ("plants_a_high", "float"),
-    "plants.a_values": ("plants_a_values", "opt_float_list"),
-    "plants.process_noise": ("plants_process_noise", "float"),
-    "plants.init": ("plants_init", "str"),
-    "plants.init_scale": ("plants_init_scale", "float"),
-    "channel.path_loss": ("channel_path_loss", "float"),
-    "channel.fading_scale": ("channel_fading_scale", "float"),
-    "channel.area_half_width": ("channel_area_half_width", "opt_float"),
-    "channel.min_distance": ("channel_min_distance", "float"),
-    "channel.positions": ("channel_positions", "opt_float_list"),
-    "cost.q": ("cost_q", "float_list"),
-    "cost.r": ("cost_r", "float_list"),
-    "constraint.kind": ("constraint_kind", "str"),
-    "constraint.power_budget": ("constraint_power_budget", "opt_float"),
-    "constraint.region_half_width": ("constraint_region_half_width", "float"),
-    "constraint.region_budget": ("constraint_region_budget", "float"),
-    "alloc.head": ("alloc_head", "str"),
-    "alloc.total": ("alloc_total", "opt_float"),
-    "alloc.n_active": ("alloc_n_active", "opt_int"),
-    "obs.noise": ("obs_noise", "float"),
-    "obs.noise_channel": ("obs_noise_channel", "opt_float"),
-    "obs.noise_plant": ("obs_noise_plant", "opt_float"),
-    "train.approaches": ("train_approaches", "str_list"),
-    "train.episodes": ("train_episodes", "int"),
-    "train.horizon": ("train_horizon", "int"),
-    "train.workers": ("train_workers", "int"),
-    "train.segment": ("train_segment", "int"),
-    "train.gamma": ("train_gamma", "float"),
-    "train.policy_lr": ("train_policy_lr", "float"),
-    "train.value_lr": ("train_value_lr", "float"),
-    "train.dual_lr": ("train_dual_lr", "float"),
-    "train.optimizer": ("train_optimizer", "str"),
-    "train.entropy_coef": ("train_entropy_coef", "float"),
-    "train.grad_clip": ("train_grad_clip", "float"),
-    "train.hidden": ("train_hidden", "int_list"),
-    "train.init_std": ("train_init_std", "float"),
-    "train.pretrain_iters": ("train_pretrain_iters", "int"),
-    "train.pretrain_lr": ("train_pretrain_lr", "float"),
-    "train.pretrain_batch": ("train_pretrain_batch", "int"),
-    "train.warm_episodes": ("train_warm_episodes", "int"),
-    "train.ceiling": ("train_ceiling", "float"),
-    "eval.tests": ("eval_tests", "int"),
-    "eval.group": ("eval_group", "int"),
-    "eval.horizon": ("eval_horizon", "int"),
-    "eval.stochastic": ("eval_stochastic", "bool"),
-    "eval.baselines": ("eval_baselines", "str_list"),
+    key: (key.replace(".", "_"), kind) for key, kind, *_ in _TABLE
 }
-
-_ATTR_TO_KEY = {attr: key for key, (attr, _) in KEY_SPECS.items()}
-
-BASE_DEFAULTS: dict[str, object] = {
-    "scenario": "custom",
-    "seed": 0,
-    "out_dir": "runs/out",
-    "plants.count": 2,
-    "plants.family": "random_triangular",
-    "plants.a_low": 1.05,
-    "plants.a_high": 1.15,
-    "plants.a_values": None,
-    "plants.process_noise": 0.1,
-    "plants.init": "normal",
-    "plants.init_scale": 1.0,
-    "channel.path_loss": 2.0,
-    "channel.fading_scale": 1.0,
-    "channel.area_half_width": None,
-    "channel.min_distance": 0.1,
-    "channel.positions": None,
-    "cost.q": [1.0],
-    "cost.r": [1.0],
-    "constraint.kind": "region",
-    "constraint.power_budget": None,
-    "constraint.region_half_width": 15.0,
-    "constraint.region_budget": 5.0,
-    "alloc.head": "simplex",
-    "alloc.total": None,
-    "alloc.n_active": None,
-    "obs.noise": 1.0,
-    "obs.noise_channel": None,
-    "obs.noise_plant": None,
-    "train.approaches": ["alloc_lqr"],
-    "train.episodes": 200,
-    "train.horizon": 100,
-    "train.workers": 16,
-    "train.segment": 5,
-    "train.gamma": 0.99,
-    "train.policy_lr": 5e-4,
-    "train.value_lr": 5e-4,
-    "train.dual_lr": 1e-4,
-    "train.optimizer": "rmsprop",
-    "train.entropy_coef": 0.0,
-    "train.grad_clip": 0.5,
-    "train.hidden": [64, 64],
-    "train.init_std": 0.5,
-    "train.pretrain_iters": 0,
-    "train.pretrain_lr": 1e-2,
-    "train.pretrain_batch": 64,
-    "train.warm_episodes": 0,
-    "train.ceiling": 1e12,
-    "eval.tests": 10,
-    "eval.group": 10,
-    "eval.horizon": 120,
-    "eval.stochastic": False,
-    "eval.baselines": ["equal", "round_robin", "channel_aware", "control_aware"],
-}
+BASE_DEFAULTS: dict[str, object] = {key: default for key, _, default, *_ in _TABLE}
+# file key -> allowed values, for the keys that list them
+_ALLOWED: dict[str, tuple] = {key: rest[0] for key, _, _, *rest in _TABLE if rest}
 
 SCENARIO_PRESETS: dict[str, dict[str, object]] = {
     # Power allocation over unstable plants, Riccati control, region constraints,
@@ -222,68 +179,24 @@ SCENARIO_PRESETS: dict[str, dict[str, object]] = {
     "custom": {},
 }
 
-VALID_APPROACHES = ("alloc_lqr", "codesign", "codesign_joint", "control_only")
-VALID_BASELINES = ("equal", "round_robin", "channel_aware", "control_aware", "all_on", "zero")
+
+def _annotation(kind: str):
+    base = kind.removeprefix("opt_")
+    elem = _TYPES[base.removesuffix("_list")]
+    tp = list[elem] if base.endswith("_list") else elem
+    return Optional[tp] if kind.startswith("opt_") else tp
 
 
-@dataclass
-class ExperimentConfig:
-    scenario: str
-    seed: int
-    out_dir: str
-    plants_count: int
-    plants_family: str
-    plants_a_low: float
-    plants_a_high: float
-    plants_a_values: Optional[list]
-    plants_process_noise: float
-    plants_init: str
-    plants_init_scale: float
-    channel_path_loss: float
-    channel_fading_scale: float
-    channel_area_half_width: Optional[float]
-    channel_min_distance: float
-    channel_positions: Optional[list]
-    cost_q: list
-    cost_r: list
-    constraint_kind: str
-    constraint_power_budget: Optional[float]
-    constraint_region_half_width: float
-    constraint_region_budget: float
-    alloc_head: str
-    alloc_total: Optional[float]
-    alloc_n_active: Optional[int]
-    obs_noise: float
-    obs_noise_channel: Optional[float]
-    obs_noise_plant: Optional[float]
-    train_approaches: list
-    train_episodes: int
-    train_horizon: int
-    train_workers: int
-    train_segment: int
-    train_gamma: float
-    train_policy_lr: float
-    train_value_lr: float
-    train_dual_lr: float
-    train_optimizer: str
-    train_entropy_coef: float
-    train_grad_clip: float
-    train_hidden: list
-    train_init_std: float
-    train_pretrain_iters: int
-    train_pretrain_lr: float
-    train_pretrain_batch: int
-    train_warm_episodes: int
-    train_ceiling: float
-    eval_tests: int
-    eval_group: int
-    eval_horizon: int
-    eval_stochastic: bool
-    eval_baselines: list
+def _items(self) -> list[tuple[str, object]]:
+    """(file key, value) pairs in sorted key order."""
+    return sorted((key, getattr(self, attr)) for key, (attr, _) in KEY_SPECS.items())
 
-    def items(self) -> list[tuple[str, object]]:
-        """(file key, value) pairs in sorted key order."""
-        return sorted((_ATTR_TO_KEY[f.name], getattr(self, f.name)) for f in fields(self))
+
+ExperimentConfig = make_dataclass(
+    "ExperimentConfig",
+    [(attr, _annotation(kind)) for attr, kind in KEY_SPECS.values()],
+    namespace={"__module__": __name__, "items": _items},
+)
 
 
 def parse_config_text(text: str) -> dict[str, object]:
@@ -361,35 +274,31 @@ def _resolve(cfg: ExperimentConfig) -> None:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
+    for key, allowed in _ALLOWED.items():
+        attr, kind = KEY_SPECS[key]
+        value = getattr(cfg, attr)
+        for name in value if kind.endswith("_list") else [value]:
+            if name not in allowed:
+                raise ConfigError(f"unknown {key} {name!r}; pick one of {allowed}")
     m = cfg.plants_count
     if m < 1:
         raise ConfigError("plants.count must be positive")
-    if cfg.plants_family not in ("random_triangular", "fixed_mixed", "cartpole"):
-        raise ConfigError(f"unknown plants.family {cfg.plants_family!r}")
-    if cfg.plants_init not in ("normal", "uniform", "zero"):
-        raise ConfigError(f"unknown plants.init {cfg.plants_init!r}")
     if cfg.plants_a_values is not None and len(cfg.plants_a_values) != m:
         raise ConfigError("plants.a_values must list one value per plant")
     if cfg.channel_positions is not None and len(cfg.channel_positions) != 2 * m:
         raise ConfigError("channel.positions must list x y per plant")
-    if cfg.constraint_kind not in ("sum_power", "region", "none"):
-        raise ConfigError(f"unknown constraint.kind {cfg.constraint_kind!r}")
     if cfg.constraint_kind == "sum_power" and cfg.constraint_power_budget is None:
         raise ConfigError("sum_power constraint needs constraint.power_budget")
-    if cfg.alloc_head not in ("simplex", "softplus"):
-        raise ConfigError(f"unknown alloc.head {cfg.alloc_head!r}")
     if not 1 <= cfg.alloc_n_active <= m:
         raise ConfigError(f"alloc.n_active must lie in [1, {m}]")
     if not 0.0 <= cfg.train_gamma <= 1.0:
         raise ConfigError("train.gamma must lie in [0, 1]")
-    if cfg.train_optimizer not in ("sgd", "rmsprop"):
-        raise ConfigError(f"unknown train.optimizer {cfg.train_optimizer!r}")
-    for name in cfg.train_approaches:
-        if name not in VALID_APPROACHES:
-            raise ConfigError(f"unknown approach {name!r}; valid: {VALID_APPROACHES}")
-    for name in cfg.eval_baselines:
-        if name not in VALID_BASELINES:
-            raise ConfigError(f"unknown baseline {name!r}; valid: {VALID_BASELINES}")
+    # Training would fail only later: a zero or negative std gives a
+    # non-finite log-std, and the dual step is checked at the first episode end.
+    for key in ("train.init_std", "train.dual_lr"):
+        value = getattr(cfg, KEY_SPECS[key][0])
+        if not value > 0:
+            raise ConfigError(f"{key} must be positive, got {value!r}")
     if len(cfg.cost_q) not in (1, _state_dim(cfg)):
         raise ConfigError(
             f"cost.q must be a scale or {_state_dim(cfg)} diagonal entries, got {len(cfg.cost_q)}"

@@ -177,6 +177,10 @@ class TrainSettings:
             raise ValueError(f"unknown topology {self.topology!r}")
         if not (self.learn_alloc or self.learn_control):
             raise ValueError("nothing to learn: enable learn_alloc and/or learn_control")
+        if self.warm_episodes > 0 and not (self.topology == "separate" and self.learn_alloc):
+            raise ValueError(
+                "warm_episodes apply only to a learned allocation actor in the separate topology"
+            )
 
 
 @dataclass
@@ -332,6 +336,13 @@ def build_agents(
     return agents
 
 
+def per_step_power(env: WirelessControlEnv, gamma: float) -> float:
+    """Per-step share (1 - gamma) * budget of the constraint's power budget;
+    the plant count stands in when the constraint sets no budget."""
+    budget = env.constraint.power_budget if env.constraint is not None else None
+    return (1.0 - gamma) * (env.m if budget is None else budget)
+
+
 def pretrain_allocation(
     actor: GaussianActor,
     env: WirelessControlEnv,
@@ -348,7 +359,7 @@ def pretrain_allocation(
     m = env.m
     p_total = actor.head.alpha_total
     if p_total is None:
-        p_total = (1.0 - settings.gamma) * (env.constraint.power_budget if env.constraint else m)
+        p_total = per_step_power(env, settings.gamma)
     heuristic = policies.ActionSources(
         allocator=policies.make_allocator("control_aware", m, default_active_count(m), p_total),
         controller=controller,
@@ -425,10 +436,9 @@ def train(
     allocator = alloc_provider or policies.zero_allocator(m)
     sources = policies.ActionSources(agents.actor, agents.rc_actors, allocator, controller, split)
     warm_sources = sources
-    if split and agents.actor is not None and settings.warm_episodes > 0:
+    if settings.warm_episodes > 0:
         # the allocation actor sits out; equal power at the per-step share of the budget
-        budget = env0.constraint.power_budget if env0.constraint is not None else float(m)
-        warm = policies.equal_allocator(m, (1.0 - settings.gamma) * budget)
+        warm = policies.equal_allocator(m, per_step_power(env0, settings.gamma))
         warm_sources = dataclasses.replace(sources, actor=None, allocator=warm)
 
     dual = DualState(multipliers=np.zeros(n_sig), step_size=settings.dual_lr)

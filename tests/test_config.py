@@ -5,13 +5,17 @@ Proves:
   2.  Unknown keys and malformed values raise ConfigError
   3.  Preset < file < override precedence
   4.  Auto-resolution: area half-width, power budget 25 m, simplex total, n_active
-  5.  Validation rejects inconsistent settings
-  6.  config_lines round-trips through the parser
-  7.  config_hash ignores out_dir but tracks every experiment key
+  5.  Validation rejects inconsistent settings, and every enum key names
+      itself and the bad value
+  6.  config_lines round-trips through the parser for every preset
+  7.  config_hash ignores out_dir but tracks every experiment key; the
+      preset hashes are pinned
   8.  cost_matrix expands scales and diagonals
   9.  Manifest contains hash, versions, config, and extras
 """
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
@@ -90,12 +94,6 @@ def test_validation_rejections():
     with pytest.raises(ConfigError):
         load_config(overrides={"scenario": "nope"})
     with pytest.raises(ConfigError):
-        load_config(overrides={"plants.family": "quadrotor"})
-    with pytest.raises(ConfigError):
-        load_config(overrides={"train.approaches": ["alloc_lqr", "mystery"]})
-    with pytest.raises(ConfigError):
-        load_config(overrides={"eval.baselines": ["equal", "psychic"]})
-    with pytest.raises(ConfigError):
         load_config(
             overrides={"scenario": "linear_power", "plants.a_values": [1.1, 1.1]}
         )  # wrong length for m=10
@@ -103,14 +101,55 @@ def test_validation_rejections():
         load_config(overrides={"cost.q": [1.0, 2.0]})  # neither scale nor full diagonal
     with pytest.raises(ConfigError):
         load_config(overrides={"train.gamma": 1.5})
+    for key in ("train.init_std", "train.dual_lr"):
+        for bad in (0.0, -0.5):
+            with pytest.raises(ConfigError, match=re.escape(key)):
+                load_config(overrides={key: bad})
 
 
-def test_config_lines_roundtrip():
-    cfg = load_config(overrides={"scenario": "cartpole_codesign", "seed": 9})
+@pytest.mark.parametrize(
+    "key, bad",
+    [
+        ("plants.family", "quadrotor"),
+        ("plants.init", "sideways"),
+        ("constraint.kind", "peak_power"),
+        ("alloc.head", "sigmoid"),
+        ("train.optimizer", "adam"),
+        ("train.approaches", ["alloc_lqr", "mystery"]),
+        ("eval.baselines", ["equal", "psychic"]),
+    ],
+)
+def test_enum_key_rejections(key, bad):
+    with pytest.raises(ConfigError, match=re.escape(key)) as err:
+        load_config(overrides={key: bad})
+    wrong = bad[-1] if isinstance(bad, list) else bad
+    assert repr(wrong) in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "scenario", ["linear_power", "linear_codesign", "cartpole_codesign", "custom"]
+)
+def test_config_lines_roundtrip(scenario):
+    cfg = load_config(overrides={"scenario": scenario, "seed": 9})
     reparsed = parse_config_text("\n".join(config_lines(cfg)))
     cfg2 = load_config(overrides=reparsed)
     assert config_lines(cfg) == config_lines(cfg2)
     assert config_hash(cfg) == config_hash(cfg2)
+
+
+@pytest.mark.parametrize(
+    "scenario, digest",
+    [
+        ("linear_power", "8ebbf7c0edccbdce"),
+        ("linear_codesign", "4bd54feae7979499"),
+        ("cartpole_codesign", "49c20c7585161caa"),
+        ("custom", "7d4a35d1fd5b5e50"),
+    ],
+)
+def test_preset_hashes_pinned(scenario, digest):
+    # Recorded before the keys moved into one table; any change to a key,
+    # kind, default or value formatting moves the hash of some preset.
+    assert config_hash(load_config(overrides={"scenario": scenario, "seed": 0})) == digest
 
 
 def test_config_hash_semantics():

@@ -16,9 +16,11 @@ Proves:
   10.  evaluate_run reproduces the stored evaluation byte for byte
   11.  save/load round-trips separate-topology agents
   12.  evaluate_run names the checkpoint, field and values on a config mismatch
+  13.  Pretraining and warm-up train under a region constraint, which sets
+       no power budget
  Group 4: Command line
-  13.  train/evaluate/baselines/gradcheck all exit zero on a tiny run
-  14.  Config errors exit 2 with a one-line message
+  14.  train/evaluate/baselines/gradcheck all exit zero on a tiny run
+  15.  Config errors exit 2 with a one-line message
 """
 from __future__ import annotations
 
@@ -267,6 +269,22 @@ def test_evaluate_run_rejects_mismatched_checkpoint(tmp_path):
         assert str(info.value) == (
             f"checkpoint {actor}: {have}, but the scenario in config.txt {need}"
         )
+
+
+@pytest.mark.parametrize(
+    "approach, extra",
+    [
+        ("alloc_lqr", {"alloc.head": "softplus", "train.pretrain_iters": 2}),
+        ("codesign", {"alloc.head": "softplus", "train.warm_episodes": 1}),
+        ("codesign", {"train.warm_episodes": 1}),
+    ],
+    ids=["pretrain_softplus", "warmup_softplus", "warmup_simplex"],
+)
+def test_region_constraint_power_share(tmp_path, approach, extra):
+    cfg = tiny_config(tmp_path, **{"train.episodes": 1, "train.approaches": [approach], **extra})
+    assert cfg.constraint_kind == "region" and cfg.constraint_power_budget is None
+    result = harness.train_approach(harness.build_scenario(cfg), approach, 0)
+    assert len(result.log) == 1
 
 
 # Group 4 -------------------------------------------------------------------

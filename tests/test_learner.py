@@ -17,8 +17,10 @@ Proves:
   10.  Tiny run completes, logs every episode, multipliers stay feasible
   11.  Bitwise repeatable from the seed
   12.  Separate topology trains allocation and per-plant controllers
-  13.  Warm episodes freeze the allocation actor
+  13.  Warm episodes freeze the allocation actor, and are rejected where
+       no allocation actor would sit out
   14.  Lagrangian ceiling raises TrainingDivergedError
+  15.  The per-step power share falls back to the plant count without a budget
 """
 from __future__ import annotations
 
@@ -36,6 +38,7 @@ from wcsrl.learner import (
     compute_cost_to_go,
     dual_descent,
     dual_update,
+    per_step_power,
     train,
 )
 from wcsrl.neuralnet import GaussianActor, HeadSpec, ValueNet
@@ -294,6 +297,25 @@ def test_warm_episodes_freeze_allocation_actor():
     )
 
 
+@pytest.mark.parametrize(
+    "topology, learn_alloc", [("single", True), ("separate", False)]
+)
+def test_warm_episodes_rejected_where_ignored(topology, learn_alloc):
+    with pytest.raises(ValueError, match="warm_episodes"):
+        small_settings(
+            topology=topology, learn_alloc=learn_alloc, learn_control=True, warm_episodes=2
+        )
+
+
 def test_lagrangian_ceiling_raises():
     with pytest.raises(TrainingDivergedError):
         train(env_factory_for(), small_settings(lagrangian_ceiling=1e-6), seed=3)
+
+
+def test_per_step_power_share():
+    gamma = 0.9
+    rng = np.random.default_rng(0)
+    summed = env_factory_for(m=3, gamma=gamma, constraint="sum_power")(rng)
+    assert per_step_power(summed, gamma) == (1.0 - gamma) * 75.0
+    region = env_factory_for(m=3, gamma=gamma, constraint="region")(rng)
+    assert per_step_power(region, gamma) == (1.0 - gamma) * 3
