@@ -52,6 +52,29 @@ def _parse_scalar(kind: str, tokens: list[str], key: str):
         raise ConfigError(f"{key}: cannot read {tok!r} as {kind}") from None
 
 
+def _has_kind(elem: str, value) -> bool:
+    """Whether a Python value has the scalar kind; an int serves a float."""
+    if isinstance(value, bool):
+        return elem == "bool"
+    return isinstance(value, (int, float) if elem == "float" else _TYPES[elem])
+
+
+def _checked(key: str, value):
+    """A given (not parsed) value for key, lists copied; ConfigError naming
+    the key and its kind when the value does not have that kind."""
+    _, kind = KEY_SPECS[key]
+    base = kind.removeprefix("opt_")
+    elem = base.removesuffix("_list")
+    if value is None and kind.startswith("opt_"):
+        return None
+    if base.endswith("_list"):
+        if isinstance(value, (list, tuple)) and all(_has_kind(elem, v) for v in value):
+            return list(value)
+    elif _has_kind(elem, value):
+        return value
+    raise ConfigError(f"{key}: expected kind {kind}, got {value!r}")
+
+
 def _parse_value(kind: str, tokens: list[str], key: str):
     base = kind.removeprefix("opt_")
     if kind.startswith("opt_") and tokens == ["none"]:
@@ -237,7 +260,8 @@ def load_config(
         with open(path) as fh:
             file_values = parse_config_text(fh.read())
 
-    merged = dict(BASE_DEFAULTS)
+    # list values are copied, so no config shares one with the defaults or a preset
+    merged = {key: _checked(key, value) for key, value in BASE_DEFAULTS.items()}
     scenario = file_values.get("scenario", merged["scenario"])
     if overrides and "scenario" in overrides:
         scenario = overrides["scenario"]
@@ -245,13 +269,14 @@ def load_config(
         raise ConfigError(
             f"unknown scenario {scenario!r}; pick one of {sorted(SCENARIO_PRESETS)}"
         )
-    merged.update(SCENARIO_PRESETS[scenario])
+    preset = SCENARIO_PRESETS[scenario]
+    merged.update((key, _checked(key, value)) for key, value in preset.items())
     merged.update(file_values)
     if overrides:
         for key, value in overrides.items():
             if key not in KEY_SPECS:
                 raise ConfigError(f"unknown override key {key!r}")
-            merged[key] = value
+            merged[key] = _checked(key, value)
     merged["scenario"] = scenario
 
     cfg = ExperimentConfig(**{KEY_SPECS[k][0]: v for k, v in merged.items()})

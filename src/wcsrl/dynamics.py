@@ -111,11 +111,6 @@ class PlantModel:
     def input_dim(self) -> int:
         return 1 if self.kind == "cartpole" else self.b_mat.shape[1]
 
-    def step(self, x: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-        if self.kind == "linear":
-            return linear_step(self, x, u, w)
-        return cartpole_step(x, float(np.asarray(u).reshape(-1)[0]), w)
-
 
 def linear_step(model: PlantModel, x: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """One transition x' = A x + B u + w."""
@@ -133,40 +128,51 @@ def linear_step(model: PlantModel, x: np.ndarray, u: np.ndarray, w: np.ndarray) 
     return model.a_mat @ x + model.b_mat @ u + w
 
 
-def cartpole_step(x: np.ndarray, force: float, w: np.ndarray) -> np.ndarray:
-    """One Euler step of the cart-pole; state is [pos, vel, angle, ang_vel].
+def cartpole_step(x: np.ndarray, force: np.ndarray | float, w: np.ndarray) -> np.ndarray:
+    """One Euler step of the cart-pole, elementwise over leading axes.
 
-    Additive disturbance w lands on the updated state. The force must
-    respect the actuator interval.
+    x (..., 4) is [pos, vel, angle, ang_vel], force (...) the pushes and
+    w (..., 4) an additive disturbance that lands on the updated state.
+    Every force must respect the actuator interval; the first one that
+    does not is named with its row. Squares go through float_power, the
+    C pow that scalar `**` uses, so a row's result does not depend on the
+    batch it is stepped in.
     """
     x = np.asarray(x, dtype=float)
+    force = np.asarray(force, dtype=float)
     w = np.asarray(w, dtype=float)
-    if x.shape != (CARTPOLE_STATE_DIM,):
-        raise ValueError(f"cartpole state must have shape (4,), got {x.shape}")
-    if w.shape != (CARTPOLE_STATE_DIM,):
-        raise ValueError(f"noise must have shape (4,), got {w.shape}")
-    if not np.isfinite(force) or abs(force) > FORCE_LIMIT + 1e-9:
-        raise ValueError(f"force {force} outside [-{FORCE_LIMIT}, {FORCE_LIMIT}]")
+    if x.shape[-1:] != (CARTPOLE_STATE_DIM,):
+        raise ValueError(f"cartpole state must have shape (..., 4), got {x.shape}")
+    if w.shape != x.shape:
+        raise ValueError(f"noise must have shape {x.shape}, got {w.shape}")
+    if force.shape != x.shape[:-1]:
+        raise ValueError(f"force must have shape {x.shape[:-1]}, got {force.shape}")
+    bad = ~(np.abs(force) <= FORCE_LIMIT + 1e-9)
+    if bad.any():
+        row = tuple(int(i) for i in np.argwhere(bad)[0])
+        where = f" at row {row}" if row else ""
+        raise ValueError(f"force {force[row]} outside [-{FORCE_LIMIT}, {FORCE_LIMIT}]{where}")
 
-    pos, vel, angle, ang_vel = x
+    pos, vel, angle, ang_vel = np.moveaxis(x, -1, 0)
     total_mass = CART_MASS + POLE_MASS
     pole_mass_length = POLE_MASS * POLE_HALF_LENGTH
     sin_a = np.sin(angle)
     cos_a = np.cos(angle)
 
-    temp = (force + pole_mass_length * ang_vel**2 * sin_a) / total_mass
+    temp = (force + pole_mass_length * np.float_power(ang_vel, 2) * sin_a) / total_mass
     ang_acc = (GRAVITY * sin_a - cos_a * temp) / (
-        POLE_HALF_LENGTH * (4.0 / 3.0 - POLE_MASS * cos_a**2 / total_mass)
+        POLE_HALF_LENGTH * (4.0 / 3.0 - POLE_MASS * np.float_power(cos_a, 2) / total_mass)
     )
     lin_acc = temp - pole_mass_length * ang_acc * cos_a / total_mass
 
-    out = np.array(
+    out = np.stack(
         [
             pos + EULER_DT * vel,
             vel + EULER_DT * lin_acc,
             angle + EULER_DT * ang_vel,
             ang_vel + EULER_DT * ang_acc,
-        ]
+        ],
+        axis=-1,
     )
     return out + w
 

@@ -5,9 +5,9 @@ analytic-gradient self-check.
 Randomness is split into three independent streams derived from the
 experiment seed: [seed, 0] draws the scenario (placements, plant
 parameters), [seed, 1, k] drives training of the k-th approach, and
-[seed, 2] drives evaluation. Evaluation pairing reuses one generator
-seed per (test, realization) across every policy so comparisons see
-identical noise.
+[seed, 2] drives evaluation. Evaluation pairs policies by data: each
+(test, realization) cell draws one noise tape, and every policy's episode
+in that cell replays it, so comparisons see identical noise.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from wcsrl.dynamics import (
     make_fixed_ensemble,
     unstable_drift,
 )
-from wcsrl.environment import ConstraintSpec, WirelessControlEnv
+from wcsrl.environment import ConstraintSpec, SystemState, WirelessControlEnv
 from wcsrl.learner import TrainResult, TrainSettings, TrainedAgents
 from wcsrl.wireless import ChannelModel, place_plants
 
@@ -336,20 +336,21 @@ class RolloutStats:
 
 def rollout(
     env: WirelessControlEnv,
+    start: SystemState,
     policy,
-    horizon: int,
     policy_rng: np.random.Generator,
 ) -> RolloutStats:
-    """One evaluation episode: discounted cost and constraint sums, the
-    largest joint state norm seen, and whether the state left the
-    representable region (cost then saturates at DIVERGENCE_COST)."""
+    """One evaluation episode from start over its whole noise tape:
+    discounted cost and constraint sums, the largest joint state norm seen,
+    and whether the state left the representable region (cost then
+    saturates at DIVERGENCE_COST)."""
     gamma = env.gamma
-    state = env.reset()
+    state = start
     disc = 1.0
     cost = 0.0
     signals = np.zeros(env.n_signals)
     max_norm = float(np.linalg.norm(state.x))
-    for t in range(horizon):
+    for t in range(start.tape.horizon):
         obs = env.observe(state)
         action = policy.act(obs, t, policy_rng)
         res = env.step(state, action)
@@ -414,11 +415,13 @@ def evaluate(
 ) -> EvalReport:
     """Monte Carlo comparison of policies on shared noise.
 
-    Each (test, realization) cell owns a pair of generator seeds (one for
-    the environment, one for policy sampling) reused across policies, so
-    every policy sees the same initial states, fading, delivery lottery,
-    and observation noise. Realizations within a test start from fresh
-    initial states.
+    Each (test, realization) cell owns a pair of generator seeds: one
+    draws the cell's initial state and noise tape, once, and the other
+    restarts policy sampling for each policy. Every policy's episode in the
+    cell replays that tape, so all of them see the same initial states,
+    fading, delivery lottery and observation noise. Realizations within a
+    test start from fresh initial states. Cells go one at a time, so only
+    one tape is held.
     """
     cfg = bundle.cfg
     n_tests = cfg.eval_tests if n_tests is None else n_tests
@@ -432,42 +435,38 @@ def evaluate(
         cells.append([real_seq.spawn(2) for real_seq in test_seq.spawn(group)])
 
     n_sig = bundle.constraint.n_components(bundle.m) if bundle.constraint else 0
-    rows = []
-    costs = {}
-    signals = {}
-    max_norms = {}
-    diverged = {}
-    for label, policy in eval_policies.items():
-        cost_mat = np.zeros((n_tests, group))
-        sig_mat = np.zeros((n_tests, group, n_sig))
-        norm_mat = np.zeros((n_tests, group))
-        div_mat = np.zeros((n_tests, group), dtype=bool)
-        for j in range(n_tests):
-            for k in range(group):
-                env_seq, pol_seq = cells[j][k]
-                env = bundle.env_factory(np.random.Generator(np.random.PCG64(env_seq)))
+    shape = (n_tests, group)
+    costs = {label: np.zeros(shape) for label in eval_policies}
+    signals = {label: np.zeros(shape + (n_sig,)) for label in eval_policies}
+    max_norms = {label: np.zeros(shape) for label in eval_policies}
+    diverged = {label: np.zeros(shape, dtype=bool) for label in eval_policies}
+    for j in range(n_tests):
+        for k in range(group):
+            env_seq, pol_seq = cells[j][k]
+            env = bundle.env_factory(np.random.Generator(np.random.PCG64(env_seq)))
+            start = env.reset(horizon)
+            for label, policy in eval_policies.items():
                 pol_rng = np.random.Generator(np.random.PCG64(pol_seq))
-                stats = rollout(env, policy, horizon, pol_rng)
-                cost_mat[j, k] = stats.cost
-                sig_mat[j, k] = stats.signals
-                norm_mat[j, k] = stats.max_norm
-                div_mat[j, k] = stats.diverged
-            rows.append(
-                EvalRow(
-                    policy=label,
-                    test=j,
-                    cost_mean=float(cost_mat[j].mean()),
-                    cost_std=float(cost_mat[j].std()),
-                    cost_min=float(cost_mat[j].min()),
-                    cost_max=float(cost_mat[j].max()),
-                    signal_means=sig_mat[j].mean(axis=0),
-                    n_diverged=int(div_mat[j].sum()),
-                )
-            )
-        costs[label] = cost_mat
-        signals[label] = sig_mat
-        max_norms[label] = norm_mat
-        diverged[label] = div_mat
+                stats = rollout(env, start, policy, pol_rng)
+                costs[label][j, k] = stats.cost
+                signals[label][j, k] = stats.signals
+                max_norms[label][j, k] = stats.max_norm
+                diverged[label][j, k] = stats.diverged
+
+    rows = [
+        EvalRow(
+            policy=label,
+            test=j,
+            cost_mean=float(costs[label][j].mean()),
+            cost_std=float(costs[label][j].std()),
+            cost_min=float(costs[label][j].min()),
+            cost_max=float(costs[label][j].max()),
+            signal_means=signals[label][j].mean(axis=0),
+            n_diverged=int(diverged[label][j].sum()),
+        )
+        for label in eval_policies
+        for j in range(n_tests)
+    ]
     return EvalReport(
         rows=rows,
         costs=costs,

@@ -15,9 +15,10 @@ small per-plant controller actor maps that plant's slice
 its own critic, and only the access-point agent sees the constraint
 penalty.
 
-Each step stacks the workers' observations into one batch, and one call
-to policies.compose_action (which evaluation uses too) forms the actions
-of all workers. The halves the agents do not learn come from one call to
+The N workers are the N rows of one batched environment: each step
+observes and steps all of them in one call each, and one call to
+policies.compose_action (which evaluation uses too) forms the actions of
+all workers. The halves the agents do not learn come from one call to
 the fixed allocator or controller. The pending segment update runs inside
 that call: after the access-point draw in the separate layout, before
 the joint draw in the single one.
@@ -44,8 +45,9 @@ from wcsrl.neuralnet import (
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when the Lagrangian estimate blows past the configured ceiling
-    or a gradient goes non-finite; carries the episode index for diagnosis."""
+    """Raised when a plant state or a gradient goes non-finite, or the
+    Lagrangian estimate blows past the configured ceiling; carries the
+    episode index for diagnosis."""
 
     def __init__(self, message: str, episode: int) -> None:
         super().__init__(message)
@@ -277,8 +279,10 @@ class SegmentAgent:
 # observation plumbing
 
 
+# No caller since the environment steps every worker as one batch row;
+# kept because perfbench/layers.py traces it by name.
 def stack_observations(obs_list: list[Observation]) -> Observation:
-    """The workers' observations as one batch: channel (N, m), plant (N, m, p)."""
+    """Single observations as one batch: channel (N, m), plant (N, m, p)."""
     return Observation(
         channel=np.stack([o.channel for o in obs_list]),
         plant=np.stack([o.plant for o in obs_list]),
@@ -368,7 +372,7 @@ def pretrain_allocation(
     pool_obs: list[np.ndarray] = []
     pool_target: list[np.ndarray] = []
     while len(pool_obs) < max(512, 4 * settings.pretrain_batch):
-        state = env.reset()
+        state = env.reset(settings.horizon)
         for t in range(settings.horizon):
             obs = env.observe(state)
             action = policies.compose_action(heuristic, obs, t)
@@ -386,7 +390,7 @@ def pretrain_allocation(
 
 
 def train(
-    env_factory: Callable[[np.random.Generator], WirelessControlEnv],
+    env_factory: Callable[[np.random.Generator | list[np.random.Generator]], WirelessControlEnv],
     settings: TrainSettings,
     seed: int | np.random.SeedSequence,
     control_provider: Optional[policies.Controller] = None,
@@ -395,12 +399,13 @@ def train(
 ) -> TrainResult:
     """Run the full primal-dual training loop and return the trained agents.
 
-    env_factory builds one environment per worker around a dedicated
-    generator. When allocation (control) is not learned, alloc_provider
-    (control_provider) supplies that half of the action for the whole
-    worker batch; both default to zero actions when absent. seed may be a
-    SeedSequence so callers can keep training streams separate from
-    scenario or evaluation draws.
+    env_factory(rng) builds an environment around rng: training steps one
+    around the list of worker generators, one batch row per worker, and
+    pretraining one around worker 0's generator alone. When allocation
+    (control) is not learned, alloc_provider (control_provider) supplies
+    that half of the action for the whole worker batch; both default to
+    zero actions when absent. seed may be a SeedSequence so callers can
+    keep training streams separate from scenario or evaluation draws.
     """
     if isinstance(seed, np.random.SeedSequence):
         seq = seed
@@ -411,26 +416,28 @@ def train(
     sample_rng = np.random.Generator(np.random.PCG64(seq.spawn(1)[0]))
     pretrain_rng = np.random.Generator(np.random.PCG64(seq.spawn(1)[0]))
 
-    envs = [env_factory(np.random.Generator(np.random.PCG64(s))) for s in worker_seqs]
-    env0 = envs[0]
-    if abs(env0.gamma - settings.gamma) > 1e-12:
+    worker_rngs = [np.random.Generator(np.random.PCG64(s)) for s in worker_seqs]
+    env = env_factory(worker_rngs)
+    if abs(env.gamma - settings.gamma) > 1e-12:
         raise ValueError(
-            f"environment discount {env0.gamma} does not match settings {settings.gamma}"
+            f"environment discount {env.gamma} does not match settings {settings.gamma}"
         )
-    m = env0.m
-    n_sig = env0.n_signals
+    m = env.m
+    n_sig = env.n_signals
     n = settings.n_workers
 
-    agents = build_agents(env0, settings, init_rng)
+    agents = build_agents(env, settings, init_rng)
     ap_agent = None if agents.actor is None else SegmentAgent(agents.actor, agents.critic, settings)
     rc_agents = [
         SegmentAgent(a, c, settings) for a, c in zip(agents.rc_actors, agents.rc_critics)
     ]
     seg_agents = ([ap_agent] if ap_agent is not None else []) + rc_agents
 
-    controller = control_provider or policies.zero_controller(m, env0.input_dim)
+    controller = control_provider or policies.zero_controller(m, env.input_dim)
     if settings.pretrain_iters > 0 and settings.learn_alloc and agents.actor is not None:
-        pretrain_allocation(agents.actor, envs[0], settings, controller, pretrain_rng)
+        # worker 0's generator: its draws continue into training as before
+        pretrain_env = env_factory(worker_rngs[0])
+        pretrain_allocation(agents.actor, pretrain_env, settings, controller, pretrain_rng)
 
     split = settings.topology == "separate"
     allocator = alloc_provider or policies.zero_allocator(m)
@@ -438,7 +445,7 @@ def train(
     warm_sources = sources
     if settings.warm_episodes > 0:
         # the allocation actor sits out; equal power at the per-step share of the budget
-        warm = policies.equal_allocator(m, per_step_power(env0, settings.gamma))
+        warm = policies.equal_allocator(m, per_step_power(env, settings.gamma))
         warm_sources = dataclasses.replace(sources, actor=None, allocator=warm)
 
     dual = DualState(multipliers=np.zeros(n_sig), step_size=settings.dual_lr)
@@ -453,41 +460,36 @@ def train(
             for ag, x in zip(rc_agents, rc_inputs):
                 ag.update(x, at_end=False, episode=episode)
 
-        states = [env.reset() for env in envs]
-        obs_list = [env.observe(s) for env, s in zip(envs, states)]
+        state = env.reset(settings.horizon)
+        obs = env.observe(state)
         disc = 1.0
         ep_pen = np.zeros(n)
         ep_sig = np.zeros((n, n_sig))
 
         for t in range(settings.horizon):
-            obs = stack_observations(obs_list)
             update = segment_update if t > 0 and t % settings.seg_len == 0 else None
             action = policies.compose_action(episode_sources, obs, t, sample_rng, update)
+            res = env.step(state, JointAction(alpha=action.alpha, u=action.u))
+            state = res.next_state
+            if not np.isfinite(state.x).all():
+                worker = int(np.argmin(np.isfinite(state.x).reshape(n, -1).all(axis=1)))
+                raise TrainingDivergedError(
+                    f"non-finite plant state at episode {episode}, step {t}, worker {worker}",
+                    episode,
+                )
 
-            step_costs = np.empty(n)
-            step_sigs = np.empty((n, n_sig))
-            per_plant_batch = np.empty((n, m))
-            next_states = []
-            for i, env in enumerate(envs):
-                res = env.step(states[i], JointAction(alpha=action.alpha[i], u=action.u[i]))
-                next_states.append(res.next_state)
-                step_costs[i] = res.stage_cost
-                step_sigs[i] = res.signals
-                per_plant_batch[i] = res.per_plant_costs
-
-            pen_costs = step_costs + step_sigs @ dual.multipliers
+            pen_costs = res.stage_cost + res.signals @ dual.multipliers
             ep_pen += disc * pen_costs
-            ep_sig += disc * step_sigs
+            ep_sig += disc * res.signals
             disc *= settings.gamma
 
             if ap_agent is not None and action.raw is not None:
                 ap_agent.record(action.rows, action.raw, pen_costs)
             for i, ag in enumerate(rc_agents):
-                ag.record(action.rc_inputs[i], action.rc_raw[i], per_plant_batch[:, i])
+                ag.record(action.rc_inputs[i], action.rc_raw[i], res.per_plant_costs[:, i])
 
-            states = next_states
             if t < settings.horizon - 1:
-                obs_list = [env.observe(s) for env, s in zip(envs, states)]
+                obs = env.observe(state)
         for ag in seg_agents:
             ag.update(None, at_end=True, episode=episode)
 

@@ -9,6 +9,7 @@ exactly.
 """
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
@@ -17,7 +18,6 @@ import pytest
 from wcsrl import baselines, harness
 from wcsrl import config as config_mod
 from wcsrl.dynamics import make_linear_ensemble
-from wcsrl.environment import SystemState
 from wcsrl.learner import compute_cost_to_go, dual_descent
 from wcsrl.neuralnet import GaussianActor, HeadSpec
 from wcsrl.wireless import delivery_probability, sample_delivery
@@ -281,13 +281,14 @@ def test_joint_policy_stabilizes_small_initial_states(codesign_study):
         bundle, "codesign", runs[med_seed]["agents"]["codesign"]
     )
     rng = np.random.default_rng(2026)
-    env = bundle.env_factory(rng)
+    # episodes start from x0 ~ N(0, I) rescaled to joint norm 0.1
+    cfg = dataclasses.replace(bundle.cfg, plants_init="normal", plants_init_scale=1.0)
+    env = dataclasses.replace(bundle, cfg=cfg).env_factory(rng)
     bound, horizon, n_traj = 50.0, 100, 200
     peaks = np.empty(n_traj)
     for k in range(n_traj):
-        x0 = rng.standard_normal((bundle.m, bundle.state_dim))
-        x0 *= 0.1 / np.linalg.norm(x0)
-        state = SystemState(x=x0, h=env.channel.sample_gains(rng), t=0)
+        state = env.reset(horizon)
+        state = dataclasses.replace(state, x=state.x * (0.1 / np.linalg.norm(state.x)))
         peak = float(np.linalg.norm(state.x))
         for t in range(horizon):
             action = policy.act(env.observe(state), t, rng)

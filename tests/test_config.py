@@ -6,7 +6,8 @@ Proves:
   3.  Preset < file < override precedence
   4.  Auto-resolution: area half-width, power budget 25 m, simplex total, n_active
   5.  Validation rejects inconsistent settings, and every enum key names
-      itself and the bad value
+      itself and the bad value; an override of the wrong kind names the
+      key and its kind, and configs share no list with the defaults
   6.  config_lines round-trips through the parser for every preset
   7.  config_hash ignores out_dir but tracks every experiment key; the
       preset hashes are pinned
@@ -124,6 +125,45 @@ def test_enum_key_rejections(key, bad):
         load_config(overrides={key: bad})
     wrong = bad[-1] if isinstance(bad, list) else bad
     assert repr(wrong) in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "key, kind, bad",
+    [
+        ("seed", "int", 1.5),
+        ("seed", "int", True),  # a bool is no int
+        ("train.init_std", "float", "abc"),
+        ("out_dir", "str", 7),
+        ("eval.stochastic", "bool", 1),
+        ("cost.q", "float_list", 2.0),
+        ("train.hidden", "int_list", [64, 6.4]),
+        ("train.approaches", "str_list", "codesign"),
+        ("plants.a_values", "opt_float_list", ["1.1"]),
+        ("alloc.total", "opt_float", "4"),
+        ("alloc.n_active", "opt_int", 2.0),
+    ],
+)
+def test_override_kind_rejections(key, kind, bad):
+    with pytest.raises(ConfigError, match=re.escape(f"{key}: expected kind {kind}, got {bad!r}")):
+        load_config(overrides={key: bad})
+
+
+def test_override_kinds_accepted():
+    cfg = load_config(overrides={"train.init_std": 1, "train.hidden": (8, 8), "alloc.total": None})
+    assert cfg.train_init_std == 1  # an int serves a float key
+    assert cfg.train_hidden == [8, 8]
+    assert cfg.alloc_total == 2.0  # None resolves as the default does
+
+
+def test_configs_share_no_lists():
+    load_config().train_hidden.append(1)
+    load_config(overrides={"scenario": "linear_power"}).eval_baselines.append("zero")
+    given = [32, 32]
+    cfg = load_config(overrides={"train.hidden": given})
+    given.append(1)
+    assert load_config().train_hidden == [64, 64]
+    assert "zero" not in load_config(overrides={"scenario": "linear_power"}).eval_baselines
+    assert cfg.train_hidden == [32, 32]
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,8 @@ Proves:
    8.  Push right accelerates the cart right and the pole backward
    9.  Force beyond the actuator limit raises
   10.  Linearization reproduces small deviations of the nonlinear step
+  11.  Stepping rows (..., 4) at once equals stepping each row alone,
+       bitwise, and an out-of-range force names its row
  Group 3: Noise and cost plumbing
   11.  psd_factor: S S^T recovers the covariance, zero matrix passes through
   12.  Switched actuation zeroes dropped inputs only
@@ -149,6 +151,23 @@ def test_cartpole_push_direction():
 def test_cartpole_force_limit():
     with pytest.raises(ValueError):
         cartpole_step(np.zeros(4), FORCE_LIMIT * 1.5, np.zeros(4))
+
+
+def test_cartpole_rows_match_single_rows():
+    rng = np.random.Generator(np.random.PCG64(17))
+    x = rng.uniform(-1.0, 1.0, size=(5, 3, 4))
+    force = rng.uniform(-FORCE_LIMIT, FORCE_LIMIT, size=(5, 3))
+    w = 1e-3 * rng.standard_normal((5, 3, 4))
+    got = cartpole_step(x, force, w)
+    assert got.shape == (5, 3, 4)
+    for i in range(5):
+        for j in range(3):
+            assert np.array_equal(got[i, j], cartpole_step(x[i, j], float(force[i, j]), w[i, j]))
+    force[2, 1] = -FORCE_LIMIT * 1.5
+    with pytest.raises(ValueError, match=r"at row \(2, 1\)"):
+        cartpole_step(x, force, w)
+    with pytest.raises(ValueError, match="force must have shape"):
+        cartpole_step(x, force[0], w)
 
 
 def test_cartpole_linearization_local_accuracy():

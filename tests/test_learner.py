@@ -19,7 +19,8 @@ Proves:
   12.  Separate topology trains allocation and per-plant controllers
   13.  Warm episodes freeze the allocation actor, and are rejected where
        no allocation actor would sit out
-  14.  Lagrangian ceiling raises TrainingDivergedError
+  14.  Lagrangian ceiling raises TrainingDivergedError, and a non-finite
+       plant state raises it at the step it appears, naming the worker
   15.  The per-step power share falls back to the plant count without a budget
 """
 from __future__ import annotations
@@ -45,11 +46,11 @@ from wcsrl.neuralnet import GaussianActor, HeadSpec, ValueNet
 from wcsrl.wireless import ChannelModel
 
 
-def env_factory_for(m=2, gamma=0.99, constraint="region"):
+def env_factory_for(m=2, gamma=0.99, constraint="region", a_mat=None):
     plants = [
         PlantModel(
             kind="linear",
-            a_mat=unstable_drift(1.05),
+            a_mat=unstable_drift(1.05) if a_mat is None else a_mat,
             b_mat=np.eye(3),
             process_noise_cov=0.05 * np.eye(3),
         )
@@ -310,6 +311,14 @@ def test_warm_episodes_rejected_where_ignored(topology, learn_alloc):
 def test_lagrangian_ceiling_raises():
     with pytest.raises(TrainingDivergedError):
         train(env_factory_for(), small_settings(lagrangian_ceiling=1e-6), seed=3)
+
+
+def test_nonfinite_state_raises_at_its_step():
+    # x1 = 1e200 x0 is still finite; x2 = 1e400 x0 overflows in step 1 of episode 0
+    factory = env_factory_for(a_mat=1e200 * np.eye(3))
+    with pytest.raises(TrainingDivergedError, match="episode 0, step 1, worker 0") as info:
+        train(factory, small_settings(), seed=3)
+    assert info.value.episode == 0
 
 
 def test_per_step_power_share():
