@@ -298,6 +298,17 @@ def _resolve(cfg: ExperimentConfig) -> None:
         cfg.alloc_n_active = baselines.default_active_count(m)
 
 
+_COUNT_KEYS = (
+    "train.episodes",
+    "train.horizon",
+    "train.workers",
+    "train.segment",
+    "eval.tests",
+    "eval.group",
+    "eval.horizon",
+)
+
+
 def _validate(cfg: ExperimentConfig) -> None:
     for key, allowed in _ALLOWED.items():
         attr, kind = KEY_SPECS[key]
@@ -332,8 +343,12 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(
             f"cost.r must be a scale or {_input_dim(cfg)} diagonal entries, got {len(cfg.cost_r)}"
         )
-    if cfg.eval_group < 1 or cfg.eval_tests < 1:
-        raise ConfigError("eval.tests and eval.group must be positive")
+    # Counts: a bad horizon or episode count would otherwise fail only after
+    # training, or (eval.horizon = 0) write all-zero evaluation costs.
+    for key in _COUNT_KEYS:
+        value = getattr(cfg, KEY_SPECS[key][0])
+        if value < 1:
+            raise ConfigError(f"{key} must be positive, got {value!r}")
 
 
 def _state_dim(cfg: ExperimentConfig) -> int:
@@ -376,6 +391,16 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return digest[:16]
 
 
+def _blas_info() -> str:
+    """Name and version of the BLAS NumPy was built against; the bitwise
+    reproducibility claims hold per BLAS build."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy < 1.26 has no dict mode
+        return "unknown"
+
+
 def write_manifest(path: str, cfg: ExperimentConfig, extras: Optional[dict] = None) -> None:
     """Write the resolved run manifest: config, hash, versions, and any extra
     records (placements, sampled plant parameters, wall time)."""
@@ -384,6 +409,7 @@ def write_manifest(path: str, cfg: ExperimentConfig, extras: Optional[dict] = No
         f"config_hash = {config_hash(cfg)}",
         f"package_version = {wcsrl.__version__}",
         f"numpy_version = {np.__version__}",
+        f"blas = {_blas_info()}",
         "",
     ]
     lines.extend(config_lines(cfg))

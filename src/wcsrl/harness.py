@@ -530,8 +530,10 @@ def _checkpoint_files(agents: TrainedAgents) -> list[tuple[str, str, object, obj
     pairs = []
     if agents.actor is not None:
         pairs.append(("ap_actor.npz", "ap_critic.npz", agents.actor, agents.critic))
-    for i, (actor, critic) in enumerate(zip(agents.rc_actors, agents.rc_critics)):
-        pairs.append((f"rc_actor_{i}.npz", f"rc_critic_{i}.npz", actor, critic))
+    if agents.rc_actor is not None:
+        for i in range(agents.rc_actor.net.members[0]):
+            actor, critic = agents.rc_actor.member(i), agents.rc_critic.member(i)
+            pairs.append((f"rc_actor_{i}.npz", f"rc_critic_{i}.npz", actor, critic))
     return pairs
 
 
@@ -555,14 +557,19 @@ def load_agents(dir_path: str) -> TrainedAgents:
     if os.path.exists(ap_actor):
         agents.actor = neuralnet.load_actor(ap_actor)
         agents.critic = neuralnet.load_critic(os.path.join(dir_path, "ap_critic.npz"))
-    i = 0
-    while os.path.exists(os.path.join(dir_path, f"rc_actor_{i}.npz")):
-        agents.rc_actors.append(neuralnet.load_actor(os.path.join(dir_path, f"rc_actor_{i}.npz")))
-        agents.rc_critics.append(
-            neuralnet.load_critic(os.path.join(dir_path, f"rc_critic_{i}.npz"))
-        )
-        i += 1
-    if agents.actor is None and not agents.rc_actors:
+    n_rc = 0
+    while os.path.exists(os.path.join(dir_path, f"rc_actor_{n_rc}.npz")):
+        n_rc += 1
+    if n_rc:
+        paths = [os.path.join(dir_path, f"rc_{{}}_{i}.npz") for i in range(n_rc)]
+        actors = [neuralnet.load_actor(path.format("actor")) for path in paths]
+        critics = [neuralnet.load_critic(path.format("critic")) for path in paths]
+        try:
+            agents.rc_actor = neuralnet.GaussianActor.stack(actors)
+            agents.rc_critic = neuralnet.ValueNet.stack(critics)
+        except ValueError as err:
+            raise ValueError(f"{dir_path}: the per-plant checkpoints differ: {err}") from None
+    if agents.actor is None and agents.rc_actor is None:
         raise FileNotFoundError(f"no checkpoints under {dir_path}")
     return agents
 

@@ -9,11 +9,13 @@ end using the discounted constraint-signal sums.
 
 Two agent layouts exist. "single": one actor maps the full noisy
 observation to allocations and/or control inputs. "separate": an
-access-point actor maps the full observation to allocations, and one
-small per-plant controller actor maps that plant's slice
-[channel_i, state_i, alpha_i] to its control input; each actor has
-its own critic, and only the access-point agent sees the constraint
-penalty.
+access-point actor maps the full observation to allocations, and the
+per-plant controller actors map each plant's slice [channel_i, state_i,
+alpha_i] to its control input. Those m small actors, and their m
+critics, are the members of one member-stacked network each (see
+neuralnet), so all plants draw, record and update in one call per step;
+each member still learns from its own plant's cost alone, and only the
+access-point agent sees the constraint penalty.
 
 The N workers are the N rows of one batched environment: each step
 observes and steps all of them in one call each, and one call to
@@ -61,12 +63,15 @@ class TrainingDivergedError(RuntimeError):
 def compute_cost_to_go(costs: np.ndarray, bootstrap, gamma: float) -> np.ndarray:
     """Discounted cost-to-go R_t = c_t + gamma * R_{t+1} over a segment.
 
-    costs has shape (L,) or (L, N); bootstrap is the tail value estimate
-    (zero at an episode boundary) with matching trailing shape.
+    costs has shape (L,), (L, N) or (L, m, N) (one row per stacked
+    member); bootstrap is the tail value estimate (zero at an episode
+    boundary) with matching trailing shape.
     """
     costs = np.asarray(costs, dtype=float)
-    if costs.ndim not in (1, 2) or costs.shape[0] == 0:
-        raise ValueError(f"costs must be (L,) or (L, N) with L >= 1, got {costs.shape}")
+    if costs.ndim not in (1, 2, 3) or costs.shape[0] == 0:
+        raise ValueError(
+            f"costs must be (L,), (L, N) or (L, m, N) with L >= 1, got {costs.shape}"
+        )
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
     running = np.asarray(bootstrap, dtype=float)
@@ -195,13 +200,14 @@ class EpisodeRow:
 
 @dataclass
 class TrainedAgents:
-    """Trained actors/critics for either layout; unused slots stay None/empty."""
+    """Trained actors/critics for either layout; unused slots stay None.
+    rc_actor and rc_critic stack the per-plant pairs, member i for plant i."""
 
     topology: str
     actor: Optional[GaussianActor] = None
     critic: Optional[ValueNet] = None
-    rc_actors: list = field(default_factory=list)
-    rc_critics: list = field(default_factory=list)
+    rc_actor: Optional[GaussianActor] = None
+    rc_critic: Optional[ValueNet] = None
 
 
 @dataclass
@@ -217,7 +223,10 @@ class TrainResult:
 
 class SegmentAgent:
     """Actor-critic pair collecting (obs, raw action, cost) per step for
-    one worker batch, updated at segment boundaries by pooled summation."""
+    one worker batch, updated at segment boundaries by pooled summation.
+
+    A stacked pair records members + (N, ...) per step (costs (m, N)) and
+    updates every member on its own rows in one pass."""
 
     def __init__(self, actor: GaussianActor, critic: ValueNet, settings: TrainSettings) -> None:
         self.actor = actor
@@ -234,37 +243,30 @@ class SegmentAgent:
         self._raw.append(raw)
         self._costs.append(np.asarray(costs, dtype=float))
 
-    def update(
-        self,
-        boot_obs: Optional[np.ndarray],
-        at_end: bool,
-        episode: int,
-        update_actor: bool = True,
-    ) -> None:
+    def update(self, boot_obs: Optional[np.ndarray], at_end: bool, episode: int) -> None:
         if not self._obs:
             return
         s = self.settings
         costs = np.stack(self._costs)
-        n_workers = costs.shape[1]
-        bootstrap = (
-            np.zeros(n_workers) if at_end else self.critic.values(boot_obs)
-        )
-        returns = compute_cost_to_go(costs, bootstrap, s.gamma).reshape(-1)
-        obs_flat = np.concatenate(self._obs, axis=0)
-        raw_flat = np.concatenate(self._raw, axis=0)
-        values = self.critic.values(obs_flat)
+        bootstrap = np.zeros(costs.shape[1:]) if at_end else self.critic.values(boot_obs)
+        returns = compute_cost_to_go(costs, bootstrap, s.gamma)
+        # (L, ..., N) -> (..., L * N), step-major like the pooled rows
+        returns = returns.swapaxes(0, -2).reshape(costs.shape[1:-1] + (-1,))
+        obs_flat = np.concatenate(self._obs, axis=-2)
+        raw_flat = np.concatenate(self._raw, axis=-2)
+        values, critic_cache = self.critic.forward(obs_flat)
         adv = compute_advantage(returns, values)
 
-        if update_actor:
-            grad = self.actor.grad_weighted_log_prob(obs_flat, raw_flat, adv)
-            if s.entropy_coef > 0:
-                grad = grad - s.entropy_coef * obs_flat.shape[0] * self.actor.grad_entropy()
-            grad = clip_global_norm(grad, s.grad_clip)
-            if not np.isfinite(grad).all():
-                raise TrainingDivergedError("non-finite policy gradient", episode)
-            self.actor.set_flat(self.opt_actor.step(self.actor.get_flat(), grad, s.policy_lr))
+        grad = self.actor.grad_weighted_log_prob(obs_flat, raw_flat, adv)
+        if s.entropy_coef > 0:
+            grad = grad - s.entropy_coef * obs_flat.shape[-2] * self.actor.grad_entropy()
+        grad = clip_global_norm(grad, s.grad_clip)
+        if not np.isfinite(grad).all():
+            raise TrainingDivergedError("non-finite policy gradient", episode)
+        self.actor.set_flat(self.opt_actor.step(self.actor.get_flat(), grad, s.policy_lr))
 
-        vgrad = self.critic.grad_weighted(obs_flat, 2.0 * (values - returns))
+        # the critic is unchanged since the forward pass above
+        vgrad = self.critic.backward(critic_cache, 2.0 * (values - returns))
         vgrad = clip_global_norm(vgrad, s.grad_clip)
         if not np.isfinite(vgrad).all():
             raise TrainingDivergedError("non-finite value gradient", episode)
@@ -326,17 +328,21 @@ def build_agents(
         agents.critic = ValueNet(env.obs_dim, settings.hidden, rng)
     if settings.learn_control:
         rc_obs_dim = 1 + p + 1
+        head = HeadSpec(
+            n_plants=1,
+            control_dim=q,
+            control_low=settings.control_low,
+            control_high=settings.control_high,
+        )
+        # drawn plant by plant (actor, then critic) and stacked afterwards
+        actors, critics = [], []
         for _ in range(m):
-            head = HeadSpec(
-                n_plants=1,
-                control_dim=q,
-                control_low=settings.control_low,
-                control_high=settings.control_high,
-            )
-            agents.rc_actors.append(
+            actors.append(
                 GaussianActor(rc_obs_dim, head, settings.hidden, rng, settings.init_log_std)
             )
-            agents.rc_critics.append(ValueNet(rc_obs_dim, settings.hidden, rng))
+            critics.append(ValueNet(rc_obs_dim, settings.hidden, rng))
+        agents.rc_actor = GaussianActor.stack(actors)
+        agents.rc_critic = ValueNet.stack(critics)
     return agents
 
 
@@ -428,10 +434,10 @@ def train(
 
     agents = build_agents(env, settings, init_rng)
     ap_agent = None if agents.actor is None else SegmentAgent(agents.actor, agents.critic, settings)
-    rc_agents = [
-        SegmentAgent(a, c, settings) for a, c in zip(agents.rc_actors, agents.rc_critics)
-    ]
-    seg_agents = ([ap_agent] if ap_agent is not None else []) + rc_agents
+    rc_agent = None
+    if agents.rc_actor is not None:
+        rc_agent = SegmentAgent(agents.rc_actor, agents.rc_critic, settings)
+    seg_agents = [ag for ag in (ap_agent, rc_agent) if ag is not None]
 
     controller = control_provider or policies.zero_controller(m, env.input_dim)
     if settings.pretrain_iters > 0 and settings.learn_alloc and agents.actor is not None:
@@ -441,7 +447,7 @@ def train(
 
     split = settings.topology == "separate"
     allocator = alloc_provider or policies.zero_allocator(m)
-    sources = policies.ActionSources(agents.actor, agents.rc_actors, allocator, controller, split)
+    sources = policies.ActionSources(agents.actor, agents.rc_actor, allocator, controller, split)
     warm_sources = sources
     if settings.warm_episodes > 0:
         # the allocation actor sits out; equal power at the per-step share of the budget
@@ -454,11 +460,11 @@ def train(
     for episode in range(settings.episodes):
         episode_sources = warm_sources if episode < settings.warm_episodes else sources
 
-        def segment_update(rows: np.ndarray, rc_inputs: list) -> None:
+        def segment_update(rows: np.ndarray, rc_inputs: Optional[np.ndarray]) -> None:
             if ap_agent is not None:
                 ap_agent.update(rows, at_end=False, episode=episode)
-            for ag, x in zip(rc_agents, rc_inputs):
-                ag.update(x, at_end=False, episode=episode)
+            if rc_agent is not None:
+                rc_agent.update(rc_inputs, at_end=False, episode=episode)
 
         state = env.reset(settings.horizon)
         obs = env.observe(state)
@@ -485,8 +491,8 @@ def train(
 
             if ap_agent is not None and action.raw is not None:
                 ap_agent.record(action.rows, action.raw, pen_costs)
-            for i, ag in enumerate(rc_agents):
-                ag.record(action.rc_inputs[i], action.rc_raw[i], res.per_plant_costs[:, i])
+            if rc_agent is not None:
+                rc_agent.record(action.rc_inputs, action.rc_raw, res.per_plant_costs.T)
 
             if t < settings.horizon - 1:
                 obs = env.observe(state)

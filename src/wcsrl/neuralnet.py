@@ -6,6 +6,14 @@ space (diagonal Gaussian, state-dependent mean from the network,
 learned state-independent log-std); the raw sample is then pushed
 through a structural layer (simplex / softplus / interval) and the
 log-probability is taken with respect to the raw-space Gaussian.
+
+A network may stack several members of the same shape along leading
+axes of every parameter (`members`, empty for a single network): the
+per-plant controller actors run as one network of m members. A stacked
+network takes inputs `members + (rows, n_in)`, returns `members + (...)`,
+and its flat parameters and gradients are `members + (n_params,)`, one
+row per member in the single-network layout; each member gets the same
+numbers, bit for bit, as it would alone.
 """
 from __future__ import annotations
 
@@ -63,10 +71,11 @@ def positive_layer_grad(raw: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 
 
 def gaussian_log_prob(sample: np.ndarray, mean: np.ndarray, log_std: np.ndarray) -> np.ndarray:
-    """Log density of a diagonal Gaussian, summed over the last axis."""
+    """Log density of a diagonal Gaussian, summed over the last axis; log_std
+    broadcasts against sample."""
     z = (sample - mean) / np.exp(log_std)
     d = sample.shape[-1]
-    return -0.5 * (z**2).sum(axis=-1) - log_std.sum() - 0.5 * d * LOG_2PI
+    return -0.5 * (z**2).sum(axis=-1) - log_std.sum(axis=-1) - 0.5 * d * LOG_2PI
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +87,9 @@ class MLP:
 
     forward() returns the output plus a cache; backward() consumes the
     cache and an output gradient and returns flat parameter gradients.
-    Weight layout per layer l: w[l] (n_in, n_out), b[l] (n_out,), both
-    initialized uniformly in +-1/sqrt(n_in).
+    Weight layout per layer l: w[l] members + (n_in, n_out), b[l]
+    members + (n_out,), both initialized uniformly in +-1/sqrt(n_in); a
+    new network is a single one, MLP.stack makes a stacked one.
     """
 
     def __init__(self, sizes: tuple[int, ...], rng: Optional[np.random.Generator] = None) -> None:
@@ -101,6 +111,28 @@ class MLP:
             self.weights.append(w)
             self.biases.append(b)
 
+    @classmethod
+    def stack(cls, nets: list[MLP]) -> MLP:
+        """One network whose member i is nets[i] (same sizes, single networks)."""
+        if len({n.sizes for n in nets}) != 1 or any(n.members for n in nets):
+            sizes = [n.sizes for n in nets]
+            raise ValueError(f"can stack only single networks of one shape, got {sizes}")
+        out = cls(nets[0].sizes)
+        out.weights = [np.stack(ws) for ws in zip(*(n.weights for n in nets))]
+        out.biases = [np.stack(bs) for bs in zip(*(n.biases for n in nets))]
+        return out
+
+    def member(self, i: int) -> MLP:
+        """Member i of a stacked network as a single network sharing its arrays."""
+        out = MLP(self.sizes)
+        out.weights = [w[i] for w in self.weights]
+        out.biases = [b[i] for b in self.biases]
+        return out
+
+    @property
+    def members(self) -> tuple[int, ...]:
+        return self.weights[0].shape[:-2]
+
     @property
     def in_dim(self) -> int:
         return self.sizes[0]
@@ -109,18 +141,18 @@ class MLP:
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             x = x[None, :]
-        if x.shape[1] != self.in_dim:
-            raise ValueError(f"input width {x.shape[1]} != {self.in_dim}")
+        if x.shape[-1] != self.in_dim:
+            raise ValueError(f"input width {x.shape[-1]} != {self.in_dim}")
         cache = [x]
         n_layers = len(self.weights)
         for l in range(n_layers):
-            z = x @ self.weights[l] + self.biases[l]
+            z = x @ self.weights[l] + self.biases[l][..., None, :]
             x = np.tanh(z) if l < n_layers - 1 else z
             cache.append(x)
         return x, cache
 
     def backward(self, cache: list[np.ndarray], grad_out: np.ndarray) -> np.ndarray:
-        """Flat gradient of sum_b loss_b when grad_out[b] = dloss_b/doutput_b."""
+        """Flat gradient of sum_b loss_b when grad_out[..., b, :] = dloss_b/doutput_b."""
         g = np.asarray(grad_out, dtype=float)
         if g.ndim == 1:
             g = g[None, :]
@@ -128,36 +160,39 @@ class MLP:
         grads_b = [np.empty(0)] * len(self.biases)
         for l in reversed(range(len(self.weights))):
             a_in = cache[l]
-            grads_w[l] = a_in.T @ g
-            grads_b[l] = g.sum(axis=0)
+            grads_w[l] = a_in.swapaxes(-1, -2) @ g
+            grads_b[l] = g.sum(axis=-2)
             if l > 0:
-                g = (g @ self.weights[l].T) * (1.0 - a_in**2)
-        return np.concatenate(
-            [arr.ravel() for pair in zip(grads_w, grads_b) for arr in pair]
-        )
+                g = (g @ self.weights[l].swapaxes(-1, -2)) * (1.0 - a_in**2)
+        return self._flatten(arr for pair in zip(grads_w, grads_b) for arr in pair)
 
     # flat parameter vector <-> structured weights
 
+    def _flatten(self, arrays) -> np.ndarray:
+        """Per-layer arrays as members + (n_params,), layer by layer."""
+        lead = self.members + (-1,)
+        return np.concatenate([arr.reshape(lead) for arr in arrays], axis=-1)
+
     @property
     def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        """Parameters per member."""
+        return sum((n_in + 1) * n_out for n_in, n_out in zip(self.sizes[:-1], self.sizes[1:]))
 
     def get_flat(self) -> np.ndarray:
-        return np.concatenate(
-            [arr.ravel() for pair in zip(self.weights, self.biases) for arr in pair]
-        )
+        return self._flatten(arr for pair in zip(self.weights, self.biases) for arr in pair)
 
     def set_flat(self, vec: np.ndarray) -> None:
         vec = np.asarray(vec, dtype=float)
-        if vec.shape != (self.n_params,):
-            raise ValueError(f"expected {self.n_params} parameters, got {vec.shape}")
+        if vec.shape != self.members + (self.n_params,):
+            raise ValueError(
+                f"expected {self.members + (self.n_params,)} parameters, got {vec.shape}"
+            )
         k = 0
-        for l in range(len(self.weights)):
-            w, b = self.weights[l], self.biases[l]
-            self.weights[l] = vec[k : k + w.size].reshape(w.shape)
-            k += w.size
-            self.biases[l] = vec[k : k + b.size].copy()
-            k += b.size
+        for l, (n_in, n_out) in enumerate(zip(self.sizes[:-1], self.sizes[1:])):
+            self.weights[l] = vec[..., k : k + n_in * n_out].reshape(self.weights[l].shape)
+            k += n_in * n_out
+            self.biases[l] = vec[..., k : k + n_out].copy()
+            k += n_out
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +255,11 @@ class ActionSample:
 
 
 class GaussianActor:
-    """Stochastic policy: network mean, learned log-std, structural heads."""
+    """Stochastic policy: network mean, learned log-std, structural heads.
+
+    A stacked actor (GaussianActor.stack) has log_std members + (raw_dim,)
+    and one head shared by every member.
+    """
 
     def __init__(
         self,
@@ -233,6 +272,23 @@ class GaussianActor:
         self.head = head
         self.net = MLP((obs_dim, *hidden, head.raw_dim), rng)
         self.log_std = np.full(head.raw_dim, float(init_log_std))
+
+    @classmethod
+    def stack(cls, actors: list[GaussianActor]) -> GaussianActor:
+        """One actor whose member i is actors[i] (all single, with one head)."""
+        if any(a.head != actors[0].head for a in actors):
+            raise ValueError("can stack only actors with one head")
+        out = cls(actors[0].obs_dim, actors[0].head, actors[0].net.sizes[1:-1])
+        out.net = MLP.stack([a.net for a in actors])
+        out.log_std = np.stack([a.log_std for a in actors])
+        return out
+
+    def member(self, i: int) -> GaussianActor:
+        """Member i of a stacked actor as a single actor sharing its arrays."""
+        out = GaussianActor(self.obs_dim, self.head, self.net.sizes[1:-1])
+        out.net = self.net.member(i)
+        out.log_std = self.log_std[i]
+        return out
 
     @property
     def obs_dim(self) -> int:
@@ -248,14 +304,14 @@ class GaussianActor:
         alpha = None
         u = None
         if head.alloc == "simplex":
-            alpha = simplex_layer(raw[:, : head.alloc_raw_dim], head.alpha_total)
+            alpha = simplex_layer(raw[..., : head.alloc_raw_dim], head.alpha_total)
         elif head.alloc == "softplus":
-            alpha = positive_layer(raw[:, : head.alloc_raw_dim])
+            alpha = positive_layer(raw[..., : head.alloc_raw_dim])
         if head.control_dim > 0:
-            block = raw[:, head.alloc_raw_dim :]
+            block = raw[..., head.alloc_raw_dim :]
             if head.bounded_control:
                 block = interval_layer(block, head.control_low, head.control_high)
-            u = block.reshape(-1, head.n_plants, head.control_dim)
+            u = block.reshape(block.shape[:-1] + (head.n_plants, head.control_dim))
         if squeeze:
             alpha = None if alpha is None else alpha[0]
             u = None if u is None else u[0]
@@ -263,7 +319,7 @@ class GaussianActor:
 
     def sample(self, obs: np.ndarray, rng: np.random.Generator) -> ActionSample:
         mean, _ = self.net.forward(obs)
-        std = np.exp(self.log_std)
+        std = np.exp(self.log_std)[..., None, :]
         raw = mean + std * rng.standard_normal(mean.shape)
         alpha, u = self.transform(raw)
         return ActionSample(raw=raw, alpha=alpha, u=u)
@@ -274,7 +330,7 @@ class GaussianActor:
 
     def log_prob(self, obs: np.ndarray, raw: np.ndarray) -> np.ndarray:
         mean, _ = self.net.forward(obs)
-        return gaussian_log_prob(raw, mean, self.log_std)
+        return gaussian_log_prob(raw, mean, self.log_std[..., None, :])
 
     # gradients -------------------------------------------------------------
 
@@ -283,22 +339,27 @@ class GaussianActor:
     ) -> np.ndarray:
         """Flat gradient of sum_b coeffs[b] * log pi(raw[b] | obs[b]).
 
-        Layout matches get_flat(): network parameters then log-std.
+        Layout matches get_flat(): network parameters then log-std. A
+        stacked actor takes obs members + (rows, obs_dim) and coeffs
+        members + (rows,).
         """
         obs = np.atleast_2d(np.asarray(obs, dtype=float))
         raw = np.atleast_2d(np.asarray(raw, dtype=float))
-        coeffs = np.asarray(coeffs, dtype=float).reshape(-1)
+        coeffs = np.asarray(coeffs, dtype=float).reshape(self.net.members + (-1,))
         mean, cache = self.net.forward(obs)
-        std = np.exp(self.log_std)
+        std = np.exp(self.log_std)[..., None, :]
         z = (raw - mean) / std
-        grad_mean = coeffs[:, None] * z / std
+        grad_mean = coeffs[..., None] * z / std
         net_grad = self.net.backward(cache, grad_mean)
-        grad_log_std = (coeffs[:, None] * (z**2 - 1.0)).sum(axis=0)
-        return np.concatenate([net_grad, grad_log_std])
+        grad_log_std = (coeffs[..., None] * (z**2 - 1.0)).sum(axis=-2)
+        return np.concatenate([net_grad, grad_log_std], axis=-1)
 
     def grad_entropy(self) -> np.ndarray:
         """Flat gradient of the (state-independent) entropy of one action draw."""
-        return np.concatenate([np.zeros(self.net.n_params), np.ones(self.log_std.size)])
+        members = self.net.members
+        return np.concatenate(
+            [np.zeros(members + (self.net.n_params,)), np.ones(self.log_std.shape)], axis=-1
+        )
 
     def grad_alloc_mse(self, obs: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
         """Loss and flat gradient of mean squared error between the deterministic
@@ -331,21 +392,24 @@ class GaussianActor:
 
     @property
     def n_params(self) -> int:
-        return self.net.n_params + self.log_std.size
+        """Parameters per member."""
+        return self.net.n_params + self.head.raw_dim
 
     def get_flat(self) -> np.ndarray:
-        return np.concatenate([self.net.get_flat(), self.log_std])
+        return np.concatenate([self.net.get_flat(), self.log_std], axis=-1)
 
     def set_flat(self, vec: np.ndarray) -> None:
         vec = np.asarray(vec, dtype=float)
-        if vec.shape != (self.n_params,):
-            raise ValueError(f"expected {self.n_params} parameters, got {vec.shape}")
-        self.net.set_flat(vec[: self.net.n_params])
-        self.log_std = vec[self.net.n_params :].copy()
+        if vec.shape != self.net.members + (self.n_params,):
+            raise ValueError(
+                f"expected {self.net.members + (self.n_params,)} parameters, got {vec.shape}"
+            )
+        self.net.set_flat(vec[..., : self.net.n_params])
+        self.log_std = vec[..., self.net.n_params :].copy()
 
 
 class ValueNet:
-    """Scalar state-value estimator."""
+    """Scalar state-value estimator; ValueNet.stack stacks members like MLP."""
 
     def __init__(
         self,
@@ -355,6 +419,19 @@ class ValueNet:
     ) -> None:
         self.net = MLP((obs_dim, *hidden, 1), rng)
 
+    @classmethod
+    def stack(cls, critics: list[ValueNet]) -> ValueNet:
+        """One critic whose member i is critics[i]."""
+        out = cls(critics[0].obs_dim, critics[0].net.sizes[1:-1])
+        out.net = MLP.stack([c.net for c in critics])
+        return out
+
+    def member(self, i: int) -> ValueNet:
+        """Member i of a stacked critic as a single critic sharing its arrays."""
+        out = ValueNet(self.obs_dim, self.net.sizes[1:-1])
+        out.net = self.net.member(i)
+        return out
+
     @property
     def obs_dim(self) -> int:
         return self.net.in_dim
@@ -363,15 +440,22 @@ class ValueNet:
     def n_params(self) -> int:
         return self.net.n_params
 
+    def forward(self, obs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Values (..., rows) and the cache backward() takes."""
+        out, cache = self.net.forward(obs)
+        return out[..., 0], cache
+
+    def backward(self, cache: list[np.ndarray], dloss_dv: np.ndarray) -> np.ndarray:
+        """Flat gradient of a loss whose per-sample derivative w.r.t. the value
+        is dloss_dv, at the forward pass that left cache."""
+        return self.net.backward(cache, np.asarray(dloss_dv, dtype=float)[..., None])
+
     def values(self, obs: np.ndarray) -> np.ndarray:
-        out, _ = self.net.forward(obs)
-        return out[:, 0]
+        return self.forward(obs)[0]
 
     def grad_weighted(self, obs: np.ndarray, dloss_dv: np.ndarray) -> np.ndarray:
         """Flat gradient of a loss whose per-sample derivative w.r.t. the value is dloss_dv."""
-        obs = np.atleast_2d(np.asarray(obs, dtype=float))
-        _, cache = self.net.forward(obs)
-        return self.net.backward(cache, np.asarray(dloss_dv, dtype=float).reshape(-1, 1))
+        return self.backward(self.forward(obs)[1], dloss_dv)
 
     def get_flat(self) -> np.ndarray:
         return self.net.get_flat()
@@ -413,13 +497,16 @@ def make_optimizer(name: str):
 
 
 def clip_global_norm(grad: np.ndarray, max_norm: float) -> np.ndarray:
-    """Rescale grad so its 2-norm is at most max_norm (no-op when max_norm <= 0)."""
+    """Rescale each member's gradient (the last axis) so its 2-norm is at most
+    max_norm (no-op when max_norm <= 0)."""
     if max_norm <= 0:
         return grad
-    norm = float(np.linalg.norm(grad))
-    if norm > max_norm:
-        return grad * (max_norm / norm)
-    return grad
+    # (1, n) @ (n, 1) is the BLAS dot product np.linalg.norm takes of one vector
+    norm = np.sqrt(grad[..., None, :] @ grad[..., :, None])[..., 0]
+    if not np.count_nonzero(norm > max_norm):
+        return grad
+    # a member at or under the bound scales by exactly 1.0
+    return grad * (max_norm / np.maximum(norm, max_norm))
 
 
 # ---------------------------------------------------------------------------

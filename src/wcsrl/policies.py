@@ -3,15 +3,17 @@ action (allocations alpha (..., m), control inputs u (..., m, q)) in
 training and in evaluation.
 
 The allocation comes from the full-observation actor or a fixed
-allocator; the control from the joint actor, the per-plant actors (on
-[channel_i, state_i, alpha_i]) or a fixed controller. Allocators and
-controllers are callables (obs, t) -> array on observations with any
-leading batch shape, so training calls each once per step for all of its
-workers, and evaluation once per single observation.
+allocator; the control from the joint actor, the per-plant controller
+actors (one member-stacked actor, member i on [channel_i, state_i,
+alpha_i], all plants drawn in one call) or a fixed controller.
+Allocators and controllers are callables (obs, t) -> array on
+observations with any leading batch shape, so training calls each once
+per step for all of its workers, and evaluation once per single
+observation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
@@ -92,12 +94,12 @@ def zero_controller(m: int, input_dim: int) -> Controller:
 # composition
 
 
-def controller_slice(obs: Observation, alpha: np.ndarray, plant: int) -> np.ndarray:
-    """Per-plant controller input [channel_i, state_i, alpha_i] with obs's batch shape."""
-    return np.concatenate(
-        [obs.channel[..., plant, None], obs.plant[..., plant, :], alpha[..., plant, None]],
-        axis=-1,
-    )
+def controller_slice(obs: Observation, alpha: np.ndarray) -> np.ndarray:
+    """Every plant's controller input [channel_i, state_i, alpha_i] as one
+    contiguous member-major (m, rows, p + 2) array; rows flattens obs's
+    batch shape."""
+    x = np.concatenate([obs.channel[..., None], obs.plant, alpha[..., None]], axis=-1)
+    return np.ascontiguousarray(x.reshape(-1, *x.shape[-2:]).swapaxes(0, 1))
 
 
 @dataclass
@@ -111,7 +113,7 @@ class ActionSources:
     """
 
     actor: Optional[GaussianActor] = None
-    rc_actors: list = field(default_factory=list)
+    rc_actor: Optional[GaussianActor] = None
     allocator: Optional[Allocator] = None
     controller: Optional[Controller] = None
     split: bool = False
@@ -119,14 +121,15 @@ class ActionSources:
 
 @dataclass
 class ComposedAction:
-    """A joint action plus the actor inputs and raw draws the learner records."""
+    """A joint action plus the actor inputs and raw draws the learner
+    records; the per-plant ones are member-major, (m, rows, ...)."""
 
     alpha: np.ndarray
     u: np.ndarray
     rows: Optional[np.ndarray] = None
     raw: Optional[np.ndarray] = None
-    rc_inputs: list = field(default_factory=list)
-    rc_raw: list = field(default_factory=list)
+    rc_inputs: Optional[np.ndarray] = None
+    rc_raw: Optional[np.ndarray] = None
 
 
 def _fixed(source, obs: Observation, t: int, batch: tuple, core: int, what: str) -> np.ndarray:
@@ -144,7 +147,7 @@ def compose_action(
     obs: Observation,
     t: int,
     rng: Optional[np.random.Generator] = None,
-    segment_update: Optional[Callable[[np.ndarray, list], None]] = None,
+    segment_update: Optional[Callable[[np.ndarray, Optional[np.ndarray]], None]] = None,
 ) -> ComposedAction:
     """The joint action for obs (any leading batch shape) at step t.
 
@@ -166,7 +169,7 @@ def compose_action(
         rows = obs.stacked()
         rows = rows.reshape(-1, rows.shape[-1])
     if segment_update is not None and not sources.split:
-        segment_update(rows, [])
+        segment_update(rows, None)
     if sources.actor is not None:
         alpha, u, raw = draw(sources.actor, rows)
         alpha = None if alpha is None else alpha.reshape(batch + alpha.shape[1:])
@@ -174,17 +177,17 @@ def compose_action(
     if alpha is None:
         alpha = _fixed(sources.allocator, obs, t, batch, 1, "allocation")
 
-    rc_inputs = [controller_slice(obs, alpha, i) for i in range(len(sources.rc_actors))]
+    rc_inputs = rc_raw = None
+    if sources.rc_actor is not None:
+        rc_inputs = controller_slice(obs, alpha)
     if segment_update is not None and sources.split:
         segment_update(rows, rc_inputs)
-    rc_raw = []
-    if sources.rc_actors:
-        cols = []
-        for actor, x in zip(sources.rc_actors, rc_inputs):
-            _, u_i, raw_i = draw(actor, x.reshape(-1, x.shape[-1]))
-            cols.append(u_i[:, 0, :])
-            rc_raw.append(raw_i)
-        u = np.stack(cols, axis=1).reshape(batch + (len(cols), -1))
+    if rc_inputs is not None:
+        # every plant in one draw; u_rc is (m, rows, 1, q)
+        _, u_rc, rc_raw = draw(sources.rc_actor, rc_inputs)
+        u = np.ascontiguousarray(u_rc[..., 0, :].swapaxes(0, 1)).reshape(
+            batch + (rc_inputs.shape[0], -1)
+        )
     if u is None:
         u = _fixed(sources.controller, obs, t, batch, 2, "control input")
     return ComposedAction(alpha, u, rows, raw, rc_inputs, rc_raw)
@@ -220,7 +223,7 @@ class AgentPolicy:
         stochastic: bool = False,
     ) -> None:
         self.sources = ActionSources(
-            agents.actor, agents.rc_actors, allocator, controller, agents.topology == "separate"
+            agents.actor, agents.rc_actor, allocator, controller, agents.topology == "separate"
         )
         self.stochastic = stochastic
 

@@ -106,6 +106,13 @@ def test_validation_rejections():
         for bad in (0.0, -0.5):
             with pytest.raises(ConfigError, match=re.escape(key)):
                 load_config(overrides={key: bad})
+    # counts: caught here, not after training (or, for eval.horizon = 0,
+    # never: it wrote all-zero evaluation costs)
+    counts = ("train.episodes", "train.horizon", "train.workers", "train.segment", "eval.horizon")
+    for key in counts:
+        for bad in (0, -1):
+            with pytest.raises(ConfigError, match=re.escape(key)):
+                load_config(overrides={key: bad})
 
 
 @pytest.mark.parametrize(
@@ -219,5 +226,6 @@ def test_manifest_contents(tmp_path):
     text = path.read_text()
     assert f"config_hash = {config_hash(cfg)}" in text
     assert "numpy_version =" in text
+    assert "blas =" in text
     assert "seed = 3" in text
     assert "train.alloc_lqr.wall_seconds = 12.5" in text

@@ -14,7 +14,8 @@ Proves:
    8.  run_experiment writes config, logs, checkpoints, evaluation, manifest
    9.  Training logs and evaluation are bitwise repeatable across reruns
   10.  evaluate_run reproduces the stored evaluation byte for byte
-  11.  save/load round-trips separate-topology agents
+  11.  save/load round-trips separate-topology agents; each per-plant
+       checkpoint holds the bytes a standalone copy of its member saves to
   12.  evaluate_run names the checkpoint, field and values on a config mismatch
   13.  Pretraining and warm-up train under a region constraint, which sets
        no power budget
@@ -33,7 +34,7 @@ import pytest
 
 import wcsrl
 from wcsrl import config as config_mod
-from wcsrl import harness, policies
+from wcsrl import harness, neuralnet, policies
 from wcsrl.learner import TrainedAgents
 
 TINY = {
@@ -247,9 +248,30 @@ def test_save_load_separate_agents(tmp_path):
     loaded = harness.load_agents(path)
     assert loaded.topology == "separate"
     assert np.array_equal(loaded.actor.get_flat(), result.agents.actor.get_flat())
-    assert len(loaded.rc_actors) == 2
-    for a, b in zip(loaded.rc_actors, result.agents.rc_actors):
+    assert loaded.rc_actor.net.members == (2,)
+    for i in range(2):
+        a, b = loaded.rc_actor.member(i), result.agents.rc_actor.member(i)
         assert np.array_equal(a.get_flat(), b.get_flat())
+
+    # each member file is what a standalone actor/critic with member i's
+    # parameters saves to, byte for byte
+    rc_actor, rc_critic = result.agents.rc_actor, result.agents.rc_critic
+    for i in range(2):
+        actor = neuralnet.GaussianActor(rc_actor.obs_dim, rc_actor.head, cfg.train_hidden)
+        actor.set_flat(rc_actor.get_flat()[i].copy())
+        critic = neuralnet.ValueNet(rc_critic.obs_dim, cfg.train_hidden)
+        critic.set_flat(rc_critic.get_flat()[i].copy())
+        neuralnet.save_actor(str(tmp_path / "standalone_actor.npz"), actor)
+        neuralnet.save_critic(str(tmp_path / "standalone_critic.npz"), critic)
+        for kind in ("actor", "critic"):
+            standalone = (tmp_path / f"standalone_{kind}.npz").read_bytes()
+            assert (tmp_path / "ckpt" / f"rc_{kind}_{i}.npz").read_bytes() == standalone
+
+    # per-plant checkpoints that cannot be stacked are named, not a shape error
+    odd = neuralnet.GaussianActor(rc_actor.obs_dim, rc_actor.head, (3,))
+    neuralnet.save_actor(os.path.join(path, "rc_actor_1.npz"), odd)
+    with pytest.raises(ValueError, match="per-plant checkpoints differ"):
+        harness.load_agents(path)
 
 
 def test_evaluate_run_rejects_mismatched_checkpoint(tmp_path):

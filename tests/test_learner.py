@@ -13,15 +13,17 @@ Proves:
    7.  A positive-advantage action loses log-probability after one step
    8.  The value step moves predictions toward the returns
    9.  Pooled updates are invariant to worker ordering
+  10.  A member-stacked agent updates every member bitwise as m separate
+       agents do (bootstrap, entropy term, per-member clipping, rmsprop)
  Group 4: End-to-end training loop
-  10.  Tiny run completes, logs every episode, multipliers stay feasible
-  11.  Bitwise repeatable from the seed
-  12.  Separate topology trains allocation and per-plant controllers
-  13.  Warm episodes freeze the allocation actor, and are rejected where
+  11.  Tiny run completes, logs every episode, multipliers stay feasible
+  12.  Bitwise repeatable from the seed
+  13.  Separate topology trains allocation and per-plant controllers
+  14.  Warm episodes freeze the allocation actor, and are rejected where
        no allocation actor would sit out
-  14.  Lagrangian ceiling raises TrainingDivergedError, and a non-finite
+  15.  Lagrangian ceiling raises TrainingDivergedError, and a non-finite
        plant state raises it at the step it appears, naming the worker
-  15.  The per-step power share falls back to the plant count without a budget
+  16.  The per-step power share falls back to the plant count without a budget
 """
 from __future__ import annotations
 
@@ -111,6 +113,12 @@ def test_cost_to_go_bootstrap_weighting():
     )
     assert np.allclose(batched[:, 0], returns, atol=1e-15)
     assert np.allclose(batched[:, 1], [2.0 + 0.9 * 2.0, 2.0], atol=1e-15)
+    # member-stacked form (L, m, N): each member is its own (L, N) problem
+    rng = np.random.Generator(np.random.PCG64(19))
+    costs, boot = rng.standard_normal((4, 3, 2)), rng.standard_normal((3, 2))
+    stacked = compute_cost_to_go(costs, boot, 0.9)
+    for i in range(3):
+        assert np.array_equal(stacked[:, i], compute_cost_to_go(costs[:, i], boot[i], 0.9))
 
 
 def test_advantage():
@@ -212,6 +220,41 @@ def test_pooled_update_worker_order_invariance():
     assert np.allclose(critic_a.get_flat(), critic_b.get_flat(), atol=1e-10)
 
 
+def test_stacked_agent_matches_separate_agents():
+    m, n_workers = 3, 2
+    # at this clip some members' gradients are rescaled and others not
+    settings = TrainSettings(
+        episodes=1, horizon=8, n_workers=n_workers, entropy_coef=0.05, grad_clip=400.0
+    )
+    head = HeadSpec(n_plants=1, control_dim=2, control_low=-1.0, control_high=1.0)
+
+    def pairs():
+        rng = np.random.Generator(np.random.PCG64(23))
+        return [(GaussianActor(4, head, (8,), rng), ValueNet(4, (8,), rng)) for _ in range(m)]
+
+    single = [SegmentAgent(a, c, settings) for a, c in pairs()]
+    actors, critics = zip(*pairs())
+    stacked = SegmentAgent(GaussianActor.stack(actors), ValueNet.stack(critics), settings)
+    rng = np.random.Generator(np.random.PCG64(29))
+    for t in range(8):
+        obs = rng.standard_normal((m, n_workers, 4))
+        raw = rng.standard_normal((m, n_workers, 2))
+        costs = 10.0 * rng.standard_normal((m, n_workers))
+        if t == 4:  # a mid-episode segment update, bootstrapped on obs
+            stacked.update(obs, at_end=False, episode=0)
+            for i, ag in enumerate(single):
+                ag.update(obs[i], at_end=False, episode=0)
+        stacked.record(obs, raw, costs)
+        for i, ag in enumerate(single):
+            ag.record(obs[i], raw[i], costs[i])
+    stacked.update(None, at_end=True, episode=0)
+    for ag in single:
+        ag.update(None, at_end=True, episode=0)
+    for i, ag in enumerate(single):
+        assert np.array_equal(stacked.actor.member(i).get_flat(), ag.actor.get_flat())
+        assert np.array_equal(stacked.critic.member(i).get_flat(), ag.critic.get_flat())
+
+
 # Group 4 -------------------------------------------------------------------
 
 
@@ -264,9 +307,10 @@ def test_train_separate_topology():
     )
     result = train(env_factory_for(constraint="sum_power"), settings, seed=7)
     assert result.agents.actor is not None
-    assert len(result.agents.rc_actors) == 2
-    assert len(result.agents.rc_critics) == 2
-    for actor in result.agents.rc_actors:
+    assert result.agents.rc_actor.net.members == (2,)
+    assert result.agents.rc_critic.net.members == (2,)
+    for i in range(2):
+        actor = result.agents.rc_actor.member(i)
         assert np.isfinite(actor.get_flat()).all()
         # controller actors see [channel_i, state_i, alpha_i]
         assert actor.net.sizes[0] == 1 + 3 + 1
@@ -294,7 +338,7 @@ def test_warm_episodes_freeze_allocation_actor():
     assert np.array_equal(all_warm.agents.actor.get_flat(), one_ep.agents.actor.get_flat())
     # while the controllers did learn
     assert not np.array_equal(
-        all_warm.agents.rc_actors[0].get_flat(), one_ep.agents.rc_actors[0].get_flat()
+        all_warm.agents.rc_actor.member(0).get_flat(), one_ep.agents.rc_actor.member(0).get_flat()
     )
 
 

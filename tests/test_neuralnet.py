@@ -17,6 +17,12 @@ Proves:
   11.  Deterministic given the generator state
   12.  Checkpoint save/load round-trips actor and critic bitwise
   13.  Optimizers take the expected first step (sgd exact, rmsprop scale)
+ Group 4: Member-stacked networks, bitwise against m separate ones
+  14.  MLP forward and backward
+  15.  GaussianActor sample (same generator end state), act_mean,
+       grad_weighted_log_prob and grad_entropy; ValueNet values and gradient
+  16.  get_flat / set_flat, member views and stacking
+  17.  clip_global_norm clips each member on its own norm
 """
 from __future__ import annotations
 
@@ -249,3 +255,112 @@ def test_clip_global_norm():
     assert np.allclose(clipped, [0.6, 0.8], atol=1e-12)
     assert np.array_equal(clip_global_norm(g, 10.0), g)
     assert np.array_equal(clip_global_norm(g, 0.0), g)  # disabled
+
+
+def test_clip_global_norm_is_the_single_vector_rule():
+    g = np.random.Generator(np.random.PCG64(79)).standard_normal(257)
+    norm = float(np.linalg.norm(g))
+    assert np.array_equal(clip_global_norm(g, 0.5), g * (0.5 / norm))
+
+
+# Group 4 -------------------------------------------------------------------
+
+M = 3
+
+
+def separate_and_stacked(make):
+    """M networks built one after another from one generator, and their stack."""
+    rng = np.random.Generator(np.random.PCG64(83))
+    nets = [make(rng) for _ in range(M)]
+    return nets, type(nets[0]).stack(nets), rng
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_stacked_mlp_forward_backward_bitwise(rows):
+    nets, stacked, rng = separate_and_stacked(lambda r: MLP((5, 8, 8, 2), r))
+    assert stacked.members == (M,)
+    x = rng.standard_normal((M, rows, 5))
+    g = rng.standard_normal((M, rows, 2))
+    out, cache = stacked.forward(x)
+    grad = stacked.backward(cache, g)
+    assert grad.shape == (M, stacked.n_params)
+    for i, net in enumerate(nets):
+        out_i, cache_i = net.forward(x[i])
+        assert np.array_equal(out[i], out_i)
+        assert np.array_equal(grad[i], net.backward(cache_i, g[i]))
+
+
+@pytest.mark.parametrize("bounded", [True, False], ids=["bounded", "unbounded"])
+def test_stacked_actor_bitwise(bounded):
+    head = HeadSpec(n_plants=1, control_dim=2, control_low=-3.0 if bounded else None,
+                    control_high=3.0 if bounded else None)
+    actors, stacked, rng = separate_and_stacked(
+        lambda r: GaussianActor(4, head, (8, 8), r, init_log_std=np.log(0.7))
+    )
+    # distinct log-stds per member, so a member mix-up would show
+    for i, a in enumerate(actors):
+        a.log_std = a.log_std + 0.1 * i
+    stacked = GaussianActor.stack(actors)
+    obs = rng.standard_normal((M, 6, 4))
+
+    rng_stacked = np.random.Generator(np.random.PCG64(89))
+    rng_single = np.random.Generator(np.random.PCG64(89))
+    sample = stacked.sample(obs, rng_stacked)
+    singles = [a.sample(obs[i], rng_single) for i, a in enumerate(actors)]
+    assert rng_stacked.bit_generator.state == rng_single.bit_generator.state
+    _, u_mean = stacked.act_mean(obs)
+    coeffs = rng.standard_normal((M, 6))
+    grad = stacked.grad_weighted_log_prob(obs, sample.raw, coeffs)
+    for i, a in enumerate(actors):
+        assert np.array_equal(sample.raw[i], singles[i].raw)
+        assert np.array_equal(sample.u[i], singles[i].u)
+        assert np.array_equal(u_mean[i], a.act_mean(obs[i])[1])
+        assert np.array_equal(grad[i], a.grad_weighted_log_prob(obs[i], sample.raw[i], coeffs[i]))
+        assert np.array_equal(stacked.grad_entropy()[i], a.grad_entropy())
+        assert np.array_equal(
+            stacked.log_prob(obs, sample.raw)[i], a.log_prob(obs[i], sample.raw[i])
+        )
+
+
+def test_stacked_critic_bitwise():
+    critics, stacked, rng = separate_and_stacked(lambda r: ValueNet(4, (8, 8), r))
+    obs = rng.standard_normal((M, 5, 4))
+    dloss = rng.standard_normal((M, 5))
+    values, cache = stacked.forward(obs)
+    grad = stacked.backward(cache, dloss)
+    assert np.array_equal(values, stacked.values(obs))
+    assert np.array_equal(grad, stacked.grad_weighted(obs, dloss))
+    for i, c in enumerate(critics):
+        assert np.array_equal(values[i], c.values(obs[i]))
+        assert np.array_equal(grad[i], c.grad_weighted(obs[i], dloss[i]))
+
+
+def test_stacked_flat_roundtrip_and_members():
+    head = HeadSpec(n_plants=1, control_dim=1)
+    actors, stacked, rng = separate_and_stacked(lambda r: GaussianActor(3, head, (8,), r))
+    flat = stacked.get_flat()
+    assert flat.shape == (M, stacked.n_params)
+    for i, a in enumerate(actors):
+        assert np.array_equal(flat[i], a.get_flat())
+        assert np.array_equal(stacked.member(i).get_flat(), a.get_flat())
+    new = rng.standard_normal(flat.shape)
+    stacked.set_flat(new)
+    for i, a in enumerate(actors):
+        a.set_flat(new[i])
+        assert np.array_equal(stacked.member(i).get_flat(), a.get_flat())
+    assert np.array_equal(stacked.get_flat(), new)
+    with pytest.raises(ValueError, match="parameters"):
+        stacked.set_flat(new[0])
+    with pytest.raises(ValueError, match="stack"):
+        MLP.stack([MLP((3, 4, 1), rng), MLP((3, 5, 1), rng)])
+
+
+def test_clip_global_norm_per_member():
+    rng = np.random.Generator(np.random.PCG64(97))
+    g = 0.01 * rng.standard_normal((M, 40))
+    g[1] *= 1e4  # only member 1 is over the bound
+    clipped = clip_global_norm(g, 1.0)
+    assert np.array_equal(clipped[0], g[0])
+    assert np.array_equal(clipped[2], g[2])
+    assert np.array_equal(clipped[1], clip_global_norm(g[1], 1.0))
+    assert np.linalg.norm(clipped[1]) == pytest.approx(1.0, rel=1e-12)

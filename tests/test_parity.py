@@ -9,7 +9,8 @@ heuristic policies pin their per-test mean costs.
 
 The reference values in parity_reference.json were recorded with the
 per-topology training branches and the per-worker providers that the
-shared composition step replaced:
+shared composition step replaced; the linear_codesign_entropy case with
+one network per plant controller, before those were stacked into one:
 
     PYTHONPATH=src python tests/test_parity.py --write tests/parity_reference.json
 
@@ -59,6 +60,14 @@ CASES = {
         "seed": 6,
         "plants.count": 3,
         "train.approaches": ["alloc_lqr"],
+    },
+    # the entropy term of the per-plant and access-point updates, at m = 3
+    "linear_codesign_entropy": {
+        "scenario": "linear_codesign",
+        "seed": 8,
+        "plants.count": 3,
+        "train.entropy_coef": 0.01,
+        "train.approaches": ["codesign", "control_only"],
     },
 }
 
