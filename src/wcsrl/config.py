@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 import wcsrl
-from wcsrl import baselines
+from wcsrl import baselines, learner
 
 
 class ConfigError(ValueError):
@@ -119,8 +119,7 @@ _TABLE: tuple[tuple, ...] = (
     ("obs.noise", "float", 1.0),
     ("obs.noise_channel", "opt_float", None),
     ("obs.noise_plant", "opt_float", None),
-    ("train.approaches", "str_list", ["alloc_lqr"],
-     ("alloc_lqr", "codesign", "codesign_joint", "control_only")),
+    ("train.approaches", "str_list", ["alloc_lqr"], tuple(learner.APPROACHES)),
     ("train.episodes", "int", 200),
     ("train.horizon", "int", 100),
     ("train.workers", "int", 16),
@@ -298,14 +297,43 @@ def _resolve(cfg: ExperimentConfig) -> None:
         cfg.alloc_n_active = baselines.default_active_count(m)
 
 
-_COUNT_KEYS = (
+# Each of these would otherwise be ignored silently or fail later with no
+# key named: a bad horizon or episode count only after training, eval.horizon
+# = 0 by writing all-zero evaluation costs, a zero pretraining batch by
+# NaN-loss pretraining that does nothing, a zero or negative std by a
+# non-finite log-std.
+_POSITIVE_KEYS = (
     "train.episodes",
     "train.horizon",
     "train.workers",
     "train.segment",
+    "train.pretrain_batch",
     "eval.tests",
     "eval.group",
     "eval.horizon",
+    "train.init_std",
+    "train.dual_lr",
+    "train.policy_lr",
+    "train.value_lr",
+    "train.pretrain_lr",
+    "train.ceiling",
+    "channel.fading_scale",
+    "channel.min_distance",
+    "channel.area_half_width",
+    "constraint.region_half_width",
+)
+# None (an unset optional key) passes
+_NONNEGATIVE_KEYS = (
+    "train.pretrain_iters",
+    "train.warm_episodes",
+    "train.entropy_coef",
+    "train.grad_clip",
+    "plants.process_noise",
+    "plants.init_scale",
+    "constraint.region_budget",
+    "obs.noise",
+    "obs.noise_channel",
+    "obs.noise_plant",
 )
 
 
@@ -329,12 +357,18 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"alloc.n_active must lie in [1, {m}]")
     if not 0.0 <= cfg.train_gamma <= 1.0:
         raise ConfigError("train.gamma must lie in [0, 1]")
-    # Training would fail only later: a zero or negative std gives a
-    # non-finite log-std, and the dual step is checked at the first episode end.
-    for key in ("train.init_std", "train.dual_lr"):
+    if cfg.plants_a_low > cfg.plants_a_high:
+        raise ConfigError(
+            f"plants.a_low {cfg.plants_a_low!r} exceeds plants.a_high {cfg.plants_a_high!r}"
+        )
+    for key in _POSITIVE_KEYS:
         value = getattr(cfg, KEY_SPECS[key][0])
         if not value > 0:
             raise ConfigError(f"{key} must be positive, got {value!r}")
+    for key in _NONNEGATIVE_KEYS:
+        value = getattr(cfg, KEY_SPECS[key][0])
+        if value is not None and not value >= 0:
+            raise ConfigError(f"{key} must be nonnegative, got {value!r}")
     if len(cfg.cost_q) not in (1, _state_dim(cfg)):
         raise ConfigError(
             f"cost.q must be a scale or {_state_dim(cfg)} diagonal entries, got {len(cfg.cost_q)}"
@@ -343,12 +377,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(
             f"cost.r must be a scale or {_input_dim(cfg)} diagonal entries, got {len(cfg.cost_r)}"
         )
-    # Counts: a bad horizon or episode count would otherwise fail only after
-    # training, or (eval.horizon = 0) write all-zero evaluation costs.
-    for key in _COUNT_KEYS:
-        value = getattr(cfg, KEY_SPECS[key][0])
-        if value < 1:
-            raise ConfigError(f"{key} must be positive, got {value!r}")
 
 
 def _state_dim(cfg: ExperimentConfig) -> int:

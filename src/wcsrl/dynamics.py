@@ -112,22 +112,6 @@ class PlantModel:
         return 1 if self.kind == "cartpole" else self.b_mat.shape[1]
 
 
-def linear_step(model: PlantModel, x: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """One transition x' = A x + B u + w."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if model.kind != "linear":
-        raise ValueError("linear_step needs a linear plant")
-    if x.shape != (model.state_dim,):
-        raise ValueError(f"state must have shape {(model.state_dim,)}, got {x.shape}")
-    if u.shape != (model.input_dim,):
-        raise ValueError(f"input must have shape {(model.input_dim,)}, got {u.shape}")
-    if w.shape != (model.state_dim,):
-        raise ValueError(f"noise must have shape {(model.state_dim,)}, got {w.shape}")
-    return model.a_mat @ x + model.b_mat @ u + w
-
-
 def cartpole_step(x: np.ndarray, force: np.ndarray | float, w: np.ndarray) -> np.ndarray:
     """One Euler step of the cart-pole, elementwise over leading axes.
 
@@ -195,12 +179,6 @@ def cartpole_linearization(eps: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
     return a, b.reshape(CARTPOLE_STATE_DIM, 1)
 
 
-def apply_switched_input(u: np.ndarray, delivered: bool) -> np.ndarray:
-    """The input that actually reaches the plant: u if delivered, else zero."""
-    u = np.asarray(u, dtype=float)
-    return u if delivered else np.zeros_like(u)
-
-
 @dataclass
 class CostWeights:
     """Per-plant quadratic stage-cost weights: state weight q (PSD), input weight r (PD)."""
@@ -220,43 +198,6 @@ class CostWeights:
             raise ValueError("q must be positive semidefinite")
         if np.linalg.eigvalsh(self.r).min() <= 0:
             raise ValueError("r must be positive definite")
-
-
-def quadratic_stage_cost(x: np.ndarray, u: np.ndarray, weights: CostWeights) -> float:
-    """x^T q x + u^T r u for the realized (post-switch) input."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if x.shape != (weights.q.shape[0],):
-        raise ValueError(f"state must have shape {(weights.q.shape[0],)}, got {x.shape}")
-    if u.shape != (weights.r.shape[0],):
-        raise ValueError(f"input must have shape {(weights.r.shape[0],)}, got {u.shape}")
-    return float(x @ weights.q @ x + u @ weights.r @ u)
-
-
-def make_linear_ensemble(
-    m: int,
-    a_low: float,
-    a_high: float,
-    rng: np.random.Generator,
-    process_noise_cov: Optional[np.ndarray] = None,
-) -> list[PlantModel]:
-    """m independent plants on the unstable-drift template, a ~ U[a_low, a_high], B = I."""
-    if m < 1:
-        raise ValueError("need at least one plant")
-    if a_low > a_high:
-        raise ValueError(f"a_low {a_low} exceeds a_high {a_high}")
-    plants = []
-    for _ in range(m):
-        a = float(rng.uniform(a_low, a_high))
-        plants.append(
-            PlantModel(
-                kind="linear",
-                a_mat=unstable_drift(a),
-                b_mat=np.eye(3),
-                process_noise_cov=process_noise_cov,
-            )
-        )
-    return plants
 
 
 def make_fixed_ensemble(

@@ -93,9 +93,8 @@ class ConstraintSpec:
     [-region_half_width, region_half_width]^p bounded by region_budget;
     m signal components, indicator - (1-gamma)*budget.
 
-    kind "simplex": instantaneous sum(alpha) <= power_budget, enforced
-    structurally by the allocation head; contributes no signal and no
-    multiplier.
+    An instantaneous power cap is no constraint kind: the allocation head
+    enforces it (HeadSpec alloc "simplex").
     """
 
     kind: str
@@ -104,9 +103,9 @@ class ConstraintSpec:
     region_budget: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.kind in ("sum_power", "simplex"):
+        if self.kind == "sum_power":
             if self.power_budget is None or self.power_budget <= 0:
-                raise ValueError(f"{self.kind} constraint needs a positive power_budget")
+                raise ValueError("sum_power constraint needs a positive power_budget")
         elif self.kind == "region":
             if self.region_half_width is None or self.region_half_width <= 0:
                 raise ValueError("region constraint needs a positive region_half_width")
@@ -116,11 +115,7 @@ class ConstraintSpec:
             raise ValueError(f"unknown constraint kind {self.kind!r}")
 
     def n_components(self, m: int) -> int:
-        if self.kind == "sum_power":
-            return 1
-        if self.kind == "region":
-            return m
-        return 0
+        return 1 if self.kind == "sum_power" else m
 
     def signal(self, x_stack: np.ndarray, alpha: np.ndarray, gamma: float) -> np.ndarray:
         """Per-step signal l_t (..., n_components) for states (..., m, p) and
@@ -128,19 +123,8 @@ class ConstraintSpec:
         constraint bound in via the geometric series (1-gamma) * bound * sum(gamma^t)."""
         if self.kind == "sum_power":
             return (np.sum(alpha, axis=-1) - (1.0 - gamma) * self.power_budget)[..., None]
-        if self.kind == "region":
-            outside = (np.abs(x_stack) > self.region_half_width).any(axis=-1).astype(float)
-            return outside - (1.0 - gamma) * self.region_budget
-        return np.zeros(np.shape(alpha)[:-1] + (0,))
-
-
-def penalized_cost(stage_cost: float, signals: np.ndarray, multipliers: np.ndarray) -> float:
-    """Lagrangian stage cost: stage cost plus multiplier-weighted constraint signals."""
-    signals = np.asarray(signals, dtype=float)
-    multipliers = np.asarray(multipliers, dtype=float)
-    if signals.shape != multipliers.shape:
-        raise ValueError(f"signal shape {signals.shape} != multiplier shape {multipliers.shape}")
-    return float(stage_cost + multipliers @ signals)
+        outside = (np.abs(x_stack) > self.region_half_width).any(axis=-1).astype(float)
+        return outside - (1.0 - gamma) * self.region_budget
 
 
 @dataclass

@@ -214,16 +214,18 @@ class ApproachSetup:
 
 
 def approach_setup(bundle: ScenarioBundle, approach: str) -> ApproachSetup:
-    """Translate an approach name into training settings and fixed providers.
-
-    alloc_lqr: one joint actor learns allocation, Riccati control fixed.
-    codesign: separate allocation and per-plant control actors, both learned.
-    codesign_joint: one joint actor learns allocation and control together.
-    control_only: per-plant control actors learned under guaranteed delivery,
-    equal power fixed.
-    """
+    """Translate an approach name into training settings and the fixed
+    sources for what it does not learn (see learner.APPROACHES): Riccati
+    control when control is fixed, equal power under guaranteed delivery
+    when allocation is not learned. Pretraining reaches only learned
+    allocation over fixed control, and warm episodes only the approaches
+    whose allocation actor can sit them out."""
+    if approach not in learner.APPROACHES:
+        raise ValueError(f"unknown approach {approach!r}")
+    spec = learner.APPROACHES[approach]
     cfg = bundle.cfg
-    common = dict(
+    settings = TrainSettings(
+        approach=approach,
         episodes=cfg.train_episodes,
         horizon=cfg.train_horizon,
         n_workers=cfg.train_workers,
@@ -241,47 +243,17 @@ def approach_setup(bundle: ScenarioBundle, approach: str) -> ApproachSetup:
         alpha_total=cfg.alloc_total if cfg.alloc_head == "simplex" else None,
         control_low=bundle.control_low,
         control_high=bundle.control_high,
+        pretrain_iters=cfg.train_pretrain_iters if spec.control == "fixed" else 0,
+        pretrain_lr=cfg.train_pretrain_lr,
+        pretrain_batch=cfg.train_pretrain_batch,
+        warm_episodes=cfg.train_warm_episodes if spec.warms_up else 0,
         lagrangian_ceiling=cfg.train_ceiling,
     )
-    if approach == "alloc_lqr":
-        settings = TrainSettings(
-            topology="single",
-            learn_alloc=True,
-            learn_control=False,
-            pretrain_iters=cfg.train_pretrain_iters,
-            pretrain_lr=cfg.train_pretrain_lr,
-            pretrain_batch=cfg.train_pretrain_batch,
-            **common,
-        )
-        return ApproachSetup(settings, bundle.riccati_controller(), None, False)
-    if approach == "codesign":
-        settings = TrainSettings(
-            topology="separate",
-            learn_alloc=True,
-            learn_control=True,
-            warm_episodes=cfg.train_warm_episodes,
-            **common,
-        )
-        return ApproachSetup(settings, None, None, False)
-    if approach == "codesign_joint":
-        settings = TrainSettings(
-            topology="single",
-            learn_alloc=True,
-            learn_control=True,
-            warm_episodes=0,
-            **common,
-        )
-        return ApproachSetup(settings, None, None, False)
-    if approach == "control_only":
-        settings = TrainSettings(
-            topology="separate",
-            learn_alloc=False,
-            learn_control=True,
-            **common,
-        )
+    control = bundle.riccati_controller() if spec.control == "fixed" else None
+    alloc = None
+    if not spec.learn_alloc:
         alloc = policies.equal_allocator(bundle.m, bundle.baseline_power_total())
-        return ApproachSetup(settings, None, alloc, True)
-    raise ValueError(f"unknown approach {approach!r}")
+    return ApproachSetup(settings, control, alloc, force_delivery=not spec.learn_alloc)
 
 
 def train_approach(
@@ -524,16 +496,16 @@ def write_eval_csv(path: str, cfg: ExperimentConfig, report: EvalReport) -> None
 
 
 def _checkpoint_files(agents: TrainedAgents) -> list[tuple[str, str, object, object]]:
-    """(actor file, critic file, actor, critic) for every trained pair."""
-    if agents.topology == "single":
+    """(actor file, critic file, actor, critic) for every trained pair; the
+    full-observation pair is the access point's beside per-plant actors."""
+    if agents.rc_actor is None:
         return [("actor.npz", "critic.npz", agents.actor, agents.critic)]
     pairs = []
     if agents.actor is not None:
         pairs.append(("ap_actor.npz", "ap_critic.npz", agents.actor, agents.critic))
-    if agents.rc_actor is not None:
-        for i in range(agents.rc_actor.net.members[0]):
-            actor, critic = agents.rc_actor.member(i), agents.rc_critic.member(i)
-            pairs.append((f"rc_actor_{i}.npz", f"rc_critic_{i}.npz", actor, critic))
+    for i in range(agents.rc_actor.net.members[0]):
+        actor, critic = agents.rc_actor.member(i), agents.rc_critic.member(i)
+        pairs.append((f"rc_actor_{i}.npz", f"rc_critic_{i}.npz", actor, critic))
     return pairs
 
 
@@ -548,11 +520,10 @@ def load_agents(dir_path: str) -> TrainedAgents:
     single_actor = os.path.join(dir_path, "actor.npz")
     if os.path.exists(single_actor):
         return TrainedAgents(
-            topology="single",
             actor=neuralnet.load_actor(single_actor),
             critic=neuralnet.load_critic(os.path.join(dir_path, "critic.npz")),
         )
-    agents = TrainedAgents(topology="separate")
+    agents = TrainedAgents()
     ap_actor = os.path.join(dir_path, "ap_actor.npz")
     if os.path.exists(ap_actor):
         agents.actor = neuralnet.load_actor(ap_actor)

@@ -7,29 +7,31 @@ log-probabilities, value step on squared cost-to-go error), and the
 constraint multipliers take a projected ascent step at each episode
 end using the discounted constraint-signal sums.
 
-Two agent layouts exist. "single": one actor maps the full noisy
-observation to allocations and/or control inputs. "separate": an
-access-point actor maps the full observation to allocations, and the
-per-plant controller actors map each plant's slice [channel_i, state_i,
-alpha_i] to its control input. Those m small actors, and their m
-critics, are the members of one member-stacked network each (see
-neuralnet), so all plants draw, record and update in one call per step;
-each member still learns from its own plant's cost alone, and only the
-access-point agent sees the constraint penalty.
+What each approach learns is said once, in APPROACHES: whether an
+allocation actor is learned, and where control comes from. A joint actor
+maps the full noisy observation to allocations and/or control inputs.
+With per-plant control, an access-point actor (when allocation is
+learned) maps the full observation to allocations, and the per-plant
+controller actors map each plant's slice [channel_i, state_i, alpha_i]
+to its control input. Those m small actors, and their m critics, are the
+members of one member-stacked network each (see neuralnet), so all
+plants draw, record and update in one call per step; each member still
+learns from its own plant's cost alone, and only the access-point agent
+sees the constraint penalty.
 
 The N workers are the N rows of one batched environment: each step
 observes and steps all of them in one call each, and one call to
 policies.compose_action (which evaluation uses too) forms the actions of
 all workers. The halves the agents do not learn come from one call to
 the fixed allocator or controller. The pending segment update runs inside
-that call: after the access-point draw in the separate layout, before
-the joint draw in the single one.
+that call: after the allocation draw when per-plant actors exist,
+before the joint actor's draw otherwise.
 """
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -108,30 +110,6 @@ def dual_update(multipliers: np.ndarray, violation: np.ndarray, step_size: float
     return np.maximum(0.0, multipliers + step_size * violation)
 
 
-def dual_descent(
-    primal_minimizer: Callable[[np.ndarray], object],
-    constraint_evaluator: Callable[[object], np.ndarray],
-    lam0: np.ndarray,
-    step_size: float,
-    iterations: int,
-) -> tuple[np.ndarray, object]:
-    """Alternate exact primal minimization with projected dual ascent.
-
-    Returns the final multipliers and the primal solution at those
-    multipliers.
-    """
-    lam = np.atleast_1d(np.asarray(lam0, dtype=float)).copy()
-    if iterations < 1:
-        raise ValueError("need at least one iteration")
-    primal = None
-    for _ in range(iterations):
-        primal = primal_minimizer(lam)
-        violation = np.atleast_1d(np.asarray(constraint_evaluator(primal), dtype=float))
-        lam = dual_update(lam, violation, step_size)
-    primal = primal_minimizer(lam)
-    return lam, primal
-
-
 @dataclass
 class DualState:
     """Multipliers plus their dual-ascent bookkeeping."""
@@ -146,7 +124,33 @@ class DualState:
 
 
 # ---------------------------------------------------------------------------
-# settings and results
+# approaches, settings and results
+
+
+class Approach(NamedTuple):
+    """What an approach trains: an allocation actor or not, and its control
+    source: "fixed" (a given controller), "joint" (the joint actor's control
+    head) or "per_plant" (the per-plant controller actors)."""
+
+    learn_alloc: bool
+    control: str
+
+    @property
+    def warms_up(self) -> bool:
+        """Its allocation actor can sit out warm episodes under equal power."""
+        return self.learn_alloc and self.control == "per_plant"
+
+
+APPROACHES: dict[str, Approach] = {
+    # allocation learned over model-based (Riccati) control
+    "alloc_lqr": Approach(learn_alloc=True, control="fixed"),
+    # access-point allocation actor co-designed with per-plant controllers
+    "codesign": Approach(learn_alloc=True, control="per_plant"),
+    # one actor learns allocation and control together
+    "codesign_joint": Approach(learn_alloc=True, control="joint"),
+    # per-plant controllers under fixed equal power and guaranteed delivery
+    "control_only": Approach(learn_alloc=False, control="per_plant"),
+}
 
 
 @dataclass
@@ -164,9 +168,7 @@ class TrainSettings:
     grad_clip: float = 0.0
     hidden: tuple = (64, 64)
     init_log_std: float = float(np.log(0.5))
-    topology: str = "single"
-    learn_alloc: bool = True
-    learn_control: bool = False
+    approach: str = "alloc_lqr"
     alloc_head: Optional[str] = "simplex"
     alpha_total: Optional[float] = None
     control_low: Optional[float] = None
@@ -180,13 +182,11 @@ class TrainSettings:
     def __post_init__(self) -> None:
         if self.episodes < 1 or self.horizon < 1 or self.n_workers < 1 or self.seg_len < 1:
             raise ValueError("episodes, horizon, n_workers, seg_len must be positive")
-        if self.topology not in ("single", "separate"):
-            raise ValueError(f"unknown topology {self.topology!r}")
-        if not (self.learn_alloc or self.learn_control):
-            raise ValueError("nothing to learn: enable learn_alloc and/or learn_control")
-        if self.warm_episodes > 0 and not (self.topology == "separate" and self.learn_alloc):
+        if self.approach not in APPROACHES:
+            raise ValueError(f"unknown approach {self.approach!r}")
+        if self.warm_episodes > 0 and not APPROACHES[self.approach].warms_up:
             raise ValueError(
-                "warm_episodes apply only to a learned allocation actor in the separate topology"
+                "warm_episodes apply only to a learned allocation actor beside per-plant controllers"
             )
 
 
@@ -200,10 +200,10 @@ class EpisodeRow:
 
 @dataclass
 class TrainedAgents:
-    """Trained actors/critics for either layout; unused slots stay None.
-    rc_actor and rc_critic stack the per-plant pairs, member i for plant i."""
+    """Trained actors/critics; unused slots stay None. actor/critic is the
+    joint or access-point pair; rc_actor and rc_critic stack the per-plant
+    pairs, member i for plant i."""
 
-    topology: str
     actor: Optional[GaussianActor] = None
     critic: Optional[ValueNet] = None
     rc_actor: Optional[GaussianActor] = None
@@ -304,29 +304,23 @@ def build_agents(
 ) -> TrainedAgents:
     """The actors and critics settings train on env; rng=None gives zero weights."""
     m, p, q = env.m, env.state_dim, env.input_dim
-    if settings.topology == "single":
+    spec = APPROACHES[settings.approach]
+    agents = TrainedAgents()
+    if spec.learn_alloc or spec.control == "joint":
+        # a joint actor keeps the control bounds even without a control
+        # output; the access-point actor beside per-plant ones keeps none
+        bounds = spec.control != "per_plant"
         head = HeadSpec(
             n_plants=m,
-            alloc=settings.alloc_head if settings.learn_alloc else None,
+            alloc=settings.alloc_head if spec.learn_alloc else None,
             alpha_total=settings.alpha_total,
-            control_dim=q if settings.learn_control else 0,
-            control_low=settings.control_low,
-            control_high=settings.control_high,
-        )
-        actor = GaussianActor(env.obs_dim, head, settings.hidden, rng, settings.init_log_std)
-        critic = ValueNet(env.obs_dim, settings.hidden, rng)
-        return TrainedAgents(topology="single", actor=actor, critic=critic)
-
-    agents = TrainedAgents(topology="separate")
-    if settings.learn_alloc:
-        head = HeadSpec(
-            n_plants=m,
-            alloc=settings.alloc_head,
-            alpha_total=settings.alpha_total,
+            control_dim=q if spec.control == "joint" else 0,
+            control_low=settings.control_low if bounds else None,
+            control_high=settings.control_high if bounds else None,
         )
         agents.actor = GaussianActor(env.obs_dim, head, settings.hidden, rng, settings.init_log_std)
         agents.critic = ValueNet(env.obs_dim, settings.hidden, rng)
-    if settings.learn_control:
+    if spec.control == "per_plant":
         rc_obs_dim = 1 + p + 1
         head = HeadSpec(
             n_plants=1,
@@ -440,14 +434,13 @@ def train(
     seg_agents = [ag for ag in (ap_agent, rc_agent) if ag is not None]
 
     controller = control_provider or policies.zero_controller(m, env.input_dim)
-    if settings.pretrain_iters > 0 and settings.learn_alloc and agents.actor is not None:
+    if settings.pretrain_iters > 0 and APPROACHES[settings.approach].learn_alloc:
         # worker 0's generator: its draws continue into training as before
         pretrain_env = env_factory(worker_rngs[0])
         pretrain_allocation(agents.actor, pretrain_env, settings, controller, pretrain_rng)
 
-    split = settings.topology == "separate"
     allocator = alloc_provider or policies.zero_allocator(m)
-    sources = policies.ActionSources(agents.actor, agents.rc_actor, allocator, controller, split)
+    sources = policies.ActionSources(agents.actor, agents.rc_actor, allocator, controller)
     warm_sources = sources
     if settings.warm_episodes > 0:
         # the allocation actor sits out; equal power at the per-step share of the budget

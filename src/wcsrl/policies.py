@@ -104,19 +104,12 @@ def controller_slice(obs: Observation, alpha: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ActionSources:
-    """Where each half of a joint action comes from.
-
-    split marks the one ordering difference between the topologies: the
-    split allocation actor draws before the pending segment update, so its
-    per-plant controllers are updated with, and act on, that allocation; a
-    joint actor draws after the update.
-    """
+    """Where each half of a joint action comes from."""
 
     actor: Optional[GaussianActor] = None
     rc_actor: Optional[GaussianActor] = None
     allocator: Optional[Allocator] = None
     controller: Optional[Controller] = None
-    split: bool = False
 
 
 @dataclass
@@ -153,8 +146,9 @@ def compose_action(
 
     rng samples every actor and returns the raw draws (training,
     eval.stochastic); rng=None acts on the means. segment_update(rows,
-    rc_inputs), the learner's pending update, runs at the point in the
-    draw order that sources.split fixes.
+    rc_inputs), the learner's pending update, runs before the first draw,
+    except with per-plant actors: then it runs after the allocation draw,
+    so they are updated with, and act on, that allocation.
     """
     batch = obs.channel.shape[:-1]
 
@@ -168,7 +162,7 @@ def compose_action(
     if sources.actor is not None or segment_update is not None:
         rows = obs.stacked()
         rows = rows.reshape(-1, rows.shape[-1])
-    if segment_update is not None and not sources.split:
+    if segment_update is not None and sources.rc_actor is None:
         segment_update(rows, None)
     if sources.actor is not None:
         alpha, u, raw = draw(sources.actor, rows)
@@ -180,9 +174,8 @@ def compose_action(
     rc_inputs = rc_raw = None
     if sources.rc_actor is not None:
         rc_inputs = controller_slice(obs, alpha)
-    if segment_update is not None and sources.split:
-        segment_update(rows, rc_inputs)
-    if rc_inputs is not None:
+        if segment_update is not None:
+            segment_update(rows, rc_inputs)
         # every plant in one draw; u_rc is (m, rows, 1, q)
         _, u_rc, rc_raw = draw(sources.rc_actor, rc_inputs)
         u = np.ascontiguousarray(u_rc[..., 0, :].swapaxes(0, 1)).reshape(
@@ -222,9 +215,7 @@ class AgentPolicy:
         controller: Optional[Controller] = None,
         stochastic: bool = False,
     ) -> None:
-        self.sources = ActionSources(
-            agents.actor, agents.rc_actor, allocator, controller, agents.topology == "separate"
-        )
+        self.sources = ActionSources(agents.actor, agents.rc_actor, allocator, controller)
         self.stochastic = stochastic
 
     def act(self, obs: Observation, t: int, rng: np.random.Generator) -> JointAction:

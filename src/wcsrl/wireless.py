@@ -83,9 +83,3 @@ def delivery_probability(snr_values: np.ndarray) -> np.ndarray:
     if (snr_values < 0).any():
         raise ValueError("snr must be nonnegative")
     return -np.expm1(-snr_values)
-
-
-def sample_delivery(snr_values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Bernoulli delivery outcomes at probability 1 - exp(-snr)."""
-    probs = delivery_probability(snr_values)
-    return rng.random(probs.shape) < probs

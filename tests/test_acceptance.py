@@ -17,10 +17,10 @@ import pytest
 
 from wcsrl import baselines, harness
 from wcsrl import config as config_mod
-from wcsrl.dynamics import make_linear_ensemble
-from wcsrl.learner import compute_cost_to_go, dual_descent
+from wcsrl.learner import compute_cost_to_go
 from wcsrl.neuralnet import GaussianActor, HeadSpec
-from wcsrl.wireless import delivery_probability, sample_delivery
+from wcsrl.wireless import delivery_probability
+from oracles import dual_descent, make_linear_ensemble, sample_delivery
 
 SEEDS = (11, 12, 13)
 

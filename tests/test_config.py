@@ -23,6 +23,7 @@ import pytest
 
 from wcsrl.config import (
     ConfigError,
+    KEY_SPECS,
     config_hash,
     config_lines,
     cost_matrix,
@@ -102,13 +103,53 @@ def test_validation_rejections():
         load_config(overrides={"cost.q": [1.0, 2.0]})  # neither scale nor full diagonal
     with pytest.raises(ConfigError):
         load_config(overrides={"train.gamma": 1.5})
-    for key in ("train.init_std", "train.dual_lr"):
+    positive = (
+        "train.init_std",
+        "train.dual_lr",
+        "train.policy_lr",
+        "train.value_lr",
+        "train.pretrain_lr",
+        "train.ceiling",
+        "channel.fading_scale",
+        "channel.min_distance",
+        "channel.area_half_width",
+        "constraint.region_half_width",
+    )
+    for key in positive:
         for bad in (0.0, -0.5):
             with pytest.raises(ConfigError, match=re.escape(key)):
                 load_config(overrides={key: bad})
+    # negative values were ignored silently or failed late, unnamed
+    nonnegative = (
+        "train.pretrain_iters",
+        "train.warm_episodes",
+        "train.entropy_coef",
+        "train.grad_clip",
+        "plants.process_noise",
+        "plants.init_scale",
+        "constraint.region_budget",
+        "obs.noise",
+        "obs.noise_channel",
+        "obs.noise_plant",
+    )
+    for key in nonnegative:
+        bad = -3 if KEY_SPECS[key][1] == "int" else -0.5
+        with pytest.raises(ConfigError, match=re.escape(key) + " must be nonnegative"):
+            load_config(overrides={key: bad})
+        load_config(overrides={key: 0})
+    with pytest.raises(ConfigError, match=r"plants\.a_low 1\.2 exceeds plants\.a_high 1\.1"):
+        load_config(overrides={"plants.a_low": 1.2, "plants.a_high": 1.1})
     # counts: caught here, not after training (or, for eval.horizon = 0,
-    # never: it wrote all-zero evaluation costs)
-    counts = ("train.episodes", "train.horizon", "train.workers", "train.segment", "eval.horizon")
+    # never: it wrote all-zero evaluation costs; a zero pretraining batch
+    # ran NaN-loss pretraining)
+    counts = (
+        "train.episodes",
+        "train.horizon",
+        "train.workers",
+        "train.segment",
+        "train.pretrain_batch",
+        "eval.horizon",
+    )
     for key in counts:
         for bad in (0, -1):
             with pytest.raises(ConfigError, match=re.escape(key)):

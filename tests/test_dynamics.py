@@ -20,6 +20,10 @@ Proves:
   12.  Switched actuation zeroes dropped inputs only
   13.  Quadratic stage cost matches the explicit sum
   14.  CostWeights rejects an indefinite state weight
+Items 2-4, 12 and 13 hold the plain reference forms in tests/oracles.py
+(linear_step, make_linear_ensemble, apply_switched_input,
+quadratic_stage_cost) to hand values; other tests and the acceptance
+gates check the package against them.
 """
 from __future__ import annotations
 
@@ -35,16 +39,13 @@ from wcsrl.dynamics import (
     POLE_MASS,
     CostWeights,
     PlantModel,
-    apply_switched_input,
     cartpole_linearization,
     cartpole_step,
-    linear_step,
     make_fixed_ensemble,
-    make_linear_ensemble,
     psd_factor,
-    quadratic_stage_cost,
     unstable_drift,
 )
+from oracles import apply_switched_input, linear_step, make_linear_ensemble, quadratic_stage_cost
 
 # From rest at the origin under F = 10: the cart-pole update reduces to
 # temp = 100/11, angular acceleration -600/41, linear acceleration

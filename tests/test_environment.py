@@ -6,21 +6,24 @@ Proves:
    2.  Region signal: -0.05 inside, 0.95 outside for gamma=0.99, budget 5
    3.  Discounted signal sums fold the budget correctly (brute-force check)
    4.  Penalized cost adds multiplier-weighted signals
+   5.  Only sum_power and region are constraint kinds: an instantaneous
+       power cap ("simplex") is the allocation head's, and is rejected
  Group 2: Stepping
-   5.  Dropped packets leave the plant open loop, delivered ones act
-   6.  Stage cost charges the realized (post-switch) input on the current state
-   7.  Linear batch transition equals per-plant stepping
-   8.  force_delivery short-circuits the lottery
-   9.  Bad actions raise (shape, negative power, non-finite)
+   6.  Dropped packets leave the plant open loop, delivered ones act
+   7.  Stage cost charges the realized (post-switch) input on the current
+       state, as the per-plant oracles do
+   8.  Linear batch transition equals per-plant stepping (oracle linear_step)
+   9.  force_delivery short-circuits the lottery
+  10.  Bad actions raise (shape, negative power, non-finite)
  Group 3: Observation and reproducibility
-  10.  Observation layout: channel entries first, then plant states
-  11.  Observation noise has the configured variance; zero noise is exact
-  12.  Identical generators give identical trajectories
-  13.  reset() honors init kinds
+  11.  Observation layout: channel entries first, then plant states
+  12.  Observation noise has the configured variance; zero noise is exact
+  13.  Identical generators give identical trajectories
+  14.  reset() honors init kinds
  Group 4: Batched rows and the noise tape
-  14.  The tape holds the documented draw order of the row's generator
-  15.  observe() and step() never draw; stepping past the tape raises
-  16.  B rows reset, observe and step bitwise like B single-row environments
+  15.  The tape holds the documented draw order of the row's generator
+  16.  observe() and step() never draw; stepping past the tape raises
+  17.  B rows reset, observe and step bitwise like B single-row environments
        on the same generators: linear and cart-pole plants, sum_power,
        region and no constraint, force_delivery on and off
 """
@@ -32,13 +35,9 @@ import numpy as np
 import pytest
 
 from wcsrl.dynamics import FORCE_LIMIT, CostWeights, PlantModel, unstable_drift
-from wcsrl.environment import (
-    ConstraintSpec,
-    JointAction,
-    WirelessControlEnv,
-    penalized_cost,
-)
+from wcsrl.environment import ConstraintSpec, JointAction, WirelessControlEnv
 from wcsrl.wireless import ChannelModel
+from oracles import apply_switched_input, linear_step, penalized_cost, quadratic_stage_cost
 
 
 def make_env(
@@ -129,6 +128,14 @@ def test_penalized_cost():
         penalized_cost(1.0, np.zeros(2), np.zeros(3))
 
 
+def test_constraint_kinds():
+    # the allocation head enforces an instantaneous power cap
+    with pytest.raises(ValueError, match="unknown constraint kind 'simplex'"):
+        ConstraintSpec(kind="simplex", power_budget=4.0)
+    assert ConstraintSpec(kind="sum_power", power_budget=4.0).n_components(3) == 1
+    assert ConstraintSpec(kind="region", region_half_width=1.0, region_budget=0.0).n_components(3) == 3
+
+
 # Group 2 -------------------------------------------------------------------
 
 
@@ -155,6 +162,10 @@ def test_stage_cost_uses_realized_input():
     # per plant: x'x = 3; delivered adds u'u = 12, dropped adds nothing
     assert res.per_plant_costs[0] == pytest.approx(3.0 + 12.0, abs=1e-12)
     assert res.per_plant_costs[1] == pytest.approx(3.0, abs=1e-12)
+    for i in range(2):
+        realized = apply_switched_input(action.u[i], bool(res.delivered[i]))
+        expect = quadratic_stage_cost(state.x[i], realized, env.weights)
+        assert res.per_plant_costs[i] == pytest.approx(expect, abs=1e-12)
     assert res.stage_cost == pytest.approx(res.per_plant_costs.sum(), abs=1e-12)
 
 
@@ -165,7 +176,7 @@ def test_batch_transition_matches_per_plant():
     action = JointAction(alpha=np.ones(3), u=rng.standard_normal((3, 3)))
     res = env.step(state, action)
     for i, plant in enumerate(env.plants):
-        expect = plant.a_mat @ state.x[i] + plant.b_mat @ action.u[i]
+        expect = linear_step(plant, state.x[i], action.u[i], np.zeros(3))
         assert np.allclose(res.next_state.x[i], expect, atol=1e-12)
 
 

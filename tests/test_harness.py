@@ -14,17 +14,20 @@ Proves:
    8.  run_experiment writes config, logs, checkpoints, evaluation, manifest
    9.  Training logs and evaluation are bitwise repeatable across reruns
   10.  evaluate_run reproduces the stored evaluation byte for byte
-  11.  save/load round-trips separate-topology agents; each per-plant
+  11.  save/load round-trips access-point plus per-plant agents; each per-plant
        checkpoint holds the bytes a standalone copy of its member saves to
   12.  evaluate_run names the checkpoint, field and values on a config mismatch
   13.  Pretraining and warm-up train under a region constraint, which sets
        no power budget
+  14.  Each approach trains the actors learner.APPROACHES says, with every
+       HeadSpec field and checkpoint file name pinned
  Group 4: Command line
-  14.  train/evaluate/baselines/gradcheck all exit zero on a tiny run
-  15.  Config errors exit 2 with a one-line message
+  15.  train/evaluate/baselines/gradcheck all exit zero on a tiny run
+  16.  Config errors exit 2 with a one-line message
 """
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -246,7 +249,6 @@ def test_save_load_separate_agents(tmp_path):
     path = str(tmp_path / "ckpt")
     harness.save_agents(path, result.agents)
     loaded = harness.load_agents(path)
-    assert loaded.topology == "separate"
     assert np.array_equal(loaded.actor.get_flat(), result.agents.actor.get_flat())
     assert loaded.rc_actor.net.members == (2,)
     for i in range(2):
@@ -307,6 +309,57 @@ def test_region_constraint_power_share(tmp_path, approach, extra):
     assert cfg.constraint_kind == "region" and cfg.constraint_power_budget is None
     result = harness.train_approach(harness.build_scenario(cfg), approach, 0)
     assert len(result.log) == 1
+
+
+# every HeadSpec field of each actor an approach trains on a 2-plant
+# cart-pole (softplus allocation, force interval [-10, 10])
+ALLOC = dict(n_plants=2, alloc="softplus", alpha_total=None)
+PLANT = dict(n_plants=1, alloc=None, alpha_total=None, control_dim=1)
+BOUNDED = dict(control_low=-10.0, control_high=10.0)
+UNBOUNDED = dict(control_low=None, control_high=None)
+PER_PLANT_FILES = ["rc_actor_0.npz", "rc_actor_1.npz", "rc_critic_0.npz", "rc_critic_1.npz"]
+
+
+LAYOUTS = {
+    # the joint head keeps the force bounds though it outputs no control
+    "alloc_lqr": ({**ALLOC, "control_dim": 0, **BOUNDED}, None, ["actor.npz", "critic.npz"]),
+    "codesign_joint": ({**ALLOC, "control_dim": 1, **BOUNDED}, None, ["actor.npz", "critic.npz"]),
+    # the access-point head beside per-plant actors keeps none
+    "codesign": (
+        {**ALLOC, "control_dim": 0, **UNBOUNDED},
+        {**PLANT, **BOUNDED},
+        ["ap_actor.npz", "ap_critic.npz"] + PER_PLANT_FILES,
+    ),
+    "control_only": (None, {**PLANT, **BOUNDED}, PER_PLANT_FILES),
+}
+
+
+@pytest.mark.parametrize("approach", list(LAYOUTS))
+def test_approach_layouts(tmp_path, approach):
+    actor_head, rc_head, files = LAYOUTS[approach]
+    cfg = tiny_config(
+        tmp_path,
+        **{
+            "scenario": "cartpole_codesign",
+            "train.approaches": [approach],
+            "train.episodes": 1,
+            "train.warm_episodes": 1,
+        },
+    )
+    agents = harness.train_approach(harness.build_scenario(cfg), approach, 0).agents
+    if actor_head is None:
+        assert agents.actor is None and agents.critic is None
+    else:
+        assert dataclasses.asdict(agents.actor.head) == actor_head
+        assert agents.actor.obs_dim == 2 * (1 + 4) and agents.critic is not None
+    if rc_head is None:
+        assert agents.rc_actor is None and agents.rc_critic is None
+    else:
+        assert dataclasses.asdict(agents.rc_actor.head) == rc_head
+        assert agents.rc_actor.obs_dim == 1 + 4 + 1
+        assert agents.rc_actor.net.members == agents.rc_critic.net.members == (2,)
+    harness.save_agents(str(tmp_path / "ckpt"), agents)
+    assert sorted(os.listdir(tmp_path / "ckpt")) == files
 
 
 # Group 4 -------------------------------------------------------------------

@@ -18,9 +18,9 @@ Proves:
  Group 4: End-to-end training loop
   11.  Tiny run completes, logs every episode, multipliers stay feasible
   12.  Bitwise repeatable from the seed
-  13.  Separate topology trains allocation and per-plant controllers
+  13.  codesign trains allocation and per-plant controllers
   14.  Warm episodes freeze the allocation actor, and are rejected where
-       no allocation actor would sit out
+       no allocation actor would sit out; an unknown approach is rejected
   15.  Lagrangian ceiling raises TrainingDivergedError, and a non-finite
        plant state raises it at the step it appears, naming the worker
   16.  The per-step power share falls back to the plant count without a budget
@@ -39,13 +39,13 @@ from wcsrl.learner import (
     DualState,
     compute_advantage,
     compute_cost_to_go,
-    dual_descent,
     dual_update,
     per_step_power,
     train,
 )
 from wcsrl.neuralnet import GaussianActor, HeadSpec, ValueNet
 from wcsrl.wireless import ChannelModel
+from oracles import dual_descent
 
 
 def env_factory_for(m=2, gamma=0.99, constraint="region", a_mat=None):
@@ -267,9 +267,7 @@ def small_settings(**kwargs):
         policy_lr=1e-3,
         value_lr=1e-3,
         dual_lr=1e-3,
-        topology="single",
-        learn_alloc=True,
-        learn_control=False,
+        approach="alloc_lqr",
         alloc_head="simplex",
         alpha_total=2.0,
         hidden=(16, 16),
@@ -282,7 +280,7 @@ def test_train_smoke_and_log():
     result = train(env_factory_for(), small_settings(), seed=101)
     assert len(result.log) == 3
     assert result.agents.actor is not None
-    assert result.agents.topology == "single"
+    assert result.agents.rc_actor is None
     for row in result.log:
         assert np.isfinite(row.lagrangian)
         assert row.violations.shape == (2,)
@@ -300,8 +298,7 @@ def test_train_bitwise_repeatable():
 
 def test_train_separate_topology():
     settings = small_settings(
-        topology="separate",
-        learn_control=True,
+        approach="codesign",
         alloc_head="softplus",
         alpha_total=None,
     )
@@ -318,8 +315,7 @@ def test_train_separate_topology():
 
 def test_warm_episodes_freeze_allocation_actor():
     common = dict(
-        topology="separate",
-        learn_control=True,
+        approach="codesign",
         alloc_head="softplus",
         alpha_total=None,
     )
@@ -342,14 +338,15 @@ def test_warm_episodes_freeze_allocation_actor():
     )
 
 
-@pytest.mark.parametrize(
-    "topology, learn_alloc", [("single", True), ("separate", False)]
-)
-def test_warm_episodes_rejected_where_ignored(topology, learn_alloc):
+@pytest.mark.parametrize("approach", ["alloc_lqr", "codesign_joint", "control_only"])
+def test_warm_episodes_rejected_where_ignored(approach):
     with pytest.raises(ValueError, match="warm_episodes"):
-        small_settings(
-            topology=topology, learn_alloc=learn_alloc, learn_control=True, warm_episodes=2
-        )
+        small_settings(approach=approach, warm_episodes=2)
+
+
+def test_unknown_approach_rejected():
+    with pytest.raises(ValueError, match="unknown approach 'mystery'"):
+        small_settings(approach="mystery")
 
 
 def test_lagrangian_ceiling_raises():

@@ -19,10 +19,10 @@ from wcsrl.wireless import (
     ChannelModel,
     delivery_probability,
     place_plants,
-    sample_delivery,
     slow_fading,
     snr,
 )
+from oracles import sample_delivery
 
 DELIVERY_AT_UNIT_SNR = 0.6321205588285577  # 1 - 1/e
 RAYLEIGH_UNIT_MEAN = 1.2533141373155003  # sqrt(pi / 2)
