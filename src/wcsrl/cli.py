@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from wcsrl import config as config_mod
-from wcsrl import harness
+from wcsrl import harness, neuralnet
 from wcsrl.config import ConfigError
 from wcsrl.learner import TrainingDivergedError
 
@@ -97,7 +97,7 @@ def _cmd_baselines(args: argparse.Namespace) -> int:
 
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
-    report = harness.gradient_check(seed=args.seed if args.seed is not None else 0)
+    report = neuralnet.gradient_check(seed=args.seed if args.seed is not None else 0)
     for case in report.cases:
         mark = "ok" if case.passed else "FAIL"
         print(f"{case.name:<32s} max rel err {case.max_rel_err:.3e}  {mark}")

@@ -20,6 +20,7 @@ presets; command-line overrides beat both. Unknown keys are an error.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import make_dataclass
 from typing import Optional
 
@@ -301,7 +302,9 @@ def _resolve(cfg: ExperimentConfig) -> None:
 # key named: a bad horizon or episode count only after training, eval.horizon
 # = 0 by writing all-zero evaluation costs, a zero pretraining batch by
 # NaN-loss pretraining that does nothing, a zero or negative std by a
-# non-finite log-std.
+# non-finite log-std, a zero power cap once config.txt is written, a
+# negative path-loss exponent by gains that grow with distance. A list key
+# holds each entry to the bound; None (an unset optional key) passes.
 _POSITIVE_KEYS = (
     "train.episodes",
     "train.horizon",
@@ -321,8 +324,10 @@ _POSITIVE_KEYS = (
     "channel.min_distance",
     "channel.area_half_width",
     "constraint.region_half_width",
+    "constraint.power_budget",
+    "alloc.total",
+    "cost.r",
 )
-# None (an unset optional key) passes
 _NONNEGATIVE_KEYS = (
     "train.pretrain_iters",
     "train.warm_episodes",
@@ -334,6 +339,8 @@ _NONNEGATIVE_KEYS = (
     "obs.noise",
     "obs.noise_channel",
     "obs.noise_plant",
+    "channel.path_loss",
+    "cost.q",
 )
 
 
@@ -361,14 +368,15 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(
             f"plants.a_low {cfg.plants_a_low!r} exceeds plants.a_high {cfg.plants_a_high!r}"
         )
-    for key in _POSITIVE_KEYS:
-        value = getattr(cfg, KEY_SPECS[key][0])
-        if not value > 0:
-            raise ConfigError(f"{key} must be positive, got {value!r}")
-    for key in _NONNEGATIVE_KEYS:
-        value = getattr(cfg, KEY_SPECS[key][0])
-        if value is not None and not value >= 0:
-            raise ConfigError(f"{key} must be nonnegative, got {value!r}")
+    for keys, holds, bound in (
+        (_POSITIVE_KEYS, operator.gt, "positive"),
+        (_NONNEGATIVE_KEYS, operator.ge, "nonnegative"),
+    ):
+        for key in keys:
+            value = getattr(cfg, KEY_SPECS[key][0])
+            entries = value if isinstance(value, list) else [value]
+            if value is not None and not all(holds(v, 0) for v in entries):
+                raise ConfigError(f"{key} must be {bound}, got {value!r}")
     if len(cfg.cost_q) not in (1, _state_dim(cfg)):
         raise ConfigError(
             f"cost.q must be a scale or {_state_dim(cfg)} diagonal entries, got {len(cfg.cost_q)}"

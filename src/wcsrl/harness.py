@@ -1,6 +1,5 @@
 """Experiment orchestration: scenario assembly, training per approach,
-paired-seed evaluation against baselines, artifact writing, and the
-analytic-gradient self-check.
+paired-seed evaluation against baselines, and artifact writing.
 
 Randomness is split into three independent streams derived from the
 experiment seed: [seed, 0] draws the scenario (placements, plant
@@ -342,26 +341,11 @@ def rollout(
 
 
 @dataclass
-class EvalRow:
-    policy: str
-    test: int
-    cost_mean: float
-    cost_std: float
-    cost_min: float
-    cost_max: float
-    signal_means: np.ndarray
-    n_diverged: int
-
-
-@dataclass
 class EvalReport:
-    rows: list
     costs: dict
     signals: dict
     max_norms: dict
     diverged: dict
-    n_tests: int
-    group: int
 
     def test_means(self, policy: str) -> np.ndarray:
         """Mean cost per test group, shape (n_tests,)."""
@@ -425,28 +409,11 @@ def evaluate(
                 max_norms[label][j, k] = stats.max_norm
                 diverged[label][j, k] = stats.diverged
 
-    rows = [
-        EvalRow(
-            policy=label,
-            test=j,
-            cost_mean=float(costs[label][j].mean()),
-            cost_std=float(costs[label][j].std()),
-            cost_min=float(costs[label][j].min()),
-            cost_max=float(costs[label][j].max()),
-            signal_means=signals[label][j].mean(axis=0),
-            n_diverged=int(diverged[label][j].sum()),
-        )
-        for label in eval_policies
-        for j in range(n_tests)
-    ]
     return EvalReport(
-        rows=rows,
         costs=costs,
         signals=signals,
         max_norms=max_norms,
         diverged=diverged,
-        n_tests=n_tests,
-        group=group,
     )
 
 
@@ -477,7 +444,9 @@ def write_training_log(path: str, cfg: ExperimentConfig, log: list) -> None:
 
 
 def write_eval_csv(path: str, cfg: ExperimentConfig, report: EvalReport) -> None:
-    n_sig = len(report.rows[0].signal_means) if report.rows else 0
+    """One row per (policy, test): cost statistics over the test's
+    realizations, each constraint signal's mean, and the diverged count."""
+    n_sig = max((sig.shape[-1] for sig in report.signals.values()), default=0)
     header = ["policy", "test", "cost_mean", "cost_std", "cost_min", "cost_max"]
     header += [f"signal_{i}_mean" for i in range(n_sig)]
     header += ["n_diverged"]
@@ -485,12 +454,13 @@ def write_eval_csv(path: str, cfg: ExperimentConfig, report: EvalReport) -> None
         f"# seed = {cfg.seed}, config_hash = {config_mod.config_hash(cfg)}",
         ",".join(header),
     ]
-    for row in report.rows:
-        cells = [row.policy, str(row.test)]
-        cells += [_fmt(v) for v in (row.cost_mean, row.cost_std, row.cost_min, row.cost_max)]
-        cells += [_fmt(v) for v in row.signal_means]
-        cells.append(str(row.n_diverged))
-        lines.append(",".join(cells))
+    for label, costs in report.costs.items():
+        for j, cost in enumerate(costs):
+            cells = [label, str(j)]
+            cells += [_fmt(v) for v in (cost.mean(), cost.std(), cost.min(), cost.max())]
+            cells += [_fmt(v) for v in report.signals[label][j].mean(axis=0)]
+            cells.append(str(int(report.diverged[label][j].sum())))
+            lines.append(",".join(cells))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -516,51 +486,44 @@ def save_agents(dir_path: str, agents: TrainedAgents) -> None:
         neuralnet.save_critic(os.path.join(dir_path, critic_file), critic)
 
 
-def load_agents(dir_path: str) -> TrainedAgents:
-    single_actor = os.path.join(dir_path, "actor.npz")
-    if os.path.exists(single_actor):
-        return TrainedAgents(
-            actor=neuralnet.load_actor(single_actor),
-            critic=neuralnet.load_critic(os.path.join(dir_path, "critic.npz")),
-        )
+_HEAD_FIELDS = [f"head.{f.name}" for f in dataclasses.fields(neuralnet.HeadSpec)]
+
+
+def _load_checked(dir_path: str, name: str, load, expected):
+    """load() one checkpoint file; ValueError naming the file, the field and
+    both values where the stored network differs from expected."""
+    path = os.path.join(dir_path, name)
+    net = load(path)
+    heads = _HEAD_FIELDS if isinstance(expected, neuralnet.GaussianActor) else []
+    for key in ["obs_dim", "net.sizes", *heads]:
+        need, have = operator.attrgetter(key)(expected), operator.attrgetter(key)(net)
+        if need != have:
+            raise ValueError(
+                f"checkpoint {path}: {key} is {have!r}, "
+                f"but the scenario in config.txt needs {need!r}"
+            )
+    return net
+
+
+def load_agents(dir_path: str, expected: TrainedAgents) -> TrainedAgents:
+    """Load exactly the checkpoint files save_agents writes for expected,
+    each checked against its expected network, stacked into its layout."""
+    files = _checkpoint_files(expected)
+    want = sorted(name for entry in files for name in entry[:2])
+    have = sorted(name for name in os.listdir(dir_path) if name.endswith(".npz"))
+    if have != want:
+        raise ValueError(f"{dir_path} holds checkpoints {have}, the config trains {want}")
+    actors, critics = [], []
+    for actor_file, critic_file, actor, critic in files:
+        actors.append(_load_checked(dir_path, actor_file, neuralnet.load_actor, actor))
+        critics.append(_load_checked(dir_path, critic_file, neuralnet.load_critic, critic))
     agents = TrainedAgents()
-    ap_actor = os.path.join(dir_path, "ap_actor.npz")
-    if os.path.exists(ap_actor):
-        agents.actor = neuralnet.load_actor(ap_actor)
-        agents.critic = neuralnet.load_critic(os.path.join(dir_path, "ap_critic.npz"))
-    n_rc = 0
-    while os.path.exists(os.path.join(dir_path, f"rc_actor_{n_rc}.npz")):
-        n_rc += 1
-    if n_rc:
-        paths = [os.path.join(dir_path, f"rc_{{}}_{i}.npz") for i in range(n_rc)]
-        actors = [neuralnet.load_actor(path.format("actor")) for path in paths]
-        critics = [neuralnet.load_critic(path.format("critic")) for path in paths]
-        try:
-            agents.rc_actor = neuralnet.GaussianActor.stack(actors)
-            agents.rc_critic = neuralnet.ValueNet.stack(critics)
-        except ValueError as err:
-            raise ValueError(f"{dir_path}: the per-plant checkpoints differ: {err}") from None
-    if agents.actor is None and agents.rc_actor is None:
-        raise FileNotFoundError(f"no checkpoints under {dir_path}")
+    if expected.actor is not None:
+        agents.actor, agents.critic = actors.pop(0), critics.pop(0)
+    if expected.rc_actor is not None:
+        agents.rc_actor = neuralnet.GaussianActor.stack(actors)
+        agents.rc_critic = neuralnet.ValueNet.stack(critics)
     return agents
-
-
-def check_agents(dir_path: str, loaded: TrainedAgents, expected: TrainedAgents) -> None:
-    """Raise ValueError, naming the checkpoint file, the field and both values,
-    when the loaded actors are not the ones the rebuilt scenario trains."""
-    want = {name: actor for name, _, actor, _ in _checkpoint_files(expected)}
-    got = {name: actor for name, _, actor, _ in _checkpoint_files(loaded)}
-    if sorted(got) != sorted(want):
-        raise ValueError(f"{dir_path} holds actors {sorted(got)}, the config trains {sorted(want)}")
-    keys = ["obs_dim"] + [f"head.{f.name}" for f in dataclasses.fields(neuralnet.HeadSpec)]
-    for name, actor in want.items():
-        for key in keys:
-            need, have = operator.attrgetter(key)(actor), operator.attrgetter(key)(got[name])
-            if need != have:
-                raise ValueError(
-                    f"checkpoint {os.path.join(dir_path, name)}: {key} is {have!r}, "
-                    f"but the scenario in config.txt needs {need!r}"
-                )
 
 
 # ---------------------------------------------------------------------------
@@ -640,10 +603,8 @@ def evaluate_run(out_dir: str) -> RunResult:
     env = bundle.env_factory(np.random.default_rng(0))  # for its dimensions only
     trained = {}
     for approach in cfg.train_approaches:
-        path = os.path.join(out_dir, "checkpoints", approach)
-        trained[approach] = load_agents(path)
         expected = learner.build_agents(env, approach_setup(bundle, approach).settings, None)
-        check_agents(path, trained[approach], expected)
+        trained[approach] = load_agents(os.path.join(out_dir, "checkpoints", approach), expected)
     eval_policies: dict[str, object] = {
         approach: eval_policy_for(bundle, approach, agents, cfg.eval_stochastic)
         for approach, agents in trained.items()
@@ -654,152 +615,3 @@ def evaluate_run(out_dir: str) -> RunResult:
     return RunResult(
         cfg=cfg, bundle=bundle, trained=trained, report=report, out_dir=out_dir
     )
-
-
-# ---------------------------------------------------------------------------
-# gradient self-check
-
-
-@dataclass
-class GradcheckCase:
-    name: str
-    max_rel_err: float
-    passed: bool
-
-
-@dataclass
-class GradcheckReport:
-    cases: list
-    tolerance: float
-    n_networks: int = 0
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.cases)
-
-    @property
-    def max_rel_err(self) -> float:
-        return max(c.max_rel_err for c in self.cases)
-
-
-def _head_cases(m: int, state_dim: int, input_dim: int) -> list[tuple[str, neuralnet.HeadSpec, int]]:
-    return [
-        (
-            "simplex_alloc",
-            neuralnet.HeadSpec(n_plants=m, alloc="simplex", alpha_total=float(m)),
-            m * (1 + state_dim),
-        ),
-        (
-            "softplus_alloc",
-            neuralnet.HeadSpec(n_plants=m, alloc="softplus"),
-            m * (1 + state_dim),
-        ),
-        (
-            "joint_simplex_control",
-            neuralnet.HeadSpec(
-                n_plants=m, alloc="simplex", alpha_total=float(m), control_dim=input_dim
-            ),
-            m * (1 + state_dim),
-        ),
-        (
-            "joint_softplus_control",
-            neuralnet.HeadSpec(n_plants=m, alloc="softplus", control_dim=input_dim),
-            m * (1 + state_dim),
-        ),
-        (
-            "control_unbounded",
-            neuralnet.HeadSpec(n_plants=1, control_dim=input_dim),
-            1 + state_dim + 1,
-        ),
-        (
-            "control_bounded",
-            neuralnet.HeadSpec(n_plants=1, control_dim=1, control_low=-10.0, control_high=10.0),
-            1 + 4 + 1,
-        ),
-    ]
-
-
-def gradient_check(
-    seed: int = 0,
-    batch: int = 4,
-    tolerance: float = 1e-4,
-    hidden: tuple = (8, 8),
-    min_networks: int = 50,
-) -> GradcheckReport:
-    """Compare analytic policy/value gradients with central differences.
-
-    Every head composition used by the approaches plus the critic and the
-    warm-start MSE path, repeated with fresh random networks until at
-    least min_networks have been checked. Small nets keep the parameter
-    loop fast. Reported per case: the worst relative error seen.
-    """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 9])))
-    m, state_dim, input_dim = 3, 3, 2
-    worst: dict[str, float] = {}
-    n_networks = 0
-
-    def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
-        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1.0)
-        return float(np.max(np.abs(analytic - numeric) / denom))
-
-    def note(name: str, err: float) -> None:
-        worst[name] = max(worst.get(name, 0.0), err)
-
-    head_cases = _head_cases(m, state_dim, input_dim)
-    nets_per_rep = len(head_cases) + 1
-    reps = max(1, -(-min_networks // nets_per_rep))
-    for _ in range(reps):
-        for name, head, obs_dim in head_cases:
-            actor = neuralnet.GaussianActor(obs_dim, head, hidden, rng)
-            n_networks += 1
-            obs = rng.standard_normal((batch, obs_dim))
-            raw = actor.net.forward(obs)[0] + 0.3 * rng.standard_normal((batch, head.raw_dim))
-            coeffs = rng.standard_normal(batch)
-            analytic = actor.grad_weighted_log_prob(obs, raw, coeffs)
-
-            def f(flat: np.ndarray) -> float:
-                saved = actor.get_flat()
-                actor.set_flat(flat)
-                val = float(np.sum(coeffs * actor.log_prob(obs, raw)))
-                actor.set_flat(saved)
-                return val
-
-            numeric = neuralnet.finite_difference_grad(f, actor.get_flat())
-            note(name, rel_err(analytic, numeric))
-
-            if head.alloc is not None:
-                targets = np.abs(rng.standard_normal((batch, m)))
-                if head.alloc == "simplex":
-                    targets = (
-                        targets / targets.sum(axis=1, keepdims=True) * (0.5 * head.alpha_total)
-                    )
-                _, g_analytic = actor.grad_alloc_mse(obs, targets)
-
-                def f_mse(flat: np.ndarray) -> float:
-                    saved = actor.get_flat()
-                    actor.set_flat(flat)
-                    loss, _ = actor.grad_alloc_mse(obs, targets)
-                    actor.set_flat(saved)
-                    return float(loss)
-
-                g_numeric = neuralnet.finite_difference_grad(f_mse, actor.get_flat())
-                note(f"{name}_warmstart_mse", rel_err(g_analytic, g_numeric))
-
-        critic = neuralnet.ValueNet(m * (1 + state_dim), hidden, rng)
-        n_networks += 1
-        obs = rng.standard_normal((batch, m * (1 + state_dim)))
-        coeffs = rng.standard_normal(batch)
-        analytic = critic.grad_weighted(obs, coeffs)
-
-        def f_v(flat: np.ndarray) -> float:
-            saved = critic.get_flat()
-            critic.set_flat(flat)
-            val = float(np.sum(coeffs * critic.values(obs)))
-            critic.set_flat(saved)
-            return val
-
-        numeric = neuralnet.finite_difference_grad(f_v, critic.get_flat())
-        note("critic_value", rel_err(analytic, numeric))
-
-    cases = [GradcheckCase(name, err, err < tolerance) for name, err in worst.items()]
-    return GradcheckReport(cases=cases, tolerance=tolerance, n_networks=n_networks)

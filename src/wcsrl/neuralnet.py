@@ -1,5 +1,7 @@
-"""Dense networks with hand-written backprop, Gaussian policy heads, and the
-structural output layers that keep sampled actions feasible.
+"""Dense networks with hand-written backprop, Gaussian policy heads, the
+structural output layers that keep sampled actions feasible, and the
+self-check (`wcsrl gradcheck`) of their analytic gradients against
+central differences.
 
 Everything is float64 numpy. Policies sample in an unconstrained raw
 space (diagonal Gaussian, state-dependent mean from the network,
@@ -607,17 +609,121 @@ def load_critic(path: str) -> ValueNet:
 
 
 # ---------------------------------------------------------------------------
-# finite differences (test oracle hook, also used by the gradient-check command)
+# gradient self-check
 
 
-def finite_difference_grad(
-    f: Callable[[np.ndarray], float], x0: np.ndarray, eps: float = 1e-5
-) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a flat vector."""
-    x0 = np.asarray(x0, dtype=float)
-    grad = np.zeros_like(x0)
-    for i in range(x0.size):
-        step = np.zeros_like(x0)
-        step[i] = eps
-        grad[i] = (f(x0 + step) - f(x0 - step)) / (2.0 * eps)
+def finite_difference_grad(model, loss: Callable[[], float], eps: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of loss() in model's flat parameters,
+    which are perturbed one at a time and restored afterwards."""
+    flat = model.get_flat()
+    grad = np.zeros_like(flat)
+    for i in range(flat.size):
+        probe = flat.copy()
+        probe[i] = flat[i] + eps
+        model.set_flat(probe)
+        up = loss()
+        probe[i] = flat[i] - eps
+        model.set_flat(probe)
+        grad[i] = (up - loss()) / (2.0 * eps)
+    model.set_flat(flat)
     return grad
+
+
+def gradient_error(model, loss: Callable[[], float], analytic: np.ndarray) -> float:
+    """Worst relative error of an analytic gradient of loss() against central
+    differences, relative to the larger magnitude or 1."""
+    numeric = finite_difference_grad(model, loss)
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1.0)
+    return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+@dataclass
+class GradcheckCase:
+    name: str
+    max_rel_err: float
+    passed: bool
+
+
+@dataclass
+class GradcheckReport:
+    cases: list
+    tolerance: float
+    n_networks: int = 0
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.cases)
+
+    @property
+    def max_rel_err(self) -> float:
+        return max(c.max_rel_err for c in self.cases)
+
+
+def gradient_check(
+    seed: int = 0,
+    batch: int = 4,
+    tolerance: float = 1e-4,
+    hidden: tuple = (8, 8),
+    min_networks: int = 50,
+) -> GradcheckReport:
+    """Compare analytic policy/value gradients with central differences.
+
+    Every head composition used by the approaches plus the critic and the
+    warm-start MSE path, repeated with fresh random networks until at
+    least min_networks have been checked. Small nets keep the parameter
+    loop fast. Reported per case: the worst relative error seen.
+    """
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 9])))
+    m, state_dim = 3, 3
+    joint_obs = m * (1 + state_dim)
+    simplex = dict(n_plants=m, alloc="simplex", alpha_total=float(m))
+    softplus = dict(n_plants=m, alloc="softplus")
+    # (name, head, observation size); the bounded control head is a cart-pole plant's
+    head_cases = [
+        ("simplex_alloc", HeadSpec(**simplex), joint_obs),
+        ("softplus_alloc", HeadSpec(**softplus), joint_obs),
+        ("joint_simplex_control", HeadSpec(**simplex, control_dim=2), joint_obs),
+        ("joint_softplus_control", HeadSpec(**softplus, control_dim=2), joint_obs),
+        ("control_unbounded", HeadSpec(n_plants=1, control_dim=2), 1 + state_dim + 1),
+        (
+            "control_bounded",
+            HeadSpec(n_plants=1, control_dim=1, control_low=-10.0, control_high=10.0),
+            1 + 4 + 1,
+        ),
+    ]
+    worst: dict[str, float] = {}
+
+    def note(name: str, err: float) -> None:
+        worst[name] = max(worst.get(name, 0.0), err)
+
+    reps = max(1, -(-min_networks // (len(head_cases) + 1)))
+    for _ in range(reps):
+        for name, head, obs_dim in head_cases:
+            actor = GaussianActor(obs_dim, head, hidden, rng)
+            obs = rng.standard_normal((batch, obs_dim))
+            raw = actor.net.forward(obs)[0] + 0.3 * rng.standard_normal((batch, head.raw_dim))
+            coeffs = rng.standard_normal(batch)
+            analytic = actor.grad_weighted_log_prob(obs, raw, coeffs)
+            log_lik = lambda: float(np.sum(coeffs * actor.log_prob(obs, raw)))
+            note(name, gradient_error(actor, log_lik, analytic))
+
+            if head.alloc is not None:
+                targets = np.abs(rng.standard_normal((batch, m)))
+                if head.alloc == "simplex":
+                    targets = (
+                        targets / targets.sum(axis=1, keepdims=True) * (0.5 * head.alpha_total)
+                    )
+                _, analytic = actor.grad_alloc_mse(obs, targets)
+                mse = lambda: float(actor.grad_alloc_mse(obs, targets)[0])
+                note(f"{name}_warmstart_mse", gradient_error(actor, mse, analytic))
+
+        critic = ValueNet(joint_obs, hidden, rng)
+        obs = rng.standard_normal((batch, joint_obs))
+        coeffs = rng.standard_normal(batch)
+        analytic = critic.grad_weighted(obs, coeffs)
+        value = lambda: float(np.sum(coeffs * critic.values(obs)))
+        note("critic_value", gradient_error(critic, value, analytic))
+
+    cases = [GradcheckCase(name, err, err < tolerance) for name, err in worst.items()]
+    n_networks = reps * (len(head_cases) + 1)
+    return GradcheckReport(cases=cases, tolerance=tolerance, n_networks=n_networks)

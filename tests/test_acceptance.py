@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from wcsrl import baselines, harness
+from wcsrl import baselines, harness, neuralnet
 from wcsrl import config as config_mod
 from wcsrl.learner import compute_cost_to_go
 from wcsrl.neuralnet import GaussianActor, HeadSpec
@@ -36,7 +36,7 @@ def verdict(num: int, ok: bool, detail: str) -> None:
 
 def test_gradient_check_accuracy_and_speed():
     t0 = time.time()
-    report = harness.gradient_check(min_networks=50)
+    report = neuralnet.gradient_check(min_networks=50)
     elapsed = time.time() - t0
     ok = report.passed and report.n_networks >= 50 and elapsed < 60.0
     verdict(

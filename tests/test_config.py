@@ -114,11 +114,16 @@ def test_validation_rejections():
         "channel.min_distance",
         "channel.area_half_width",
         "constraint.region_half_width",
+        # a zero power cap died in build_agents after config.txt was written
+        "alloc.total",
+        "constraint.power_budget",
     )
     for key in positive:
         for bad in (0.0, -0.5):
             with pytest.raises(ConfigError, match=re.escape(key)):
                 load_config(overrides={key: bad})
+    # unset optional keys still pass
+    load_config(overrides={"alloc.total": None, "constraint.power_budget": None})
     # negative values were ignored silently or failed late, unnamed
     nonnegative = (
         "train.pretrain_iters",
@@ -131,12 +136,18 @@ def test_validation_rejections():
         "obs.noise",
         "obs.noise_channel",
         "obs.noise_plant",
+        "channel.path_loss",
     )
     for key in nonnegative:
         bad = -3 if KEY_SPECS[key][1] == "int" else -0.5
         with pytest.raises(ConfigError, match=re.escape(key) + " must be nonnegative"):
             load_config(overrides={key: bad})
         load_config(overrides={key: 0})
+    # cost weights: every entry, named here rather than in CostWeights
+    for key, bad in (("cost.q", [1.0, -1.0, 1.0]), ("cost.r", [0.0]), ("cost.r", [1.0, -2.0, 1.0])):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            load_config(overrides={"scenario": "linear_power", key: bad})
+    load_config(overrides={"scenario": "linear_power", "cost.q": [0.0]})
     with pytest.raises(ConfigError, match=r"plants\.a_low 1\.2 exceeds plants\.a_high 1\.1"):
         load_config(overrides={"plants.a_low": 1.2, "plants.a_high": 1.1})
     # counts: caught here, not after training (or, for eval.horizon = 0,

@@ -13,10 +13,12 @@ Proves:
  Group 3: Artifacts and round trips
    8.  run_experiment writes config, logs, checkpoints, evaluation, manifest
    9.  Training logs and evaluation are bitwise repeatable across reruns
-  10.  evaluate_run reproduces the stored evaluation byte for byte
+  10.  evaluate_run reproduces the stored evaluation byte for byte, and every
+       evaluation.csv cell is the report's statistic
   11.  save/load round-trips access-point plus per-plant agents; each per-plant
        checkpoint holds the bytes a standalone copy of its member saves to
-  12.  evaluate_run names the checkpoint, field and values on a config mismatch
+  12.  evaluate_run names the checkpoint, field and values on a config mismatch,
+       and both file lists when a checkpoint is stray or missing
   13.  Pretraining and warm-up train under a region constraint, which sets
        no power budget
   14.  Each approach trains the actors learner.APPROACHES says, with every
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import shutil
 import subprocess
 import sys
 
@@ -201,10 +204,9 @@ def test_run_experiment_artifacts(tmp_path):
     assert "train.alloc_lqr.wall_seconds" in manifest
     assert "scenario.a_values" in manifest
     # checkpoints reload and reproduce the policy's actions
-    agents = harness.load_agents(str(out / "checkpoints" / "alloc_lqr"))
-    assert np.array_equal(
-        agents.actor.get_flat(), result.trained["alloc_lqr"].actor.get_flat()
-    )
+    trained = result.trained["alloc_lqr"]
+    agents = harness.load_agents(str(out / "checkpoints" / "alloc_lqr"), trained)
+    assert np.array_equal(agents.actor.get_flat(), trained.actor.get_flat())
     assert "alloc_lqr" in result.report.costs
     assert "equal" in result.report.costs
 
@@ -235,6 +237,26 @@ def test_evaluate_run_reproduces(tmp_path):
     assert (tmp_path / "run" / "evaluation.csv").read_bytes() == first
 
 
+def test_eval_csv_cells_match_report(tmp_path):
+    # region signals, one per plant; stochastic policies
+    result = harness.run_experiment(tiny_config(tmp_path / "run", **{"eval.stochastic": True}))
+    report = result.report
+    lines = (tmp_path / "run" / "evaluation.csv").read_text().splitlines()
+    assert lines[1] == (
+        "policy,test,cost_mean,cost_std,cost_min,cost_max,"
+        "signal_0_mean,signal_1_mean,n_diverged"
+    )
+    rows = [line.split(",") for line in lines[2:]]
+    assert [(r[0], int(r[1])) for r in rows] == [
+        (label, j) for label in report.costs for j in range(2)
+    ]
+    for label, j, *cells in rows:
+        costs, signals = report.costs[label][int(j)], report.signals[label][int(j)]
+        want = [costs.mean(), costs.std(), costs.min(), costs.max(), *signals.mean(axis=0)]
+        assert [float(c) for c in cells[:-1]] == want  # .17g round-trips exactly
+        assert int(cells[-1]) == report.diverged[label][int(j)].sum()
+
+
 def test_save_load_separate_agents(tmp_path):
     cfg = tiny_config(
         tmp_path,
@@ -248,7 +270,7 @@ def test_save_load_separate_agents(tmp_path):
     result = harness.train_approach(bundle, "codesign", 0)
     path = str(tmp_path / "ckpt")
     harness.save_agents(path, result.agents)
-    loaded = harness.load_agents(path)
+    loaded = harness.load_agents(path, result.agents)
     assert np.array_equal(loaded.actor.get_flat(), result.agents.actor.get_flat())
     assert loaded.rc_actor.net.members == (2,)
     for i in range(2):
@@ -269,30 +291,45 @@ def test_save_load_separate_agents(tmp_path):
             standalone = (tmp_path / f"standalone_{kind}.npz").read_bytes()
             assert (tmp_path / "ckpt" / f"rc_{kind}_{i}.npz").read_bytes() == standalone
 
-    # per-plant checkpoints that cannot be stacked are named, not a shape error
+    # a per-plant checkpoint that cannot be stacked is named, not a shape error
     odd = neuralnet.GaussianActor(rc_actor.obs_dim, rc_actor.head, (3,))
     neuralnet.save_actor(os.path.join(path, "rc_actor_1.npz"), odd)
-    with pytest.raises(ValueError, match="per-plant checkpoints differ"):
-        harness.load_agents(path)
+    with pytest.raises(ValueError, match=r"rc_actor_1\.npz: net\.sizes is \(5, 3, 3\)"):
+        harness.load_agents(path, result.agents)
 
 
 def test_evaluate_run_rejects_mismatched_checkpoint(tmp_path):
     harness.run_experiment(tiny_config(tmp_path / "run"))
     config_path = tmp_path / "run" / "config.txt"
     text = config_path.read_text()
-    actor = os.path.join(str(tmp_path / "run"), "checkpoints", "alloc_lqr", "actor.npz")
+    ckpt = os.path.join(str(tmp_path / "run"), "checkpoints", "alloc_lqr")
+    actor = os.path.join(ckpt, "actor.npz")
+
+    def rejection():
+        with pytest.raises(ValueError) as info:
+            harness.evaluate_run(str(tmp_path / "run"))
+        return str(info.value)
+
     cases = [
         ("plants.count = 2", "plants.count = 3", "obs_dim is 8", "needs 12"),
+        ("train.hidden = 64 64", "train.hidden = 8", "net.sizes is (8, 64, 64, 3)",
+         "needs (8, 8, 3)"),
         ("alloc.total = 2", "alloc.total = 3", "head.alpha_total is 2.0", "needs 3.0"),
     ]
     for old, new, have, need in cases:
         assert old in text
         config_path.write_text(text.replace(old, new))
-        with pytest.raises(ValueError) as info:
-            harness.evaluate_run(str(tmp_path / "run"))
-        assert str(info.value) == (
-            f"checkpoint {actor}: {have}, but the scenario in config.txt {need}"
-        )
+        assert rejection() == f"checkpoint {actor}: {have}, but the scenario in config.txt {need}"
+
+    # a stray checkpoint file, then a missing one, under the original config
+    config_path.write_text(text)
+    trains = "the config trains ['actor.npz', 'critic.npz']"
+    shutil.copy(actor, os.path.join(ckpt, "rc_actor_0.npz"))
+    held = "['actor.npz', 'critic.npz', 'rc_actor_0.npz']"
+    assert rejection() == f"{ckpt} holds checkpoints {held}, {trains}"
+    os.remove(os.path.join(ckpt, "rc_actor_0.npz"))
+    os.remove(os.path.join(ckpt, "critic.npz"))
+    assert rejection() == f"{ckpt} holds checkpoints ['actor.npz'], {trains}"
 
 
 @pytest.mark.parametrize(

@@ -37,8 +37,8 @@ from wcsrl.neuralnet import (
     SGD,
     ValueNet,
     clip_global_norm,
-    finite_difference_grad,
     gaussian_log_prob,
+    gradient_error,
     interval_layer,
     load_actor,
     load_critic,
@@ -158,17 +158,10 @@ def test_policy_gradient_matches_finite_differences(head):
     raw = actor.net.forward(obs)[0] + 0.5 * rng.standard_normal((4, head.raw_dim))
     coeffs = rng.standard_normal(4)
     analytic = actor.grad_weighted_log_prob(obs, raw, coeffs)
-
-    def objective(flat):
-        saved = actor.get_flat()
-        actor.set_flat(flat)
-        val = float(np.sum(coeffs * actor.log_prob(obs, raw)))
-        actor.set_flat(saved)
-        return val
-
-    numeric = finite_difference_grad(objective, actor.get_flat())
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1.0)
-    assert np.max(np.abs(analytic - numeric) / denom) < 1e-6
+    objective = lambda: float(np.sum(coeffs * actor.log_prob(obs, raw)))
+    before = actor.get_flat()
+    assert gradient_error(actor, objective, analytic) < 1e-6
+    assert np.array_equal(actor.get_flat(), before)  # parameters restored
 
 
 def test_critic_gradient_matches_finite_differences():
@@ -177,17 +170,8 @@ def test_critic_gradient_matches_finite_differences():
     obs = rng.standard_normal((4, 5))
     coeffs = rng.standard_normal(4)
     analytic = critic.grad_weighted(obs, coeffs)
-
-    def objective(flat):
-        saved = critic.get_flat()
-        critic.set_flat(flat)
-        val = float(np.sum(coeffs * critic.values(obs)))
-        critic.set_flat(saved)
-        return val
-
-    numeric = finite_difference_grad(objective, critic.get_flat())
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1.0)
-    assert np.max(np.abs(analytic - numeric) / denom) < 1e-6
+    objective = lambda: float(np.sum(coeffs * critic.values(obs)))
+    assert gradient_error(critic, objective, analytic) < 1e-6
 
 
 # Group 3 -------------------------------------------------------------------
