@@ -303,7 +303,8 @@ def _resolve(cfg: ExperimentConfig) -> None:
 # = 0 by writing all-zero evaluation costs, a zero pretraining batch by
 # NaN-loss pretraining that does nothing, a zero or negative std by a
 # non-finite log-std, a zero power cap once config.txt is written, a
-# negative path-loss exponent by gains that grow with distance. A list key
+# negative path-loss exponent by gains that grow with distance, a hidden size
+# below one by a network error naming no key. A list key
 # holds each entry to the bound; None (an unset optional key) passes.
 _POSITIVE_KEYS = (
     "train.episodes",
@@ -311,6 +312,7 @@ _POSITIVE_KEYS = (
     "train.workers",
     "train.segment",
     "train.pretrain_batch",
+    "train.hidden",
     "eval.tests",
     "eval.group",
     "eval.horizon",
@@ -362,8 +364,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("sum_power constraint needs constraint.power_budget")
     if not 1 <= cfg.alloc_n_active <= m:
         raise ConfigError(f"alloc.n_active must lie in [1, {m}]")
-    if not 0.0 <= cfg.train_gamma <= 1.0:
-        raise ConfigError("train.gamma must lie in [0, 1]")
+    # at 1 every per-step budget share (1 - gamma) * budget is zero
+    if not 0.0 <= cfg.train_gamma < 1.0:
+        raise ConfigError(f"train.gamma must lie in [0, 1), got {cfg.train_gamma!r}")
     if cfg.plants_a_low > cfg.plants_a_high:
         raise ConfigError(
             f"plants.a_low {cfg.plants_a_low!r} exceeds plants.a_high {cfg.plants_a_high!r}"

@@ -112,6 +112,12 @@ class PlantModel:
         return 1 if self.kind == "cartpole" else self.b_mat.shape[1]
 
 
+def control_bounds(kind: str) -> tuple[Optional[float], Optional[float]]:
+    """The actuator interval of a plant kind: the cart-pole's force limit,
+    none for linear plants."""
+    return (-FORCE_LIMIT, FORCE_LIMIT) if kind == "cartpole" else (None, None)
+
+
 def cartpole_step(x: np.ndarray, force: np.ndarray | float, w: np.ndarray) -> np.ndarray:
     """One Euler step of the cart-pole, elementwise over leading axes.
 

@@ -1,6 +1,10 @@
 """Experiment orchestration: scenario assembly, training per approach,
 paired-seed evaluation against baselines, and artifact writing.
 
+Training and evaluation read every setting from the resolved config
+(ScenarioBundle.cfg); the approach name picks what is learned, and
+fixed_sources gives the rest.
+
 Randomness is split into three independent streams derived from the
 experiment seed: [seed, 0] draws the scenario (placements, plant
 parameters), [seed, 1, k] drives training of the k-th approach, and
@@ -22,16 +26,16 @@ import numpy as np
 from wcsrl import baselines, config as config_mod, learner, neuralnet, policies
 from wcsrl.config import ExperimentConfig, cost_matrix
 from wcsrl.dynamics import (
-    FORCE_LIMIT,
     MIXED_DRIFT,
     CostWeights,
     PlantModel,
     cartpole_linearization,
+    control_bounds,
     make_fixed_ensemble,
     unstable_drift,
 )
 from wcsrl.environment import ConstraintSpec, SystemState, WirelessControlEnv
-from wcsrl.learner import TrainResult, TrainSettings, TrainedAgents
+from wcsrl.learner import TrainResult, TrainedAgents
 from wcsrl.wireless import ChannelModel, place_plants
 
 DIVERGENCE_LIMIT = 1e12
@@ -57,8 +61,6 @@ class ScenarioBundle:
     obs_noise: np.ndarray
     lqr_gains: list
     a_values: Optional[np.ndarray]
-    control_low: Optional[float]
-    control_high: Optional[float]
 
     @property
     def m(self) -> int:
@@ -102,7 +104,9 @@ class ScenarioBundle:
         return float(self.m)
 
     def riccati_controller(self) -> policies.Controller:
-        return policies.riccati_controller(self.lqr_gains, self.control_low, self.control_high)
+        """Riccati control clipped to the plants' actuator interval."""
+        low, high = control_bounds(self.plants[0].kind)
+        return policies.riccati_controller(self.lqr_gains, low, high)
 
 
 def _build_plants(
@@ -179,10 +183,8 @@ def build_scenario(cfg: ExperimentConfig) -> ScenarioBundle:
         a_lin, b_lin = cartpole_linearization()
         gain = baselines.lqr_gain(a_lin, b_lin, weights.q, weights.r)
         gains = [gain for _ in range(m)]
-        control_low, control_high = -FORCE_LIMIT, FORCE_LIMIT
     else:
         gains = [baselines.lqr_gain(p.a_mat, p.b_mat, weights.q, weights.r) for p in plants]
-        control_low = control_high = None
 
     return ScenarioBundle(
         cfg=cfg,
@@ -195,8 +197,6 @@ def build_scenario(cfg: ExperimentConfig) -> ScenarioBundle:
         obs_noise=_obs_noise_vector(cfg, m, state_dim),
         lqr_gains=gains,
         a_values=a_values,
-        control_low=control_low,
-        control_high=control_high,
     )
 
 
@@ -204,55 +204,19 @@ def build_scenario(cfg: ExperimentConfig) -> ScenarioBundle:
 # per-approach training setup
 
 
-@dataclass
-class ApproachSetup:
-    settings: TrainSettings
-    control_provider: Optional[policies.Controller]
-    alloc_provider: Optional[policies.Allocator]
-    force_delivery: bool
-
-
-def approach_setup(bundle: ScenarioBundle, approach: str) -> ApproachSetup:
-    """Translate an approach name into training settings and the fixed
-    sources for what it does not learn (see learner.APPROACHES): Riccati
-    control when control is fixed, equal power under guaranteed delivery
-    when allocation is not learned. Pretraining reaches only learned
-    allocation over fixed control, and warm episodes only the approaches
-    whose allocation actor can sit them out."""
-    if approach not in learner.APPROACHES:
-        raise ValueError(f"unknown approach {approach!r}")
+def fixed_sources(
+    bundle: ScenarioBundle, approach: str
+) -> tuple[Optional[policies.Allocator], Optional[policies.Controller]]:
+    """(allocator, controller) for what approach does not learn (see
+    learner.APPROACHES), None for what it learns: Riccati control when
+    control is fixed, equal power when allocation is not learned. Training
+    beside a fixed allocator runs under guaranteed delivery."""
     spec = learner.APPROACHES[approach]
-    cfg = bundle.cfg
-    settings = TrainSettings(
-        approach=approach,
-        episodes=cfg.train_episodes,
-        horizon=cfg.train_horizon,
-        n_workers=cfg.train_workers,
-        seg_len=cfg.train_segment,
-        gamma=cfg.train_gamma,
-        policy_lr=cfg.train_policy_lr,
-        value_lr=cfg.train_value_lr,
-        dual_lr=cfg.train_dual_lr,
-        optimizer=cfg.train_optimizer,
-        entropy_coef=cfg.train_entropy_coef,
-        grad_clip=cfg.train_grad_clip,
-        hidden=tuple(cfg.train_hidden),
-        init_log_std=float(np.log(cfg.train_init_std)),
-        alloc_head=cfg.alloc_head,
-        alpha_total=cfg.alloc_total if cfg.alloc_head == "simplex" else None,
-        control_low=bundle.control_low,
-        control_high=bundle.control_high,
-        pretrain_iters=cfg.train_pretrain_iters if spec.control == "fixed" else 0,
-        pretrain_lr=cfg.train_pretrain_lr,
-        pretrain_batch=cfg.train_pretrain_batch,
-        warm_episodes=cfg.train_warm_episodes if spec.warms_up else 0,
-        lagrangian_ceiling=cfg.train_ceiling,
-    )
-    control = bundle.riccati_controller() if spec.control == "fixed" else None
-    alloc = None
+    controller = bundle.riccati_controller() if spec.control == "fixed" else None
+    allocator = None
     if not spec.learn_alloc:
-        alloc = policies.equal_allocator(bundle.m, bundle.baseline_power_total())
-    return ApproachSetup(settings, control, alloc, force_delivery=not spec.learn_alloc)
+        allocator = policies.equal_allocator(bundle.m, bundle.baseline_power_total())
+    return allocator, controller
 
 
 def train_approach(
@@ -261,25 +225,19 @@ def train_approach(
     approach_index: int,
     progress: Optional[Callable[[learner.EpisodeRow], None]] = None,
 ) -> TrainResult:
-    setup = approach_setup(bundle, approach)
+    """Train approach on stream [seed, 1, approach_index] from bundle.cfg."""
+    allocator, controller = fixed_sources(bundle, approach)
     seq = np.random.SeedSequence([bundle.cfg.seed, 1, approach_index])
-    factory = lambda rng: bundle.env_factory(rng, force_delivery=setup.force_delivery)
-    return learner.train(
-        factory,
-        setup.settings,
-        seq,
-        control_provider=setup.control_provider,
-        alloc_provider=setup.alloc_provider,
-        progress=progress,
-    )
+    factory = lambda rng: bundle.env_factory(rng, force_delivery=allocator is not None)
+    return learner.train(factory, bundle.cfg, approach, seq, controller, allocator, progress)
 
 
 def eval_policy_for(
     bundle: ScenarioBundle, approach: str, agents: TrainedAgents, stochastic: bool = False
 ) -> policies.AgentPolicy:
     """Wrap trained agents with the fixed action halves they trained with."""
-    setup = approach_setup(bundle, approach)
-    return policies.AgentPolicy(agents, setup.alloc_provider, setup.control_provider, stochastic)
+    allocator, controller = fixed_sources(bundle, approach)
+    return policies.AgentPolicy(agents, allocator, controller, stochastic)
 
 
 def baseline_policies(bundle: ScenarioBundle) -> dict[str, policies.HeuristicPolicy]:
@@ -361,15 +319,10 @@ class EvalReport:
         return sig.mean(axis=(0, 1))
 
 
-def evaluate(
-    bundle: ScenarioBundle,
-    eval_policies: dict,
-    n_tests: Optional[int] = None,
-    group: Optional[int] = None,
-    horizon: Optional[int] = None,
-    seed_seq: Optional[np.random.SeedSequence] = None,
-) -> EvalReport:
-    """Monte Carlo comparison of policies on shared noise.
+def evaluate(bundle: ScenarioBundle, eval_policies: dict) -> EvalReport:
+    """Monte Carlo comparison of policies on shared noise: eval.tests tests
+    of eval.group realizations, each eval.horizon steps, from stream
+    [seed, 2] of bundle.cfg.
 
     Each (test, realization) cell owns a pair of generator seeds: one
     draws the cell's initial state and noise tape, once, and the other
@@ -380,14 +333,9 @@ def evaluate(
     one tape is held.
     """
     cfg = bundle.cfg
-    n_tests = cfg.eval_tests if n_tests is None else n_tests
-    group = cfg.eval_group if group is None else group
-    horizon = cfg.eval_horizon if horizon is None else horizon
-    if seed_seq is None:
-        seed_seq = np.random.SeedSequence([cfg.seed, 2])
-
+    n_tests, group, horizon = cfg.eval_tests, cfg.eval_group, cfg.eval_horizon
     cells = []
-    for test_seq in seed_seq.spawn(n_tests):
+    for test_seq in np.random.SeedSequence([cfg.seed, 2]).spawn(n_tests):
         cells.append([real_seq.spawn(2) for real_seq in test_seq.spawn(group)])
 
     n_sig = bundle.constraint.n_components(bundle.m) if bundle.constraint else 0
@@ -603,7 +551,7 @@ def evaluate_run(out_dir: str) -> RunResult:
     env = bundle.env_factory(np.random.default_rng(0))  # for its dimensions only
     trained = {}
     for approach in cfg.train_approaches:
-        expected = learner.build_agents(env, approach_setup(bundle, approach).settings, None)
+        expected = learner.build_agents(env, cfg, approach, None)
         trained[approach] = load_agents(os.path.join(out_dir, "checkpoints", approach), expected)
     eval_policies: dict[str, object] = {
         approach: eval_policy_for(bundle, approach, agents, cfg.eval_stochastic)

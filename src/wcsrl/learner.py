@@ -1,11 +1,15 @@
 """Constrained advantage actor-critic over the lossy-link control system.
 
 The primal-dual scheme: N synchronous workers roll the system under
-the current stochastic policy, parameters update every seg_len steps
+the current stochastic policy, parameters update every train.segment steps
 from pooled worker segments (policy step on advantage-weighted
 log-probabilities, value step on squared cost-to-go error), and the
 constraint multipliers take a projected ascent step at each episode
 end using the discounted constraint-signal sums.
+
+Every setting is read from the resolved ExperimentConfig: its train.*
+keys drive the loop and the updates, and its alloc.* keys, with the
+plants' actuator interval, shape the actor heads.
 
 What each approach learns is said once, in APPROACHES: whether an
 allocation actor is learned, and where control comes from. A joint actor
@@ -30,14 +34,15 @@ before the joint actor's draw otherwise.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 import numpy as np
 
 from wcsrl import policies
 from wcsrl.baselines import default_active_count
 from wcsrl.baselines import control_aware  # noqa: F401  traced by name in perfbench/layers.py
+from wcsrl.dynamics import control_bounds
 from wcsrl.environment import JointAction, Observation, WirelessControlEnv
 from wcsrl.neuralnet import (
     GaussianActor,
@@ -46,6 +51,9 @@ from wcsrl.neuralnet import (
     clip_global_norm,
     make_optimizer,
 )
+
+if TYPE_CHECKING:  # config imports this module
+    from wcsrl.config import ExperimentConfig
 
 
 class TrainingDivergedError(RuntimeError):
@@ -112,19 +120,17 @@ def dual_update(multipliers: np.ndarray, violation: np.ndarray, step_size: float
 
 @dataclass
 class DualState:
-    """Multipliers plus their dual-ascent bookkeeping."""
+    """Multipliers and their dual-ascent step size."""
 
     multipliers: np.ndarray
     step_size: float
-    history: list = field(default_factory=list)
 
     def update(self, violation: np.ndarray) -> None:
         self.multipliers = dual_update(self.multipliers, violation, self.step_size)
-        self.history.append(np.asarray(violation, dtype=float).copy())
 
 
 # ---------------------------------------------------------------------------
-# approaches, settings and results
+# approaches and results
 
 
 class Approach(NamedTuple):
@@ -151,43 +157,6 @@ APPROACHES: dict[str, Approach] = {
     # per-plant controllers under fixed equal power and guaranteed delivery
     "control_only": Approach(learn_alloc=False, control="per_plant"),
 }
-
-
-@dataclass
-class TrainSettings:
-    episodes: int
-    horizon: int
-    n_workers: int = 16
-    seg_len: int = 5
-    gamma: float = 0.99
-    policy_lr: float = 5e-4
-    value_lr: float = 5e-4
-    dual_lr: float = 1e-4
-    optimizer: str = "rmsprop"
-    entropy_coef: float = 0.0
-    grad_clip: float = 0.0
-    hidden: tuple = (64, 64)
-    init_log_std: float = float(np.log(0.5))
-    approach: str = "alloc_lqr"
-    alloc_head: Optional[str] = "simplex"
-    alpha_total: Optional[float] = None
-    control_low: Optional[float] = None
-    control_high: Optional[float] = None
-    pretrain_iters: int = 0
-    pretrain_lr: float = 1e-2
-    pretrain_batch: int = 64
-    warm_episodes: int = 0
-    lagrangian_ceiling: float = 1e12
-
-    def __post_init__(self) -> None:
-        if self.episodes < 1 or self.horizon < 1 or self.n_workers < 1 or self.seg_len < 1:
-            raise ValueError("episodes, horizon, n_workers, seg_len must be positive")
-        if self.approach not in APPROACHES:
-            raise ValueError(f"unknown approach {self.approach!r}")
-        if self.warm_episodes > 0 and not APPROACHES[self.approach].warms_up:
-            raise ValueError(
-                "warm_episodes apply only to a learned allocation actor beside per-plant controllers"
-            )
 
 
 @dataclass
@@ -228,12 +197,12 @@ class SegmentAgent:
     A stacked pair records members + (N, ...) per step (costs (m, N)) and
     updates every member on its own rows in one pass."""
 
-    def __init__(self, actor: GaussianActor, critic: ValueNet, settings: TrainSettings) -> None:
+    def __init__(self, actor: GaussianActor, critic: ValueNet, cfg: ExperimentConfig) -> None:
         self.actor = actor
         self.critic = critic
-        self.settings = settings
-        self.opt_actor = make_optimizer(settings.optimizer)
-        self.opt_critic = make_optimizer(settings.optimizer)
+        self.cfg = cfg
+        self.opt_actor = make_optimizer(cfg.train_optimizer)
+        self.opt_critic = make_optimizer(cfg.train_optimizer)
         self._obs: list[np.ndarray] = []
         self._raw: list[np.ndarray] = []
         self._costs: list[np.ndarray] = []
@@ -246,10 +215,10 @@ class SegmentAgent:
     def update(self, boot_obs: Optional[np.ndarray], at_end: bool, episode: int) -> None:
         if not self._obs:
             return
-        s = self.settings
+        cfg = self.cfg
         costs = np.stack(self._costs)
         bootstrap = np.zeros(costs.shape[1:]) if at_end else self.critic.values(boot_obs)
-        returns = compute_cost_to_go(costs, bootstrap, s.gamma)
+        returns = compute_cost_to_go(costs, bootstrap, cfg.train_gamma)
         # (L, ..., N) -> (..., L * N), step-major like the pooled rows
         returns = returns.swapaxes(0, -2).reshape(costs.shape[1:-1] + (-1,))
         obs_flat = np.concatenate(self._obs, axis=-2)
@@ -258,19 +227,21 @@ class SegmentAgent:
         adv = compute_advantage(returns, values)
 
         grad = self.actor.grad_weighted_log_prob(obs_flat, raw_flat, adv)
-        if s.entropy_coef > 0:
-            grad = grad - s.entropy_coef * obs_flat.shape[-2] * self.actor.grad_entropy()
-        grad = clip_global_norm(grad, s.grad_clip)
+        if cfg.train_entropy_coef > 0:
+            grad = grad - cfg.train_entropy_coef * obs_flat.shape[-2] * self.actor.grad_entropy()
+        grad = clip_global_norm(grad, cfg.train_grad_clip)
         if not np.isfinite(grad).all():
             raise TrainingDivergedError("non-finite policy gradient", episode)
-        self.actor.set_flat(self.opt_actor.step(self.actor.get_flat(), grad, s.policy_lr))
+        self.actor.set_flat(self.opt_actor.step(self.actor.get_flat(), grad, cfg.train_policy_lr))
 
         # the critic is unchanged since the forward pass above
         vgrad = self.critic.backward(critic_cache, 2.0 * (values - returns))
-        vgrad = clip_global_norm(vgrad, s.grad_clip)
+        vgrad = clip_global_norm(vgrad, cfg.train_grad_clip)
         if not np.isfinite(vgrad).all():
             raise TrainingDivergedError("non-finite value gradient", episode)
-        self.critic.set_flat(self.opt_critic.step(self.critic.get_flat(), vgrad, s.value_lr))
+        self.critic.set_flat(
+            self.opt_critic.step(self.critic.get_flat(), vgrad, cfg.train_value_lr)
+        )
 
         self._obs.clear()
         self._raw.clear()
@@ -300,11 +271,19 @@ controller_slice = policies.controller_slice
 
 
 def build_agents(
-    env: WirelessControlEnv, settings: TrainSettings, rng: Optional[np.random.Generator]
+    env: WirelessControlEnv,
+    cfg: ExperimentConfig,
+    approach: str,
+    rng: Optional[np.random.Generator],
 ) -> TrainedAgents:
-    """The actors and critics settings train on env; rng=None gives zero weights."""
+    """The actors and critics approach trains on env, shaped by cfg's
+    train.hidden, train.init_std and alloc.* keys and the plants' actuator
+    interval; rng=None gives zero weights."""
     m, p, q = env.m, env.state_dim, env.input_dim
-    spec = APPROACHES[settings.approach]
+    spec = APPROACHES[approach]
+    low, high = control_bounds(env.plants[0].kind)
+    hidden = tuple(cfg.train_hidden)
+    log_std = float(np.log(cfg.train_init_std))
     agents = TrainedAgents()
     if spec.learn_alloc or spec.control == "joint":
         # a joint actor keeps the control bounds even without a control
@@ -312,29 +291,22 @@ def build_agents(
         bounds = spec.control != "per_plant"
         head = HeadSpec(
             n_plants=m,
-            alloc=settings.alloc_head if spec.learn_alloc else None,
-            alpha_total=settings.alpha_total,
+            alloc=cfg.alloc_head if spec.learn_alloc else None,
+            alpha_total=cfg.alloc_total if cfg.alloc_head == "simplex" else None,
             control_dim=q if spec.control == "joint" else 0,
-            control_low=settings.control_low if bounds else None,
-            control_high=settings.control_high if bounds else None,
+            control_low=low if bounds else None,
+            control_high=high if bounds else None,
         )
-        agents.actor = GaussianActor(env.obs_dim, head, settings.hidden, rng, settings.init_log_std)
-        agents.critic = ValueNet(env.obs_dim, settings.hidden, rng)
+        agents.actor = GaussianActor(env.obs_dim, head, hidden, rng, log_std)
+        agents.critic = ValueNet(env.obs_dim, hidden, rng)
     if spec.control == "per_plant":
         rc_obs_dim = 1 + p + 1
-        head = HeadSpec(
-            n_plants=1,
-            control_dim=q,
-            control_low=settings.control_low,
-            control_high=settings.control_high,
-        )
+        head = HeadSpec(n_plants=1, control_dim=q, control_low=low, control_high=high)
         # drawn plant by plant (actor, then critic) and stacked afterwards
         actors, critics = [], []
         for _ in range(m):
-            actors.append(
-                GaussianActor(rc_obs_dim, head, settings.hidden, rng, settings.init_log_std)
-            )
-            critics.append(ValueNet(rc_obs_dim, settings.hidden, rng))
+            actors.append(GaussianActor(rc_obs_dim, head, hidden, rng, log_std))
+            critics.append(ValueNet(rc_obs_dim, hidden, rng))
         agents.rc_actor = GaussianActor.stack(actors)
         agents.rc_critic = ValueNet.stack(critics)
     return agents
@@ -350,7 +322,7 @@ def per_step_power(env: WirelessControlEnv, gamma: float) -> float:
 def pretrain_allocation(
     actor: GaussianActor,
     env: WirelessControlEnv,
-    settings: TrainSettings,
+    cfg: ExperimentConfig,
     controller: policies.Controller,
     rng: np.random.Generator,
 ) -> None:
@@ -358,12 +330,13 @@ def pretrain_allocation(
 
     Rolls the system under that heuristic to gather observations, then
     fits the deterministic allocation output to the heuristic's choice
-    by minibatch MSE steps.
+    by minibatch MSE steps (train.pretrain_iters, train.pretrain_batch,
+    train.pretrain_lr).
     """
     m = env.m
     p_total = actor.head.alpha_total
     if p_total is None:
-        p_total = per_step_power(env, settings.gamma)
+        p_total = per_step_power(env, cfg.train_gamma)
     heuristic = policies.ActionSources(
         allocator=policies.make_allocator("control_aware", m, default_active_count(m), p_total),
         controller=controller,
@@ -371,9 +344,9 @@ def pretrain_allocation(
 
     pool_obs: list[np.ndarray] = []
     pool_target: list[np.ndarray] = []
-    while len(pool_obs) < max(512, 4 * settings.pretrain_batch):
-        state = env.reset(settings.horizon)
-        for t in range(settings.horizon):
+    while len(pool_obs) < max(512, 4 * cfg.train_pretrain_batch):
+        state = env.reset(cfg.train_horizon)
+        for t in range(cfg.train_horizon):
             obs = env.observe(state)
             action = policies.compose_action(heuristic, obs, t)
             pool_obs.append(obs.stacked())
@@ -382,76 +355,84 @@ def pretrain_allocation(
 
     obs_mat = np.stack(pool_obs)
     target_mat = np.stack(pool_target)
-    opt = make_optimizer(settings.optimizer)
-    for _ in range(settings.pretrain_iters):
-        idx = rng.integers(0, obs_mat.shape[0], size=settings.pretrain_batch)
+    opt = make_optimizer(cfg.train_optimizer)
+    for _ in range(cfg.train_pretrain_iters):
+        idx = rng.integers(0, obs_mat.shape[0], size=cfg.train_pretrain_batch)
         _, grad = actor.grad_alloc_mse(obs_mat[idx], target_mat[idx])
-        actor.set_flat(opt.step(actor.get_flat(), grad, settings.pretrain_lr))
+        actor.set_flat(opt.step(actor.get_flat(), grad, cfg.train_pretrain_lr))
 
 
 def train(
     env_factory: Callable[[np.random.Generator | list[np.random.Generator]], WirelessControlEnv],
-    settings: TrainSettings,
+    cfg: ExperimentConfig,
+    approach: str,
     seed: int | np.random.SeedSequence,
     control_provider: Optional[policies.Controller] = None,
     alloc_provider: Optional[policies.Allocator] = None,
     progress: Optional[Callable[[EpisodeRow], None]] = None,
 ) -> TrainResult:
-    """Run the full primal-dual training loop and return the trained agents.
+    """Train approach (a key of APPROACHES) with the primal-dual loop under
+    cfg's train.* and alloc.* keys and return the trained agents.
 
     env_factory(rng) builds an environment around rng: training steps one
     around the list of worker generators, one batch row per worker, and
     pretraining one around worker 0's generator alone. When allocation
     (control) is not learned, alloc_provider (control_provider) supplies
     that half of the action for the whole worker batch; both default to
-    zero actions when absent. seed may be a SeedSequence so callers can
-    keep training streams separate from scenario or evaluation draws.
+    zero actions when absent. Pretraining runs only beside fixed control,
+    and warm episodes only where the approach warms up; elsewhere those
+    keys are ignored. seed may be a SeedSequence so callers can keep
+    training streams separate from scenario or evaluation draws.
     """
+    if approach not in APPROACHES:
+        raise ValueError(f"unknown approach {approach!r}")
+    spec = APPROACHES[approach]
+    warm_episodes = cfg.train_warm_episodes if spec.warms_up else 0
     if isinstance(seed, np.random.SeedSequence):
         seq = seed
     else:
         seq = np.random.SeedSequence(seed)
-    worker_seqs = seq.spawn(settings.n_workers)
+    worker_seqs = seq.spawn(cfg.train_workers)
     init_rng = np.random.Generator(np.random.PCG64(seq.spawn(1)[0]))
     sample_rng = np.random.Generator(np.random.PCG64(seq.spawn(1)[0]))
     pretrain_rng = np.random.Generator(np.random.PCG64(seq.spawn(1)[0]))
 
     worker_rngs = [np.random.Generator(np.random.PCG64(s)) for s in worker_seqs]
     env = env_factory(worker_rngs)
-    if abs(env.gamma - settings.gamma) > 1e-12:
+    if abs(env.gamma - cfg.train_gamma) > 1e-12:
         raise ValueError(
-            f"environment discount {env.gamma} does not match settings {settings.gamma}"
+            f"environment discount {env.gamma} does not match train.gamma {cfg.train_gamma}"
         )
     m = env.m
     n_sig = env.n_signals
-    n = settings.n_workers
+    n = cfg.train_workers
 
-    agents = build_agents(env, settings, init_rng)
-    ap_agent = None if agents.actor is None else SegmentAgent(agents.actor, agents.critic, settings)
+    agents = build_agents(env, cfg, approach, init_rng)
+    ap_agent = None if agents.actor is None else SegmentAgent(agents.actor, agents.critic, cfg)
     rc_agent = None
     if agents.rc_actor is not None:
-        rc_agent = SegmentAgent(agents.rc_actor, agents.rc_critic, settings)
+        rc_agent = SegmentAgent(agents.rc_actor, agents.rc_critic, cfg)
     seg_agents = [ag for ag in (ap_agent, rc_agent) if ag is not None]
 
     controller = control_provider or policies.zero_controller(m, env.input_dim)
-    if settings.pretrain_iters > 0 and APPROACHES[settings.approach].learn_alloc:
+    if cfg.train_pretrain_iters > 0 and spec.control == "fixed":
         # worker 0's generator: its draws continue into training as before
         pretrain_env = env_factory(worker_rngs[0])
-        pretrain_allocation(agents.actor, pretrain_env, settings, controller, pretrain_rng)
+        pretrain_allocation(agents.actor, pretrain_env, cfg, controller, pretrain_rng)
 
     allocator = alloc_provider or policies.zero_allocator(m)
     sources = policies.ActionSources(agents.actor, agents.rc_actor, allocator, controller)
     warm_sources = sources
-    if settings.warm_episodes > 0:
+    if warm_episodes > 0:
         # the allocation actor sits out; equal power at the per-step share of the budget
-        warm = policies.equal_allocator(m, per_step_power(env, settings.gamma))
+        warm = policies.equal_allocator(m, per_step_power(env, cfg.train_gamma))
         warm_sources = dataclasses.replace(sources, actor=None, allocator=warm)
 
-    dual = DualState(multipliers=np.zeros(n_sig), step_size=settings.dual_lr)
+    dual = DualState(multipliers=np.zeros(n_sig), step_size=cfg.train_dual_lr)
     log: list[EpisodeRow] = []
 
-    for episode in range(settings.episodes):
-        episode_sources = warm_sources if episode < settings.warm_episodes else sources
+    for episode in range(cfg.train_episodes):
+        episode_sources = warm_sources if episode < warm_episodes else sources
 
         def segment_update(rows: np.ndarray, rc_inputs: Optional[np.ndarray]) -> None:
             if ap_agent is not None:
@@ -459,14 +440,14 @@ def train(
             if rc_agent is not None:
                 rc_agent.update(rc_inputs, at_end=False, episode=episode)
 
-        state = env.reset(settings.horizon)
+        state = env.reset(cfg.train_horizon)
         obs = env.observe(state)
         disc = 1.0
         ep_pen = np.zeros(n)
         ep_sig = np.zeros((n, n_sig))
 
-        for t in range(settings.horizon):
-            update = segment_update if t > 0 and t % settings.seg_len == 0 else None
+        for t in range(cfg.train_horizon):
+            update = segment_update if t > 0 and t % cfg.train_segment == 0 else None
             action = policies.compose_action(episode_sources, obs, t, sample_rng, update)
             res = env.step(state, JointAction(alpha=action.alpha, u=action.u))
             state = res.next_state
@@ -480,14 +461,14 @@ def train(
             pen_costs = res.stage_cost + res.signals @ dual.multipliers
             ep_pen += disc * pen_costs
             ep_sig += disc * res.signals
-            disc *= settings.gamma
+            disc *= cfg.train_gamma
 
             if ap_agent is not None and action.raw is not None:
                 ap_agent.record(action.rows, action.raw, pen_costs)
             if rc_agent is not None:
                 rc_agent.record(action.rc_inputs, action.rc_raw, res.per_plant_costs.T)
 
-            if t < settings.horizon - 1:
+            if t < cfg.train_horizon - 1:
                 obs = env.observe(state)
         for ag in seg_agents:
             ag.update(None, at_end=True, episode=episode)
@@ -505,10 +486,10 @@ def train(
         log.append(row)
         if progress is not None:
             progress(row)
-        if not np.isfinite(lagrangian) or abs(lagrangian) > settings.lagrangian_ceiling:
+        if not np.isfinite(lagrangian) or abs(lagrangian) > cfg.train_ceiling:
             raise TrainingDivergedError(
                 f"Lagrangian estimate {lagrangian:.3e} exceeded ceiling "
-                f"{settings.lagrangian_ceiling:.3e} at episode {episode}",
+                f"{cfg.train_ceiling:.3e} at episode {episode}",
                 episode,
             )
 

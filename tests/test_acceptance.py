@@ -186,9 +186,7 @@ def power_study():
         result = harness.train_approach(bundle, "alloc_lqr", 0)
         pols = {"learned": harness.eval_policy_for(bundle, "alloc_lqr", result.agents)}
         pols.update(harness.baseline_policies(bundle))
-        reports[seed] = harness.evaluate(
-            bundle, pols, cfg.eval_tests, cfg.eval_group, cfg.eval_horizon
-        )
+        reports[seed] = harness.evaluate(bundle, pols)
     return {"reports": reports, "wall": time.time() - t0}
 
 
@@ -250,9 +248,7 @@ def codesign_study():
             result = harness.train_approach(bundle, approach, idx)
             agents[approach] = result.agents
             pols[approach] = harness.eval_policy_for(bundle, approach, result.agents)
-        report = harness.evaluate(
-            bundle, pols, cfg.eval_tests, cfg.eval_group, cfg.eval_horizon
-        )
+        report = harness.evaluate(bundle, pols)
         runs[seed] = {
             "bundle": bundle,
             "agents": agents,

@@ -103,6 +103,15 @@ def test_validation_rejections():
         load_config(overrides={"cost.q": [1.0, 2.0]})  # neither scale nor full diagonal
     with pytest.raises(ConfigError):
         load_config(overrides={"train.gamma": 1.5})
+    # at 1 every per-step budget share is zero: learners and the equal
+    # baseline sent no power and evaluation died on a zero power total
+    with pytest.raises(ConfigError, match=re.escape("train.gamma must lie in [0, 1), got 1.0")):
+        load_config(overrides={"train.gamma": 1.0})
+    load_config(overrides={"train.gamma": 0.0})
+    # a hidden size below one died in the network after config.txt was written
+    for bad in ([0], [-3, 4]):
+        with pytest.raises(ConfigError, match=re.escape("train.hidden must be positive")):
+            load_config(overrides={"train.hidden": bad})
     positive = (
         "train.init_std",
         "train.dual_lr",

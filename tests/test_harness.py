@@ -41,6 +41,7 @@ import pytest
 import wcsrl
 from wcsrl import config as config_mod
 from wcsrl import harness, neuralnet, policies
+from wcsrl.dynamics import control_bounds
 from wcsrl.learner import TrainedAgents
 
 TINY = {
@@ -96,7 +97,8 @@ def test_cartpole_scenario_wiring(tmp_path):
         overrides={"scenario": "cartpole_codesign", "seed": 1, "plants.count": 2}
     )
     b = harness.build_scenario(cfg)
-    assert b.control_low == -10.0 and b.control_high == 10.0
+    assert control_bounds(b.plants[0].kind) == (-10.0, 10.0)
+    assert control_bounds("linear") == (None, None)
     assert b.state_dim == 4 and b.input_dim == 1
     assert len(b.lqr_gains) == 2
     assert np.array_equal(b.lqr_gains[0], b.lqr_gains[1])
@@ -107,13 +109,13 @@ def test_cartpole_scenario_wiring(tmp_path):
 
     big = Observation(channel=np.ones(2), plant=np.full((2, 4), 5.0))
     u = ctrl(big, 0)
-    assert np.all(np.abs(u) <= 10.0)
+    assert np.array_equal(u, np.full((2, 1), 10.0))
 
 
 # Group 2 -------------------------------------------------------------------
 
 
-def quiet_bundle(tmp_path, a=1.1):
+def quiet_bundle(tmp_path, a=1.1, **extra):
     cfg = tiny_config(
         tmp_path,
         **{
@@ -121,17 +123,18 @@ def quiet_bundle(tmp_path, a=1.1):
             "plants.process_noise": 0.0,
             "plants.init": "zero",
             "obs.noise": 0.0,
+            **extra,
         },
     )
     return cfg, harness.build_scenario(cfg)
 
 
 def test_zero_system_zero_cost(tmp_path):
-    _, bundle = quiet_bundle(tmp_path)
+    _, bundle = quiet_bundle(tmp_path, **{"eval.horizon": 8})
     policy = policies.HeuristicPolicy(
         policies.zero_allocator(2), policies.zero_controller(2, 3)
     )
-    report = harness.evaluate(bundle, {"zero": policy}, n_tests=2, group=2, horizon=8)
+    report = harness.evaluate(bundle, {"zero": policy})
     assert np.array_equal(report.costs["zero"], np.zeros((2, 2)))
     assert not report.diverged["zero"].any()
     # region budget accrues negatively when the state never leaves the box
@@ -139,22 +142,31 @@ def test_zero_system_zero_cost(tmp_path):
 
 
 def test_paired_seeds_identical_policies(tmp_path):
-    cfg = tiny_config(tmp_path)
+    cfg = tiny_config(tmp_path, **{"eval.group": 3, "eval.horizon": 10})
     bundle = harness.build_scenario(cfg)
     total = bundle.baseline_power_total()
     mk = lambda: policies.HeuristicPolicy(
         policies.equal_allocator(2, total), bundle.riccati_controller()
     )
-    report = harness.evaluate(bundle, {"a": mk(), "b": mk()}, n_tests=2, group=3, horizon=10)
+    report = harness.evaluate(bundle, {"a": mk(), "b": mk()})
     assert np.array_equal(report.costs["a"], report.costs["b"])
     assert np.array_equal(report.signals["a"], report.signals["b"])
     # and the whole evaluation is repeatable
-    again = harness.evaluate(bundle, {"a": mk()}, n_tests=2, group=3, horizon=10)
+    again = harness.evaluate(bundle, {"a": mk()})
     assert np.array_equal(report.costs["a"], again.costs["a"])
 
 
 def test_equal_power_beats_none(tmp_path):
-    cfg = tiny_config(tmp_path, **{"plants.a_values": [1.1, 1.1], "obs.noise": 0.0})
+    cfg = tiny_config(
+        tmp_path,
+        **{
+            "plants.a_values": [1.1, 1.1],
+            "obs.noise": 0.0,
+            "eval.tests": 3,
+            "eval.group": 3,
+            "eval.horizon": 30,
+        },
+    )
     bundle = harness.build_scenario(cfg)
     ctrl = bundle.riccati_controller()
     total = bundle.baseline_power_total()
@@ -164,9 +176,6 @@ def test_equal_power_beats_none(tmp_path):
             "equal": policies.HeuristicPolicy(policies.equal_allocator(2, total), ctrl),
             "silent": policies.HeuristicPolicy(policies.zero_allocator(2), ctrl),
         },
-        n_tests=3,
-        group=3,
-        horizon=30,
     )
     assert report.overall_mean("equal") < report.overall_mean("silent")
 
@@ -174,12 +183,20 @@ def test_equal_power_beats_none(tmp_path):
 def test_divergence_sentinel(tmp_path):
     # spectral radius 3 with no delivered inputs: the state passes 1e12
     # within ~26 steps and the rollout aborts with a saturated cost
-    cfg = tiny_config(tmp_path, **{"plants.a_values": [3.0, 3.0], "plants.init": "normal"})
+    cfg = tiny_config(
+        tmp_path,
+        **{
+            "plants.a_values": [3.0, 3.0],
+            "plants.init": "normal",
+            "eval.tests": 1,
+            "eval.horizon": 60,
+        },
+    )
     bundle = harness.build_scenario(cfg)
     policy = policies.HeuristicPolicy(
         policies.zero_allocator(2), policies.zero_controller(2, 3)
     )
-    report = harness.evaluate(bundle, {"runaway": policy}, n_tests=1, group=2, horizon=60)
+    report = harness.evaluate(bundle, {"runaway": policy})
     assert report.diverged["runaway"].all()
     assert np.array_equal(
         report.costs["runaway"], np.full((1, 2), harness.DIVERGENCE_COST)

@@ -8,7 +8,7 @@ Proves:
  Group 2: Dual ascent
    4.  Projected multiplier update by hand, clipping at zero
    5.  Dual descent on min theta^2 s.t. 1 - theta <= 0 reaches (2, 1)
-   6.  DualState keeps history and never goes negative
+   6.  DualState never goes negative
  Group 3: Update mechanics
    7.  A positive-advantage action loses log-probability after one step
    8.  The value step moves predictions toward the returns
@@ -19,8 +19,9 @@ Proves:
   11.  Tiny run completes, logs every episode, multipliers stay feasible
   12.  Bitwise repeatable from the seed
   13.  codesign trains allocation and per-plant controllers
-  14.  Warm episodes freeze the allocation actor, and are rejected where
-       no allocation actor would sit out; an unknown approach is rejected
+  14.  Warm episodes freeze the allocation actor; warm episodes and
+       pretraining leave the run bitwise unchanged wherever the approach
+       does not use them; an unknown approach is rejected
   15.  Lagrangian ceiling raises TrainingDivergedError, and a non-finite
        plant state raises it at the step it appears, naming the worker
   16.  The per-step power share falls back to the plant count without a budget
@@ -30,12 +31,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from wcsrl.config import load_config
 from wcsrl.dynamics import CostWeights, PlantModel, unstable_drift
 from wcsrl.environment import ConstraintSpec, WirelessControlEnv
 from wcsrl.learner import (
     SegmentAgent,
     TrainingDivergedError,
-    TrainSettings,
     DualState,
     compute_advantage,
     compute_cost_to_go,
@@ -155,7 +156,6 @@ def test_dual_state():
     assert np.allclose(state.multipliers, [0.5, 0.0], atol=1e-15)
     state.update(np.array([1.0, 1.0]))
     assert np.allclose(state.multipliers, [1.0, 0.5], atol=1e-15)
-    assert len(state.history) == 2
 
 
 # Group 3 -------------------------------------------------------------------
@@ -176,11 +176,13 @@ def test_policy_step_reduces_positive_advantage_log_prob():
 
 def test_value_step_moves_toward_returns():
     rng = np.random.Generator(np.random.PCG64(13))
-    settings = TrainSettings(episodes=1, horizon=5, n_workers=2, optimizer="sgd", value_lr=1e-2)
+    cfg = load_config(
+        overrides={"train.optimizer": "sgd", "train.value_lr": 1e-2, "train.grad_clip": 0.0}
+    )
     head = HeadSpec(n_plants=2, alloc="softplus")
     actor = GaussianActor(4, head, (8,), rng)
     critic = ValueNet(4, (8,), rng)
-    agent = SegmentAgent(actor, critic, settings)
+    agent = SegmentAgent(actor, critic, cfg)
     obs = rng.standard_normal((2, 4))
     raw = actor.sample(obs, rng).raw
     costs = np.array([5.0, 5.0])
@@ -200,7 +202,7 @@ def test_pooled_update_worker_order_invariance():
         critic = ValueNet(4, (8,), rng)
         return actor, critic
 
-    settings = TrainSettings(episodes=1, horizon=5, n_workers=4, optimizer="sgd")
+    cfg = load_config(overrides={"train.optimizer": "sgd", "train.grad_clip": 0.0})
     perm = np.array([2, 0, 3, 1])
     rng = np.random.Generator(np.random.PCG64(17))
     steps = [
@@ -209,8 +211,8 @@ def test_pooled_update_worker_order_invariance():
     ]
     actor_a, critic_a = build(5)
     actor_b, critic_b = build(5)
-    agent_a = SegmentAgent(actor_a, critic_a, settings)
-    agent_b = SegmentAgent(actor_b, critic_b, settings)
+    agent_a = SegmentAgent(actor_a, critic_a, cfg)
+    agent_b = SegmentAgent(actor_b, critic_b, cfg)
     for obs, raw, costs in steps:
         agent_a.record(obs, raw, costs)
         agent_b.record(obs[perm], raw[perm], costs[perm])
@@ -223,18 +225,16 @@ def test_pooled_update_worker_order_invariance():
 def test_stacked_agent_matches_separate_agents():
     m, n_workers = 3, 2
     # at this clip some members' gradients are rescaled and others not
-    settings = TrainSettings(
-        episodes=1, horizon=8, n_workers=n_workers, entropy_coef=0.05, grad_clip=400.0
-    )
+    cfg = load_config(overrides={"train.entropy_coef": 0.05, "train.grad_clip": 400.0})
     head = HeadSpec(n_plants=1, control_dim=2, control_low=-1.0, control_high=1.0)
 
     def pairs():
         rng = np.random.Generator(np.random.PCG64(23))
         return [(GaussianActor(4, head, (8,), rng), ValueNet(4, (8,), rng)) for _ in range(m)]
 
-    single = [SegmentAgent(a, c, settings) for a, c in pairs()]
+    single = [SegmentAgent(a, c, cfg) for a, c in pairs()]
     actors, critics = zip(*pairs())
-    stacked = SegmentAgent(GaussianActor.stack(actors), ValueNet.stack(critics), settings)
+    stacked = SegmentAgent(GaussianActor.stack(actors), ValueNet.stack(critics), cfg)
     rng = np.random.Generator(np.random.PCG64(29))
     for t in range(8):
         obs = rng.standard_normal((m, n_workers, 4))
@@ -258,26 +258,38 @@ def test_stacked_agent_matches_separate_agents():
 # Group 4 -------------------------------------------------------------------
 
 
-def small_settings(**kwargs):
-    base = dict(
-        episodes=3,
-        horizon=12,
-        n_workers=2,
-        seg_len=5,
-        policy_lr=1e-3,
-        value_lr=1e-3,
-        dual_lr=1e-3,
-        approach="alloc_lqr",
-        alloc_head="simplex",
-        alpha_total=2.0,
-        hidden=(16, 16),
-    )
-    base.update(kwargs)
-    return TrainSettings(**base)
+SMALL = {
+    "train.episodes": 3,
+    "train.horizon": 12,
+    "train.workers": 2,
+    "train.segment": 5,
+    "train.policy_lr": 1e-3,
+    "train.value_lr": 1e-3,
+    "train.dual_lr": 1e-3,
+    "train.grad_clip": 0.0,
+    "train.hidden": [16, 16],
+    "alloc.head": "simplex",
+    "alloc.total": 2.0,
+}
+
+
+def small_config(overrides=None):
+    return load_config(overrides={**SMALL, **(overrides or {})})
+
+
+def run_outputs(result):
+    """The training log and every trained network's parameters."""
+    log = [(row.lagrangian, *row.violations, *row.multipliers) for row in result.log]
+    nets = [net.get_flat() for net in vars(result.agents).values() if net is not None]
+    return log, nets
+
+
+def same_outputs(a, b):
+    return a[0] == b[0] and len(a[1]) == len(b[1]) and all(map(np.array_equal, a[1], b[1]))
 
 
 def test_train_smoke_and_log():
-    result = train(env_factory_for(), small_settings(), seed=101)
+    result = train(env_factory_for(), small_config(), "alloc_lqr", seed=101)
     assert len(result.log) == 3
     assert result.agents.actor is not None
     assert result.agents.rc_actor is None
@@ -288,21 +300,17 @@ def test_train_smoke_and_log():
 
 
 def test_train_bitwise_repeatable():
-    r1 = train(env_factory_for(), small_settings(), seed=55)
-    r2 = train(env_factory_for(), small_settings(), seed=55)
+    r1 = train(env_factory_for(), small_config(), "alloc_lqr", seed=55)
+    r2 = train(env_factory_for(), small_config(), "alloc_lqr", seed=55)
     assert np.array_equal(r1.agents.actor.get_flat(), r2.agents.actor.get_flat())
     assert [row.lagrangian for row in r1.log] == [row.lagrangian for row in r2.log]
-    r3 = train(env_factory_for(), small_settings(), seed=56)
+    r3 = train(env_factory_for(), small_config(), "alloc_lqr", seed=56)
     assert not np.array_equal(r1.agents.actor.get_flat(), r3.agents.actor.get_flat())
 
 
 def test_train_separate_topology():
-    settings = small_settings(
-        approach="codesign",
-        alloc_head="softplus",
-        alpha_total=None,
-    )
-    result = train(env_factory_for(constraint="sum_power"), settings, seed=7)
+    cfg = small_config({"alloc.head": "softplus"})
+    result = train(env_factory_for(constraint="sum_power"), cfg, "codesign", seed=7)
     assert result.agents.actor is not None
     assert result.agents.rc_actor.net.members == (2,)
     assert result.agents.rc_critic.net.members == (2,)
@@ -314,19 +322,17 @@ def test_train_separate_topology():
 
 
 def test_warm_episodes_freeze_allocation_actor():
-    common = dict(
-        approach="codesign",
-        alloc_head="softplus",
-        alpha_total=None,
-    )
+    factory = env_factory_for(constraint="sum_power")
     all_warm = train(
-        env_factory_for(constraint="sum_power"),
-        small_settings(episodes=2, warm_episodes=2, **common),
+        factory,
+        small_config({"alloc.head": "softplus", "train.episodes": 2, "train.warm_episodes": 2}),
+        "codesign",
         seed=9,
     )
     one_ep = train(
-        env_factory_for(constraint="sum_power"),
-        small_settings(episodes=1, warm_episodes=1, **common),
+        factory,
+        small_config({"alloc.head": "softplus", "train.episodes": 1, "train.warm_episodes": 1}),
+        "codesign",
         seed=9,
     )
     # the allocation actor was never updated in either run, so both still
@@ -338,27 +344,42 @@ def test_warm_episodes_freeze_allocation_actor():
     )
 
 
-@pytest.mark.parametrize("approach", ["alloc_lqr", "codesign_joint", "control_only"])
-def test_warm_episodes_rejected_where_ignored(approach):
-    with pytest.raises(ValueError, match="warm_episodes"):
-        small_settings(approach=approach, warm_episodes=2)
+# the keys each approach uses of train.warm_episodes and train.pretrain_iters:
+# warm episodes need an allocation actor beside per-plant controllers, and
+# pretraining an allocation actor over fixed control
+USES = {
+    "alloc_lqr": {"train.pretrain_iters"},
+    "codesign": {"train.warm_episodes"},
+    "codesign_joint": set(),
+    "control_only": set(),
+}
+
+
+@pytest.mark.parametrize("approach", list(USES))
+def test_approach_ignores_keys_it_does_not_use(approach):
+    factory = env_factory_for(constraint="sum_power")
+    common = {"alloc.head": "softplus", "train.episodes": 2}
+    plain = run_outputs(train(factory, small_config(common), approach, seed=9))
+    for key, value in (("train.warm_episodes", 2), ("train.pretrain_iters", 5)):
+        result = train(factory, small_config({**common, key: value}), approach, seed=9)
+        assert same_outputs(run_outputs(result), plain) == (key not in USES[approach]), key
 
 
 def test_unknown_approach_rejected():
     with pytest.raises(ValueError, match="unknown approach 'mystery'"):
-        small_settings(approach="mystery")
+        train(env_factory_for(), small_config(), "mystery", seed=3)
 
 
 def test_lagrangian_ceiling_raises():
     with pytest.raises(TrainingDivergedError):
-        train(env_factory_for(), small_settings(lagrangian_ceiling=1e-6), seed=3)
+        train(env_factory_for(), small_config({"train.ceiling": 1e-6}), "alloc_lqr", seed=3)
 
 
 def test_nonfinite_state_raises_at_its_step():
     # x1 = 1e200 x0 is still finite; x2 = 1e400 x0 overflows in step 1 of episode 0
     factory = env_factory_for(a_mat=1e200 * np.eye(3))
     with pytest.raises(TrainingDivergedError, match="episode 0, step 1, worker 0") as info:
-        train(factory, small_settings(), seed=3)
+        train(factory, small_config(), "alloc_lqr", seed=3)
     assert info.value.episode == 0
 
 
