@@ -10,9 +10,11 @@ A config file looks like
     train.hidden = 64 64
 
 Every key is declared once, as one row of `_TABLE`: its file key, value
-kind, default and, for enum keys, the allowed values. `KEY_SPECS`,
-`BASE_DEFAULTS`, the `ExperimentConfig` attributes and the enum checks
-are all derived from those rows, so adding a key means adding one row.
+kind, default and its limit: the allowed values of an enum key, or the
+bound "positive" or "nonnegative" of a numeric one. `KEY_SPECS`,
+`BASE_DEFAULTS`, the `ExperimentConfig` attributes and the enum and bound
+checks are all derived from those rows, so adding a key means adding one
+row.
 
 Scenario presets fill in everything not stated; file values override
 presets; command-line overrides beat both. Unknown keys are an error.
@@ -86,11 +88,20 @@ def _parse_value(kind: str, tokens: list[str], key: str):
     return _parse_scalar(base, tokens, key)
 
 
-# One row per config key: (file key, kind, default[, allowed values]).
+# One row per config key: (file key, kind, default[, limit]).
 # The attribute name is the key with its dot made an underscore. A kind is
 # int, float, str or bool, or one of those with "_list" for a list of them;
 # an "opt_" prefix lets "none" read as None, which _resolve fills in for
-# some keys. Adding a key means adding one row.
+# some keys. The limit is an enum key's tuple of allowed values, or a
+# numeric key's bound, "positive" or "nonnegative", held by every entry of
+# a list; None (an unset optional key) passes. Each bound stops a value
+# that would otherwise be ignored silently or fail later with no key named:
+# a bad horizon or episode count only after training, eval.horizon = 0 by
+# writing all-zero evaluation costs, a zero pretraining batch by NaN-loss
+# pretraining that does nothing, a zero or negative std by a non-finite
+# log-std, a zero power cap once config.txt is written, a negative
+# path-loss exponent by gains that grow with distance, a hidden size below
+# one by a network error naming no key. Adding a key means adding one row.
 _TABLE: tuple[tuple, ...] = (
     ("scenario", "str", "custom"),
     ("seed", "int", 0),
@@ -100,48 +111,48 @@ _TABLE: tuple[tuple, ...] = (
     ("plants.a_low", "float", 1.05),
     ("plants.a_high", "float", 1.15),
     ("plants.a_values", "opt_float_list", None),
-    ("plants.process_noise", "float", 0.1),
+    ("plants.process_noise", "float", 0.1, "nonnegative"),
     ("plants.init", "str", "normal", ("normal", "uniform", "zero")),
-    ("plants.init_scale", "float", 1.0),
-    ("channel.path_loss", "float", 2.0),
-    ("channel.fading_scale", "float", 1.0),
-    ("channel.area_half_width", "opt_float", None),
-    ("channel.min_distance", "float", 0.1),
+    ("plants.init_scale", "float", 1.0, "nonnegative"),
+    ("channel.path_loss", "float", 2.0, "nonnegative"),
+    ("channel.fading_scale", "float", 1.0, "positive"),
+    ("channel.area_half_width", "opt_float", None, "positive"),
+    ("channel.min_distance", "float", 0.1, "positive"),
     ("channel.positions", "opt_float_list", None),
-    ("cost.q", "float_list", [1.0]),
-    ("cost.r", "float_list", [1.0]),
+    ("cost.q", "float_list", [1.0], "nonnegative"),
+    ("cost.r", "float_list", [1.0], "positive"),
     ("constraint.kind", "str", "region", ("sum_power", "region", "none")),
-    ("constraint.power_budget", "opt_float", None),
-    ("constraint.region_half_width", "float", 15.0),
-    ("constraint.region_budget", "float", 5.0),
+    ("constraint.power_budget", "opt_float", None, "positive"),
+    ("constraint.region_half_width", "float", 15.0, "positive"),
+    ("constraint.region_budget", "float", 5.0, "nonnegative"),
     ("alloc.head", "str", "simplex", ("simplex", "softplus")),
-    ("alloc.total", "opt_float", None),
+    ("alloc.total", "opt_float", None, "positive"),
     ("alloc.n_active", "opt_int", None),
-    ("obs.noise", "float", 1.0),
-    ("obs.noise_channel", "opt_float", None),
-    ("obs.noise_plant", "opt_float", None),
+    ("obs.noise", "float", 1.0, "nonnegative"),
+    ("obs.noise_channel", "opt_float", None, "nonnegative"),
+    ("obs.noise_plant", "opt_float", None, "nonnegative"),
     ("train.approaches", "str_list", ["alloc_lqr"], tuple(learner.APPROACHES)),
-    ("train.episodes", "int", 200),
-    ("train.horizon", "int", 100),
-    ("train.workers", "int", 16),
-    ("train.segment", "int", 5),
+    ("train.episodes", "int", 200, "positive"),
+    ("train.horizon", "int", 100, "positive"),
+    ("train.workers", "int", 16, "positive"),
+    ("train.segment", "int", 5, "positive"),
     ("train.gamma", "float", 0.99),
-    ("train.policy_lr", "float", 5e-4),
-    ("train.value_lr", "float", 5e-4),
-    ("train.dual_lr", "float", 1e-4),
+    ("train.policy_lr", "float", 5e-4, "positive"),
+    ("train.value_lr", "float", 5e-4, "positive"),
+    ("train.dual_lr", "float", 1e-4, "positive"),
     ("train.optimizer", "str", "rmsprop", ("sgd", "rmsprop")),
-    ("train.entropy_coef", "float", 0.0),
-    ("train.grad_clip", "float", 0.5),
-    ("train.hidden", "int_list", [64, 64]),
-    ("train.init_std", "float", 0.5),
-    ("train.pretrain_iters", "int", 0),
-    ("train.pretrain_lr", "float", 1e-2),
-    ("train.pretrain_batch", "int", 64),
-    ("train.warm_episodes", "int", 0),
-    ("train.ceiling", "float", 1e12),
-    ("eval.tests", "int", 10),
-    ("eval.group", "int", 10),
-    ("eval.horizon", "int", 120),
+    ("train.entropy_coef", "float", 0.0, "nonnegative"),
+    ("train.grad_clip", "float", 0.5, "nonnegative"),
+    ("train.hidden", "int_list", [64, 64], "positive"),
+    ("train.init_std", "float", 0.5, "positive"),
+    ("train.pretrain_iters", "int", 0, "nonnegative"),
+    ("train.pretrain_lr", "float", 1e-2, "positive"),
+    ("train.pretrain_batch", "int", 64, "positive"),
+    ("train.warm_episodes", "int", 0, "nonnegative"),
+    ("train.ceiling", "float", 1e12, "positive"),
+    ("eval.tests", "int", 10, "positive"),
+    ("eval.group", "int", 10, "positive"),
+    ("eval.horizon", "int", 120, "positive"),
     ("eval.stochastic", "bool", False),
     ("eval.baselines", "str_list", ["equal", "round_robin", "channel_aware", "control_aware"],
      ("equal", "round_robin", "channel_aware", "control_aware", "all_on", "zero")),
@@ -152,8 +163,9 @@ KEY_SPECS: dict[str, tuple[str, str]] = {
     key: (key.replace(".", "_"), kind) for key, kind, *_ in _TABLE
 }
 BASE_DEFAULTS: dict[str, object] = {key: default for key, _, default, *_ in _TABLE}
-# file key -> allowed values, for the keys that list them
-_ALLOWED: dict[str, tuple] = {key: rest[0] for key, _, _, *rest in _TABLE if rest}
+# file key -> limit, for the keys that state one
+_LIMITS: dict[str, tuple | str] = {key: rest[0] for key, _, _, *rest in _TABLE if rest}
+_BOUNDS = {"positive": operator.gt, "nonnegative": operator.ge}
 
 SCENARIO_PRESETS: dict[str, dict[str, object]] = {
     # Power allocation over unstable plants, Riccati control, region constraints,
@@ -298,64 +310,20 @@ def _resolve(cfg: ExperimentConfig) -> None:
         cfg.alloc_n_active = baselines.default_active_count(m)
 
 
-# Each of these would otherwise be ignored silently or fail later with no
-# key named: a bad horizon or episode count only after training, eval.horizon
-# = 0 by writing all-zero evaluation costs, a zero pretraining batch by
-# NaN-loss pretraining that does nothing, a zero or negative std by a
-# non-finite log-std, a zero power cap once config.txt is written, a
-# negative path-loss exponent by gains that grow with distance, a hidden size
-# below one by a network error naming no key. A list key
-# holds each entry to the bound; None (an unset optional key) passes.
-_POSITIVE_KEYS = (
-    "train.episodes",
-    "train.horizon",
-    "train.workers",
-    "train.segment",
-    "train.pretrain_batch",
-    "train.hidden",
-    "eval.tests",
-    "eval.group",
-    "eval.horizon",
-    "train.init_std",
-    "train.dual_lr",
-    "train.policy_lr",
-    "train.value_lr",
-    "train.pretrain_lr",
-    "train.ceiling",
-    "channel.fading_scale",
-    "channel.min_distance",
-    "channel.area_half_width",
-    "constraint.region_half_width",
-    "constraint.power_budget",
-    "alloc.total",
-    "cost.r",
-)
-_NONNEGATIVE_KEYS = (
-    "train.pretrain_iters",
-    "train.warm_episodes",
-    "train.entropy_coef",
-    "train.grad_clip",
-    "plants.process_noise",
-    "plants.init_scale",
-    "constraint.region_budget",
-    "obs.noise",
-    "obs.noise_channel",
-    "obs.noise_plant",
-    "channel.path_loss",
-    "cost.q",
-)
-
-
 def _validate(cfg: ExperimentConfig) -> None:
-    for key, allowed in _ALLOWED.items():
-        attr, kind = KEY_SPECS[key]
-        value = getattr(cfg, attr)
-        for name in value if kind.endswith("_list") else [value]:
-            if name not in allowed:
-                raise ConfigError(f"unknown {key} {name!r}; pick one of {allowed}")
     m = cfg.plants_count
     if m < 1:
         raise ConfigError("plants.count must be positive")
+    for key, limit in _LIMITS.items():
+        attr, kind = KEY_SPECS[key]
+        value = getattr(cfg, attr)
+        entries = value if kind.endswith("_list") else [value]
+        if isinstance(limit, tuple):
+            for name in entries:
+                if name not in limit:
+                    raise ConfigError(f"unknown {key} {name!r}; pick one of {limit}")
+        elif value is not None and not all(_BOUNDS[limit](v, 0) for v in entries):
+            raise ConfigError(f"{key} must be {limit}, got {value!r}")
     if cfg.plants_a_values is not None and len(cfg.plants_a_values) != m:
         raise ConfigError("plants.a_values must list one value per plant")
     if cfg.channel_positions is not None and len(cfg.channel_positions) != 2 * m:
@@ -371,15 +339,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(
             f"plants.a_low {cfg.plants_a_low!r} exceeds plants.a_high {cfg.plants_a_high!r}"
         )
-    for keys, holds, bound in (
-        (_POSITIVE_KEYS, operator.gt, "positive"),
-        (_NONNEGATIVE_KEYS, operator.ge, "nonnegative"),
-    ):
-        for key in keys:
-            value = getattr(cfg, KEY_SPECS[key][0])
-            entries = value if isinstance(value, list) else [value]
-            if value is not None and not all(holds(v, 0) for v in entries):
-                raise ConfigError(f"{key} must be {bound}, got {value!r}")
     if len(cfg.cost_q) not in (1, _state_dim(cfg)):
         raise ConfigError(
             f"cost.q must be a scale or {_state_dim(cfg)} diagonal entries, got {len(cfg.cost_q)}"

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from wcsrl import dynamics
-from wcsrl.dynamics import CostWeights, PlantModel, psd_factor
+from wcsrl.dynamics import CostWeights, PlantModel
 from wcsrl.wireless import ChannelModel, delivery_probability, snr
 
 
@@ -206,26 +206,17 @@ class WirelessControlEnv:
         if weights.r.shape[0] != self.input_dim:
             raise ValueError("cost input weight does not match plant input dimension")
 
+        # the diagonal of the observation-noise covariance, one variance per entry
         if obs_noise_cov is None:
-            obs_noise_cov = np.zeros((self.obs_dim, self.obs_dim))
+            obs_noise_cov = np.zeros(self.obs_dim)
         obs_noise_cov = np.asarray(obs_noise_cov, dtype=float)
-        if obs_noise_cov.ndim == 1:
-            if obs_noise_cov.shape != (self.obs_dim,):
-                raise ValueError(
-                    f"diagonal obs noise must have {self.obs_dim} entries, got {obs_noise_cov.shape}"
-                )
-            if (obs_noise_cov < 0).any():
-                raise ValueError("observation noise variances must be nonnegative")
-            self._obs_noise_std = np.sqrt(obs_noise_cov)
-            self._obs_noise_factor = None
-        else:
-            if obs_noise_cov.shape != (self.obs_dim, self.obs_dim):
-                raise ValueError(
-                    f"obs noise covariance must be {(self.obs_dim, self.obs_dim)}, "
-                    f"got {obs_noise_cov.shape}"
-                )
-            self._obs_noise_std = None
-            self._obs_noise_factor = psd_factor(obs_noise_cov)
+        if obs_noise_cov.shape != (self.obs_dim,):
+            raise ValueError(
+                f"diagonal obs noise must have {self.obs_dim} entries, got {obs_noise_cov.shape}"
+            )
+        if (obs_noise_cov < 0).any():
+            raise ValueError("observation noise variances must be nonnegative")
+        self._obs_noise_std = np.sqrt(obs_noise_cov)
 
         if plants[0].kind == "linear":
             self._a_stack = np.stack([p.a_mat for p in plants])
@@ -250,7 +241,6 @@ class WirelessControlEnv:
         obs = np.empty((horizon,) + batch + (self.obs_dim,))
         uniforms = None if self.force_delivery else np.empty((horizon,) + batch + (m,))
         z = np.empty((horizon,) + batch + (m, p))
-        factor = self._obs_noise_factor
         for row, rng in zip(np.ndindex(*batch), self.rngs):
             if self.init_kind == "normal":
                 x0[row] = self.init_scale * rng.standard_normal((m, p))
@@ -261,16 +251,12 @@ class WirelessControlEnv:
             row_uniforms = None if uniforms is None else uniforms[at]
             row_gains[0] = self.channel.sample_gains(rng)
             for t in range(horizon):
-                if factor is None:
-                    rng.standard_normal(out=row_obs[t])
-                else:
-                    row_obs[t] = factor @ rng.standard_normal(self.obs_dim)
+                rng.standard_normal(out=row_obs[t])
                 if row_uniforms is not None:
                     rng.random(out=row_uniforms[t])
                 rng.standard_normal(out=row_z[t])
                 row_gains[t + 1] = self.channel.sample_gains(rng)
-        if factor is None:
-            obs *= self._obs_noise_std
+        obs *= self._obs_noise_std
         process = np.einsum("ijk,...ik->...ij", self._noise_stack, z)
         tape = NoiseTape(gains=gains, obs=obs, uniforms=uniforms, process=process)
         return SystemState(x=x0, h=gains[0], tape=tape, t=0)

@@ -66,14 +66,6 @@ class ScenarioBundle:
     def m(self) -> int:
         return len(self.plants)
 
-    @property
-    def state_dim(self) -> int:
-        return self.plants[0].state_dim
-
-    @property
-    def input_dim(self) -> int:
-        return self.plants[0].input_dim
-
     def env_factory(
         self, rng: np.random.Generator, force_delivery: bool = False
     ) -> WirelessControlEnv:
@@ -89,19 +81,6 @@ class ScenarioBundle:
             init_scale=self.cfg.plants_init_scale,
             force_delivery=force_delivery,
         )
-
-    def baseline_power_total(self) -> float:
-        """Per-step power handed to heuristic allocators: the instantaneous
-        cap when the head enforces one, else the sustainable per-step share
-        of the expected-power budget."""
-        cfg = self.cfg
-        if cfg.alloc_head == "simplex" and cfg.alloc_total is not None:
-            return float(cfg.alloc_total)
-        if cfg.constraint_kind == "sum_power":
-            return (1.0 - cfg.train_gamma) * float(cfg.constraint_power_budget)
-        if cfg.alloc_total is not None:
-            return float(cfg.alloc_total)
-        return float(self.m)
 
     def riccati_controller(self) -> policies.Controller:
         """Riccati control clipped to the plants' actuator interval."""
@@ -215,7 +194,7 @@ def fixed_sources(
     controller = bundle.riccati_controller() if spec.control == "fixed" else None
     allocator = None
     if not spec.learn_alloc:
-        allocator = policies.equal_allocator(bundle.m, bundle.baseline_power_total())
+        allocator = policies.heuristic_allocator("equal", bundle.cfg)
     return allocator, controller
 
 
@@ -241,14 +220,11 @@ def eval_policy_for(
 
 
 def baseline_policies(bundle: ScenarioBundle) -> dict[str, policies.HeuristicPolicy]:
-    cfg = bundle.cfg
-    total = bundle.baseline_power_total()
     controller = bundle.riccati_controller()
-    out = {}
-    for name in cfg.eval_baselines:
-        allocator = policies.make_allocator(name, bundle.m, cfg.alloc_n_active, total)
-        out[name] = policies.HeuristicPolicy(allocator, controller)
-    return out
+    return {
+        name: policies.HeuristicPolicy(policies.heuristic_allocator(name, bundle.cfg), controller)
+        for name in bundle.cfg.eval_baselines
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 import numpy as np
 
 from wcsrl import policies
-from wcsrl.baselines import default_active_count
 from wcsrl.baselines import control_aware  # noqa: F401  traced by name in perfbench/layers.py
 from wcsrl.dynamics import control_bounds
 from wcsrl.environment import JointAction, Observation, WirelessControlEnv
@@ -312,13 +311,6 @@ def build_agents(
     return agents
 
 
-def per_step_power(env: WirelessControlEnv, gamma: float) -> float:
-    """Per-step share (1 - gamma) * budget of the constraint's power budget;
-    the plant count stands in when the constraint sets no budget."""
-    budget = env.constraint.power_budget if env.constraint is not None else None
-    return (1.0 - gamma) * (env.m if budget is None else budget)
-
-
 def pretrain_allocation(
     actor: GaussianActor,
     env: WirelessControlEnv,
@@ -326,20 +318,16 @@ def pretrain_allocation(
     controller: policies.Controller,
     rng: np.random.Generator,
 ) -> None:
-    """Warm-start the allocation head toward the state-norm heuristic.
+    """Warm-start the allocation head toward the state-norm heuristic
+    (policies.heuristic_allocator's control_aware, at the baselines' power).
 
     Rolls the system under that heuristic to gather observations, then
     fits the deterministic allocation output to the heuristic's choice
     by minibatch MSE steps (train.pretrain_iters, train.pretrain_batch,
     train.pretrain_lr).
     """
-    m = env.m
-    p_total = actor.head.alpha_total
-    if p_total is None:
-        p_total = per_step_power(env, cfg.train_gamma)
     heuristic = policies.ActionSources(
-        allocator=policies.make_allocator("control_aware", m, default_active_count(m), p_total),
-        controller=controller,
+        allocator=policies.heuristic_allocator("control_aware", cfg), controller=controller
     )
 
     pool_obs: list[np.ndarray] = []
@@ -403,6 +391,9 @@ def train(
         raise ValueError(
             f"environment discount {env.gamma} does not match train.gamma {cfg.train_gamma}"
         )
+    # the fixed heuristic allocators are sized from plants.count
+    if env.m != cfg.plants_count:
+        raise ValueError(f"environment has {env.m} plants, plants.count is {cfg.plants_count}")
     m = env.m
     n_sig = env.n_signals
     n = cfg.train_workers
@@ -424,8 +415,8 @@ def train(
     sources = policies.ActionSources(agents.actor, agents.rc_actor, allocator, controller)
     warm_sources = sources
     if warm_episodes > 0:
-        # the allocation actor sits out; equal power at the per-step share of the budget
-        warm = policies.equal_allocator(m, per_step_power(env, cfg.train_gamma))
+        # the allocation actor sits out under the equal baseline's power
+        warm = policies.heuristic_allocator("equal", cfg)
         warm_sources = dataclasses.replace(sources, actor=None, allocator=warm)
 
     dual = DualState(multipliers=np.zeros(n_sig), step_size=cfg.train_dual_lr)

@@ -23,6 +23,7 @@ from wcsrl.environment import JointAction, Observation
 from wcsrl.neuralnet import GaussianActor
 
 if TYPE_CHECKING:
+    from wcsrl.config import ExperimentConfig
     from wcsrl.learner import TrainedAgents
 
 Allocator = Callable[[Observation, int], np.ndarray]
@@ -60,6 +61,24 @@ def make_allocator(name: str, m: int, n_active: int, p_total: float) -> Allocato
     if name == "control_aware":
         return lambda obs, t: baselines.control_aware(obs.plant, n_active, p_total)
     raise ValueError(f"unknown allocator {name!r}")
+
+
+def heuristic_allocator(name: str, cfg: ExperimentConfig) -> Allocator:
+    """The fixed heuristic allocator name under cfg. The baselines, the equal
+    power beside learned control, the warm-up and the pretraining target all
+    come from here, so they send one per-step power: the simplex head's cap
+    alloc.total; else (1 - gamma) * budget under a sum_power constraint;
+    else alloc.total, or the plant count when that is unset. The selecting
+    heuristics serve alloc.n_active plants."""
+    if cfg.alloc_head == "simplex" and cfg.alloc_total is not None:
+        power = float(cfg.alloc_total)
+    elif cfg.constraint_kind == "sum_power":
+        power = (1.0 - cfg.train_gamma) * float(cfg.constraint_power_budget)
+    elif cfg.alloc_total is not None:
+        power = float(cfg.alloc_total)
+    else:
+        power = float(cfg.plants_count)
+    return make_allocator(name, cfg.plants_count, cfg.alloc_n_active, power)
 
 
 def riccati_controller(

@@ -6,8 +6,10 @@ Proves:
   3.  Preset < file < override precedence
   4.  Auto-resolution: area half-width, power budget 25 m, simplex total, n_active
   5.  Validation rejects inconsistent settings, and every enum key names
-      itself and the bad value; an override of the wrong kind names the
-      key and its kind, and configs share no list with the defaults
+      itself and the bad value; every numeric key states its bound in its
+      table row unless it is one of the few with none; an override of the
+      wrong kind names the key and its kind, and configs share no list with
+      the defaults
   6.  config_lines round-trips through the parser for every preset
   7.  config_hash ignores out_dir but tracks every experiment key; the
       preset hashes are pinned
@@ -22,6 +24,7 @@ import numpy as np
 import pytest
 
 from wcsrl.config import (
+    _TABLE,
     ConfigError,
     KEY_SPECS,
     config_hash,
@@ -174,6 +177,27 @@ def test_validation_rejections():
         for bad in (0, -1):
             with pytest.raises(ConfigError, match=re.escape(key)):
                 load_config(overrides={key: bad})
+
+
+# numeric keys whose range is a relation between keys, or that take any value
+UNBOUNDED = {
+    "seed",
+    "plants.count",
+    "plants.a_low",
+    "plants.a_high",
+    "plants.a_values",
+    "channel.positions",
+    "alloc.n_active",
+    "train.gamma",
+}
+
+
+def test_numeric_keys_state_their_bound():
+    elem = lambda kind: kind.removeprefix("opt_").removesuffix("_list")
+    numeric = [row for row in _TABLE if elem(row[1]) in ("int", "float")]
+    assert UNBOUNDED <= {key for key, *_ in numeric}
+    for key, _, _, *limit in numeric:
+        assert limit in ([[]] if key in UNBOUNDED else [["positive"], ["nonnegative"]]), key
 
 
 @pytest.mark.parametrize(

@@ -254,7 +254,7 @@ def test_reset_init_kinds():
 # Group 4 -------------------------------------------------------------------
 
 
-def make_rows_env(kind, constraint, force_delivery, rngs, full_obs_cov=False):
+def make_rows_env(kind, constraint, force_delivery, rngs):
     """An m=3 environment of the given plant kind with process and
     observation noise, around one generator or a list of them."""
     m = 3
@@ -271,12 +271,7 @@ def make_rows_env(kind, constraint, force_delivery, rngs, full_obs_cov=False):
     else:
         plants = [PlantModel(kind="cartpole", process_noise_cov=1e-4 * np.eye(4)) for _ in range(m)]
     p, q = plants[0].state_dim, plants[0].input_dim
-    obs_dim = m * (1 + p)
-    if full_obs_cov:
-        root = np.random.Generator(np.random.PCG64(99)).standard_normal((obs_dim, obs_dim))
-        obs_noise = 0.1 * root @ root.T
-    else:
-        obs_noise = np.linspace(0.05, 0.5, obs_dim)
+    obs_noise = np.linspace(0.05, 0.5, m * (1 + p))
     specs = {
         "sum_power": ConstraintSpec(kind="sum_power", power_budget=10.0),
         "region": ConstraintSpec(kind="region", region_half_width=0.5, region_budget=2.0),
@@ -367,11 +362,3 @@ def test_rows_match_single_row_environments(kind, constraint, force_delivery):
     assert res.delivered.all() or not force_delivery
 
 
-def test_rows_match_single_rows_with_full_observation_covariance():
-    seeds = [3, 4]
-    batched = make_rows_env("linear", None, False, [gen(s) for s in seeds], full_obs_cov=True)
-    state = batched.reset(3)
-    for i, seed in enumerate(seeds):
-        single = make_rows_env("linear", None, False, gen(seed), full_obs_cov=True).reset(3)
-        assert np.array_equal(state.tape.obs[:, i], single.tape.obs)
-        assert np.array_equal(state.tape.process[:, i], single.tape.process)

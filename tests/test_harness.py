@@ -99,7 +99,7 @@ def test_cartpole_scenario_wiring(tmp_path):
     b = harness.build_scenario(cfg)
     assert control_bounds(b.plants[0].kind) == (-10.0, 10.0)
     assert control_bounds("linear") == (None, None)
-    assert b.state_dim == 4 and b.input_dim == 1
+    assert (b.plants[0].state_dim, b.plants[0].input_dim) == (4, 1)
     assert len(b.lqr_gains) == 2
     assert np.array_equal(b.lqr_gains[0], b.lqr_gains[1])
     # the clipped Riccati controller respects the actuator interval
@@ -144,9 +144,8 @@ def test_zero_system_zero_cost(tmp_path):
 def test_paired_seeds_identical_policies(tmp_path):
     cfg = tiny_config(tmp_path, **{"eval.group": 3, "eval.horizon": 10})
     bundle = harness.build_scenario(cfg)
-    total = bundle.baseline_power_total()
     mk = lambda: policies.HeuristicPolicy(
-        policies.equal_allocator(2, total), bundle.riccati_controller()
+        policies.heuristic_allocator("equal", cfg), bundle.riccati_controller()
     )
     report = harness.evaluate(bundle, {"a": mk(), "b": mk()})
     assert np.array_equal(report.costs["a"], report.costs["b"])
@@ -169,11 +168,10 @@ def test_equal_power_beats_none(tmp_path):
     )
     bundle = harness.build_scenario(cfg)
     ctrl = bundle.riccati_controller()
-    total = bundle.baseline_power_total()
     report = harness.evaluate(
         bundle,
         {
-            "equal": policies.HeuristicPolicy(policies.equal_allocator(2, total), ctrl),
+            "equal": policies.HeuristicPolicy(policies.heuristic_allocator("equal", cfg), ctrl),
             "silent": policies.HeuristicPolicy(policies.zero_allocator(2), ctrl),
         },
     )

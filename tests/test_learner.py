@@ -21,16 +21,20 @@ Proves:
   13.  codesign trains allocation and per-plant controllers
   14.  Warm episodes freeze the allocation actor; warm episodes and
        pretraining leave the run bitwise unchanged wherever the approach
-       does not use them; an unknown approach is rejected
+       does not use them; an unknown approach, and an environment whose
+       discount or plant count differs from the config, are rejected
   15.  Lagrangian ceiling raises TrainingDivergedError, and a non-finite
        plant state raises it at the step it appears, naming the worker
-  16.  The per-step power share falls back to the plant count without a budget
+  16.  One power rule, per allocation head and constraint kind, gives the
+       pretraining target, the warm-up allocation, control_only's equal
+       power and the equal baseline; pretraining follows alloc.n_active
 """
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from wcsrl import harness
 from wcsrl.config import load_config
 from wcsrl.dynamics import CostWeights, PlantModel, unstable_drift
 from wcsrl.environment import ConstraintSpec, WirelessControlEnv
@@ -41,7 +45,7 @@ from wcsrl.learner import (
     compute_advantage,
     compute_cost_to_go,
     dual_update,
-    per_step_power,
+    pretrain_allocation,
     train,
 )
 from wcsrl.neuralnet import GaussianActor, HeadSpec, ValueNet
@@ -370,6 +374,13 @@ def test_unknown_approach_rejected():
         train(env_factory_for(), small_config(), "mystery", seed=3)
 
 
+def test_environment_must_match_config():
+    with pytest.raises(ValueError, match="environment discount 0.9 does not match train.gamma"):
+        train(env_factory_for(gamma=0.9), small_config(), "alloc_lqr", seed=3)
+    with pytest.raises(ValueError, match="environment has 3 plants, plants.count is 2"):
+        train(env_factory_for(m=3), small_config(), "codesign", seed=3)
+
+
 def test_lagrangian_ceiling_raises():
     with pytest.raises(TrainingDivergedError):
         train(env_factory_for(), small_config({"train.ceiling": 1e-6}), "alloc_lqr", seed=3)
@@ -383,10 +394,81 @@ def test_nonfinite_state_raises_at_its_step():
     assert info.value.episode == 0
 
 
-def test_per_step_power_share():
-    gamma = 0.9
-    rng = np.random.default_rng(0)
-    summed = env_factory_for(m=3, gamma=gamma, constraint="sum_power")(rng)
-    assert per_step_power(summed, gamma) == (1.0 - gamma) * 75.0
-    region = env_factory_for(m=3, gamma=gamma, constraint="region")(rng)
-    assert per_step_power(region, gamma) == (1.0 - gamma) * 3
+class TargetRecorder:
+    """Stands in for the actor in pretrain_allocation: keeps every target
+    batch it is asked to fit and changes nothing."""
+
+    def __init__(self):
+        self.targets = []
+
+    def grad_alloc_mse(self, obs, target):
+        self.targets.append(target)
+        return 0.0, np.zeros(1)
+
+    def get_flat(self):
+        return np.zeros(1)
+
+    def set_flat(self, flat):
+        pass
+
+
+# 4 plants: the simplex head's cap alloc.total (3 here), else the per-step
+# share (1 - gamma) * budget of a sum_power budget (25 m), else the plant
+# count
+@pytest.mark.parametrize(
+    "head, kind, power",
+    [
+        ("simplex", "region", 3.0),
+        ("simplex", "sum_power", 3.0),
+        ("simplex", "none", 3.0),
+        ("softplus", "region", 4.0),
+        ("softplus", "sum_power", (1.0 - 0.99) * 100.0),
+        ("softplus", "none", 4.0),
+    ],
+    ids=lambda value: value if isinstance(value, str) else f"{value:g}",
+)
+def test_heuristic_power_rule(head, kind, power):
+    overrides = {
+        **SMALL,
+        "scenario": "linear_power",
+        "plants.count": 4,
+        "alloc.head": head,
+        "alloc.total": 3.0 if head == "simplex" else None,
+        "alloc.n_active": 2,
+        "constraint.kind": kind,
+        "train.episodes": 1,
+        "train.warm_episodes": 1,
+        "train.pretrain_iters": 2,
+    }
+    cfg = load_config(overrides=overrides)
+    bundle = harness.build_scenario(cfg)
+    equal = np.full(4, power / 4)
+
+    env = bundle.env_factory(np.random.default_rng(0))
+    obs = env.observe(env.reset(1))
+    control_only, _ = harness.fixed_sources(bundle, "control_only")
+    assert np.array_equal(control_only(obs, 0), equal)
+    assert np.array_equal(harness.baseline_policies(bundle)["equal"].act(obs, 0, None).alpha, equal)
+
+    # the pretraining target: control_aware over alloc.n_active = 2 plants
+    recorder = TargetRecorder()
+    pretrain_allocation(recorder, env, cfg, bundle.riccati_controller(), np.random.default_rng(1))
+    assert len(recorder.targets) == 2
+    for target in recorder.targets:
+        ranked = np.sort(target, axis=-1)
+        assert not ranked[:, :2].any()
+        assert np.array_equal(ranked[:, 2:], np.full((len(target), 2), power / 2))
+
+    # the warm-up: every step of the one (warm) episode sends equal power
+    sent = []
+
+    def recording_factory(rng):
+        env = bundle.env_factory(rng)
+        step = env.step
+        env.step = lambda state, action: sent.append(action.alpha) or step(state, action)
+        return env
+
+    train(recording_factory, cfg, "codesign", seed=4)
+    assert len(sent) == cfg.train_horizon
+    for alpha in sent:
+        assert np.array_equal(alpha, np.broadcast_to(equal, alpha.shape))
