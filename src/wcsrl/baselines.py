@@ -87,15 +87,16 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest scores along the last axis; equal scores go to
     the lower index."""
     scores = np.asarray(scores, dtype=float)
-    return np.argsort(-scores, axis=-1, kind="stable")[..., :k]
+    return (-scores).argsort(axis=-1, kind="stable")[..., :k]
 
 
 def _share_top_k(scores: np.ndarray, n_active: int, p_total: float) -> np.ndarray:
     """p_total/n_active to each of the n_active largest scores along the last axis."""
-    _check_alloc_args(scores.shape[-1], n_active, p_total)
-    alpha = np.zeros(scores.shape)
-    np.put_along_axis(alpha, top_k_indices(scores, n_active), p_total / n_active, axis=-1)
-    return alpha
+    m = scores.shape[-1]
+    _check_alloc_args(m, n_active, p_total)
+    # each score's place in the descending order; the first n_active places get power
+    rank = top_k_indices(scores, m).argsort(axis=-1, kind="stable")
+    return (rank < n_active) * (p_total / n_active)
 
 
 def equal_power(m: int, p_total: float) -> np.ndarray:
@@ -124,4 +125,5 @@ def control_aware(x_stack: np.ndarray, n_active: int, p_total: float) -> np.ndar
     x_stack = np.asarray(x_stack, dtype=float)
     if x_stack.ndim < 2:
         raise ValueError(f"x_stack must be (..., m, p), got {x_stack.shape}")
-    return _share_top_k(np.linalg.norm(x_stack, axis=-1), n_active, p_total)
+    # the 2-norm over the last axis, summed as np.linalg.norm sums it
+    return _share_top_k(np.sqrt(np.add.reduce(x_stack * x_stack, axis=-1)), n_active, p_total)

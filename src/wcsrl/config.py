@@ -328,8 +328,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("plants.a_values must list one value per plant")
     if cfg.channel_positions is not None and len(cfg.channel_positions) != 2 * m:
         raise ConfigError("channel.positions must list x y per plant")
-    if cfg.constraint_kind == "sum_power" and cfg.constraint_power_budget is None:
-        raise ConfigError("sum_power constraint needs constraint.power_budget")
     if not 1 <= cfg.alloc_n_active <= m:
         raise ConfigError(f"alloc.n_active must lie in [1, {m}]")
     # at 1 every per-step budget share (1 - gamma) * budget is zero

@@ -37,12 +37,21 @@ class NoiseTape:
     """One episode of exogenous randomness for every row, time first:
     gains (H+1, ..., m) at reset and after each step, observation noise
     (H, ..., obs_dim), delivery uniforms (H, ..., m) or None under
-    force_delivery, and process noise L w (H, ..., m, p)."""
+    force_delivery, and process noise L w (H, ..., m, p). channel_noise
+    and plant_noise view the observation noise split the way observe()
+    adds it: (H, ..., m) and (H, ..., m, p)."""
 
     gains: np.ndarray
     obs: np.ndarray
     uniforms: Optional[np.ndarray]
     process: np.ndarray
+    channel_noise: np.ndarray = field(init=False, repr=False)
+    plant_noise: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        m = self.gains.shape[-1]
+        self.channel_noise = self.obs[..., :m]
+        self.plant_noise = self.obs[..., m:].reshape(self.process.shape)
 
     @property
     def horizon(self) -> int:
@@ -122,8 +131,8 @@ class ConstraintSpec:
         allocations (..., m); the discounted sum over an episode folds the
         constraint bound in via the geometric series (1-gamma) * bound * sum(gamma^t)."""
         if self.kind == "sum_power":
-            return (np.sum(alpha, axis=-1) - (1.0 - gamma) * self.power_budget)[..., None]
-        outside = (np.abs(x_stack) > self.region_half_width).any(axis=-1).astype(float)
+            return (np.add.reduce(alpha, axis=-1) - (1.0 - gamma) * self.power_budget)[..., None]
+        outside = np.logical_or.reduce(np.abs(x_stack) > self.region_half_width, axis=-1)
         return outside - (1.0 - gamma) * self.region_budget
 
 
@@ -201,6 +210,9 @@ class WirelessControlEnv:
         self.state_dim = plants[0].state_dim
         self.input_dim = plants[0].input_dim
         self.obs_dim = self.m * (1 + self.state_dim)
+        # the action shapes step() accepts
+        self._alpha_shape = self.batch_shape + (self.m,)
+        self._u_shape = self._alpha_shape + (self.input_dim,)
         if weights.q.shape[0] != self.state_dim:
             raise ValueError("cost state weight does not match plant state dimension")
         if weights.r.shape[0] != self.input_dim:
@@ -270,26 +282,23 @@ class WirelessControlEnv:
         return state.t
 
     def observe(self, state: SystemState) -> Observation:
-        noise = state.tape.obs[self._tape_index(state)]
+        t = self._tape_index(state)
+        tape = state.tape
         return Observation(
-            channel=state.h + noise[..., : self.m],
-            plant=state.x + noise[..., self.m :].reshape(state.x.shape),
+            channel=state.h + tape.channel_noise[t], plant=state.x + tape.plant_noise[t]
         )
-
-    def constraint_signal(self, state: SystemState, alpha: np.ndarray) -> np.ndarray:
-        if self.constraint is None:
-            return np.zeros(alpha.shape[:-1] + (0,))
-        return self.constraint.signal(state.x, alpha, self.gamma)
 
     def step(self, state: SystemState, action: JointAction) -> StepResult:
         alpha = np.asarray(action.alpha, dtype=float)
         u = np.asarray(action.u, dtype=float)
-        shape = self.batch_shape + (self.m,)
-        if alpha.shape != shape:
-            raise ValueError(f"alpha must have shape {shape}, got {alpha.shape}")
-        if u.shape != shape + (self.input_dim,):
-            raise ValueError(f"u must have shape {shape + (self.input_dim,)}, got {u.shape}")
-        if not (np.isfinite(alpha).all() and np.isfinite(u).all()):
+        if alpha.shape != self._alpha_shape:
+            raise ValueError(f"alpha must have shape {self._alpha_shape}, got {alpha.shape}")
+        if u.shape != self._u_shape:
+            raise ValueError(f"u must have shape {self._u_shape}, got {u.shape}")
+        if (
+            np.count_nonzero(np.isfinite(alpha)) < alpha.size
+            or np.count_nonzero(np.isfinite(u)) < u.size
+        ):
             raise ValueError("action contains non-finite entries")
         t = self._tape_index(state)
         tape = state.tape
@@ -297,29 +306,29 @@ class WirelessControlEnv:
         snr_values = snr(state.h, alpha)
         probs = delivery_probability(snr_values)
         if self.force_delivery:
-            delivered = np.ones(shape, dtype=bool)
+            delivered = np.ones(alpha.shape, dtype=bool)
         else:
             delivered = tape.uniforms[t] < probs
         realized_u = u * delivered[..., None]
 
-        per_plant = np.einsum(
-            "...ij,jk,...ik->...i", state.x, self.weights.q, state.x
-        ) + np.einsum("...ij,jk,...ik->...i", realized_u, self.weights.r, realized_u)
-        signals = self.constraint_signal(state, alpha)
+        per_plant = np.einsum("...ij,jk,...ik->...i", state.x, self.weights.q, state.x)
+        per_plant += np.einsum("...ij,jk,...ik->...i", realized_u, self.weights.r, realized_u)
+        if self.constraint is None:
+            signals = np.zeros(self.batch_shape + (0,))
+        else:
+            signals = self.constraint.signal(state.x, alpha, self.gamma)
 
         w = tape.process[t]
         if self._a_stack is not None:
-            next_x = (
-                np.einsum("ijk,...ik->...ij", self._a_stack, state.x)
-                + np.einsum("ijk,...ik->...ij", self._b_stack, realized_u)
-                + w
-            )
+            next_x = np.einsum("ijk,...ik->...ij", self._a_stack, state.x)
+            next_x += np.einsum("ijk,...ik->...ij", self._b_stack, realized_u)
+            next_x += w
         else:
             next_x = dynamics.cartpole_step(state.x, realized_u[..., 0], w)
 
         return StepResult(
             next_state=SystemState(x=next_x, h=tape.gains[t + 1], tape=tape, t=t + 1),
-            stage_cost=per_plant.sum(axis=-1),
+            stage_cost=np.add.reduce(per_plant, axis=-1),
             per_plant_costs=per_plant,
             signals=signals,
             delivered=delivered,

@@ -15,6 +15,7 @@ in that cell replays it, so comparisons see identical noise.
 from __future__ import annotations
 
 import dataclasses
+import math
 import operator
 import os
 import time
@@ -248,30 +249,38 @@ def rollout(
     """One evaluation episode from start over its whole noise tape:
     discounted cost and constraint sums, the largest joint state norm seen,
     and whether the state left the representable region (cost then
-    saturates at DIVERGENCE_COST)."""
+    saturates at DIVERGENCE_COST). The env is a single row, so the cost
+    sums in Python floats, which round as numpy's float64 scalars do."""
     gamma = env.gamma
     state = start
     disc = 1.0
     cost = 0.0
     signals = np.zeros(env.n_signals)
-    max_norm = float(np.linalg.norm(state.x))
+    max_norm = _norm(state.x)
     for t in range(start.tape.horizon):
         obs = env.observe(state)
         action = policy.act(obs, t, policy_rng)
         res = env.step(state, action)
-        cost += disc * res.stage_cost
+        cost += disc * float(res.stage_cost)
         signals += disc * res.signals
         disc *= gamma
         state = res.next_state
-        norm = float(np.linalg.norm(state.x))
-        if not np.isfinite(norm):
-            norm = np.inf
+        norm = _norm(state.x)
+        if not math.isfinite(norm):
+            norm = math.inf
         max_norm = max(max_norm, norm)
         if norm > DIVERGENCE_LIMIT:
             return RolloutStats(DIVERGENCE_COST, signals, max_norm, True)
-    if not np.isfinite(cost):
+    if not math.isfinite(cost):
         return RolloutStats(DIVERGENCE_COST, signals, max_norm, True)
-    return RolloutStats(float(cost), signals, max_norm, False)
+    return RolloutStats(cost, signals, max_norm, False)
+
+
+def _norm(x: np.ndarray) -> float:
+    """float(np.linalg.norm(x)): the square root of the flat dot product,
+    which is how numpy computes the 2-norm over all axes."""
+    flat = x.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
 
 
 @dataclass

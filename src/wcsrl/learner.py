@@ -42,7 +42,7 @@ import numpy as np
 from wcsrl import policies
 from wcsrl.baselines import control_aware  # noqa: F401  traced by name in perfbench/layers.py
 from wcsrl.dynamics import control_bounds
-from wcsrl.environment import JointAction, Observation, WirelessControlEnv
+from wcsrl.environment import Observation, WirelessControlEnv
 from wcsrl.neuralnet import (
     GaussianActor,
     HeadSpec,
@@ -339,7 +339,7 @@ def pretrain_allocation(
             action = policies.compose_action(heuristic, obs, t)
             pool_obs.append(obs.stacked())
             pool_target.append(action.alpha)
-            state = env.step(state, JointAction(alpha=action.alpha, u=action.u)).next_state
+            state = env.step(state, action).next_state
 
     obs_mat = np.stack(pool_obs)
     target_mat = np.stack(pool_target)
@@ -440,7 +440,7 @@ def train(
         for t in range(cfg.train_horizon):
             update = segment_update if t > 0 and t % cfg.train_segment == 0 else None
             action = policies.compose_action(episode_sources, obs, t, sample_rng, update)
-            res = env.step(state, JointAction(alpha=action.alpha, u=action.u))
+            res = env.step(state, action)
             state = res.next_state
             if not np.isfinite(state.x).all():
                 worker = int(np.argmin(np.isfinite(state.x).reshape(n, -1).all(axis=1)))

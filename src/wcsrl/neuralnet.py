@@ -32,9 +32,9 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
-    z = x - x.max(axis=-1, keepdims=True)
+    z = x - np.maximum.reduce(x, axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +148,10 @@ class MLP:
         cache = [x]
         n_layers = len(self.weights)
         for l in range(n_layers):
-            z = x @ self.weights[l] + self.biases[l][..., None, :]
-            x = np.tanh(z) if l < n_layers - 1 else z
+            x = x @ self.weights[l]
+            x += self.biases[l][..., None, :]
+            if l < n_layers - 1:
+                np.tanh(x, out=x)
             cache.append(x)
         return x, cache
 

@@ -34,9 +34,16 @@ Controller = Callable[[Observation, int], np.ndarray]
 # fixed sources
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """arr, frozen: every step hands out the same cached allocation, so a
+    consumer that wrote to it would corrupt the steps after."""
+    arr.flags.writeable = False
+    return arr
+
+
 def equal_allocator(m: int, p_total: float) -> Allocator:
     """p_total/m to every plant; no power at all when p_total <= 0."""
-    alpha = baselines.equal_power(m, p_total) if p_total > 0 else np.zeros(m)
+    alpha = _read_only(baselines.equal_power(m, p_total) if p_total > 0 else np.zeros(m))
 
     def fn(obs: Observation, t: int) -> np.ndarray:
         return alpha
@@ -55,7 +62,10 @@ def make_allocator(name: str, m: int, n_active: int, p_total: float) -> Allocato
     if name == "zero":
         return zero_allocator(m)
     if name == "round_robin":
-        return lambda obs, t: baselines.round_robin(m, n_active, p_total, t)
+        # the schedule repeats every m steps: one cached row per step of a cycle
+        cycle = np.stack([baselines.round_robin(m, n_active, p_total, t) for t in range(m)])
+        cycle = _read_only(cycle)
+        return lambda obs, t: cycle[t % m]
     if name == "channel_aware":
         return lambda obs, t: baselines.channel_aware(obs.channel, n_active, p_total)
     if name == "control_aware":
@@ -132,12 +142,10 @@ class ActionSources:
 
 
 @dataclass
-class ComposedAction:
+class ComposedAction(JointAction):
     """A joint action plus the actor inputs and raw draws the learner
     records; the per-plant ones are member-major, (m, rows, ...)."""
 
-    alpha: np.ndarray
-    u: np.ndarray
     rows: Optional[np.ndarray] = None
     raw: Optional[np.ndarray] = None
     rc_inputs: Optional[np.ndarray] = None
@@ -152,6 +160,14 @@ def _fixed(source, obs: Observation, t: int, batch: tuple, core: int, what: str)
     if out.shape[:-core] != batch:
         out = np.broadcast_to(out, batch + out.shape[-core:])
     return out
+
+
+def _draw(actor: GaussianActor, x: np.ndarray, rng: Optional[np.random.Generator]):
+    """(alpha, u, raw draws) of actor on x: sampled with rng, else the mean."""
+    if rng is None:
+        return (*actor.act_mean(x), None)
+    sample = actor.sample(x, rng)
+    return sample.alpha, sample.u, sample.raw
 
 
 def compose_action(
@@ -170,13 +186,6 @@ def compose_action(
     so they are updated with, and act on, that allocation.
     """
     batch = obs.channel.shape[:-1]
-
-    def draw(actor: GaussianActor, x: np.ndarray):
-        if rng is None:
-            return (*actor.act_mean(x), None)
-        sample = actor.sample(x, rng)
-        return sample.alpha, sample.u, sample.raw
-
     rows = raw = alpha = u = None
     if sources.actor is not None or segment_update is not None:
         rows = obs.stacked()
@@ -184,7 +193,7 @@ def compose_action(
     if segment_update is not None and sources.rc_actor is None:
         segment_update(rows, None)
     if sources.actor is not None:
-        alpha, u, raw = draw(sources.actor, rows)
+        alpha, u, raw = _draw(sources.actor, rows, rng)
         alpha = None if alpha is None else alpha.reshape(batch + alpha.shape[1:])
         u = None if u is None else u.reshape(batch + u.shape[1:])
     if alpha is None:
@@ -196,7 +205,7 @@ def compose_action(
         if segment_update is not None:
             segment_update(rows, rc_inputs)
         # every plant in one draw; u_rc is (m, rows, 1, q)
-        _, u_rc, rc_raw = draw(sources.rc_actor, rc_inputs)
+        _, u_rc, rc_raw = _draw(sources.rc_actor, rc_inputs, rng)
         u = np.ascontiguousarray(u_rc[..., 0, :].swapaxes(0, 1)).reshape(
             batch + (rc_inputs.shape[0], -1)
         )
@@ -216,8 +225,7 @@ class HeuristicPolicy:
         self.sources = ActionSources(allocator=allocator, controller=controller)
 
     def act(self, obs: Observation, t: int, rng: np.random.Generator) -> JointAction:
-        action = compose_action(self.sources, obs, t)
-        return JointAction(alpha=action.alpha, u=action.u)
+        return compose_action(self.sources, obs, t)
 
 
 class AgentPolicy:
@@ -238,5 +246,4 @@ class AgentPolicy:
         self.stochastic = stochastic
 
     def act(self, obs: Observation, t: int, rng: np.random.Generator) -> JointAction:
-        action = compose_action(self.sources, obs, t, rng if self.stochastic else None)
-        return JointAction(alpha=action.alpha, u=action.u)
+        return compose_action(self.sources, obs, t, rng if self.stochastic else None)

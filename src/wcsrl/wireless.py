@@ -72,7 +72,7 @@ def snr(gains: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=float)
     if gains.shape != alpha.shape:
         raise ValueError(f"gain shape {gains.shape} != allocation shape {alpha.shape}")
-    if (alpha < 0).any():
+    if np.count_nonzero(alpha < 0.0):
         raise ValueError(f"negative allocation: min entry {alpha.min():.3e}")
     return gains * alpha
 
@@ -80,6 +80,6 @@ def snr(gains: np.ndarray, alpha: np.ndarray) -> np.ndarray:
 def delivery_probability(snr_values: np.ndarray) -> np.ndarray:
     """Packet success probability 1 - exp(-snr), elementwise."""
     snr_values = np.asarray(snr_values, dtype=float)
-    if (snr_values < 0).any():
+    if np.count_nonzero(snr_values < 0.0):
         raise ValueError("snr must be nonnegative")
     return -np.expm1(-snr_values)

@@ -1,7 +1,8 @@
 """Plain single-case reference implementations the tests and acceptance
 gates check the package against. The package itself uses the batched
 forms (WirelessControlEnv.step, the noise tape's delivery lottery,
-learner.train's dual step); these stay readable and unbatched.
+learner.train's dual step) and leaner forms of the evaluation loop and
+the selecting heuristics; these stay readable.
 """
 from __future__ import annotations
 
@@ -10,6 +11,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from wcsrl.dynamics import CostWeights, PlantModel, unstable_drift
+from wcsrl.environment import SystemState, WirelessControlEnv
+from wcsrl.harness import DIVERGENCE_COST, DIVERGENCE_LIMIT, RolloutStats
 from wcsrl.learner import dual_update
 from wcsrl.wireless import delivery_probability
 
@@ -110,3 +113,50 @@ def dual_descent(
         lam = dual_update(lam, violation, step_size)
     primal = primal_minimizer(lam)
     return lam, primal
+
+
+def share_top_k(scores: np.ndarray, n_active: int, p_total: float) -> np.ndarray:
+    """p_total/n_active to each of the n_active largest scores along the last
+    axis, ties to the lower index, placed with put_along_axis."""
+    alpha = np.zeros(scores.shape)
+    top = np.argsort(-scores, axis=-1, kind="stable")[..., :n_active]
+    np.put_along_axis(alpha, top, p_total / n_active, axis=-1)
+    return alpha
+
+
+def channel_aware(gains: np.ndarray, n_active: int, p_total: float) -> np.ndarray:
+    return share_top_k(gains, n_active, p_total)
+
+
+def control_aware(x_stack: np.ndarray, n_active: int, p_total: float) -> np.ndarray:
+    return share_top_k(np.linalg.norm(x_stack, axis=-1), n_active, p_total)
+
+
+def rollout(
+    env: WirelessControlEnv, start: SystemState, policy, policy_rng: np.random.Generator
+) -> RolloutStats:
+    """One evaluation episode as harness.rollout defines it, summed with
+    np.linalg.norm and numpy scalars."""
+    gamma = env.gamma
+    state = start
+    disc = 1.0
+    cost = 0.0
+    signals = np.zeros(env.n_signals)
+    max_norm = float(np.linalg.norm(state.x))
+    for t in range(start.tape.horizon):
+        obs = env.observe(state)
+        action = policy.act(obs, t, policy_rng)
+        res = env.step(state, action)
+        cost += disc * res.stage_cost
+        signals += disc * res.signals
+        disc *= gamma
+        state = res.next_state
+        norm = float(np.linalg.norm(state.x))
+        if not np.isfinite(norm):
+            norm = np.inf
+        max_norm = max(max_norm, norm)
+        if norm > DIVERGENCE_LIMIT:
+            return RolloutStats(DIVERGENCE_COST, signals, max_norm, True)
+    if not np.isfinite(cost):
+        return RolloutStats(DIVERGENCE_COST, signals, max_norm, True)
+    return RolloutStats(float(cost), signals, max_norm, False)

@@ -14,12 +14,18 @@ Proves:
    9.  control_aware ranks by state norm
   10.  default_active_count is max(1, round(m/3))
   11.  invalid arguments raise
+  12.  the selecting heuristics equal their put_along_axis / np.linalg.norm
+       oracles bitwise at batch shapes (), (8,) and (2, 3), with tied scores
+  13.  every allocator make_allocator builds (the cached round-robin cycle
+       included) gives bitwise the output of its baselines function
 """
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+import oracles
+from wcsrl import policies
 from wcsrl.baselines import (
     channel_aware,
     control_aware,
@@ -31,6 +37,7 @@ from wcsrl.baselines import (
     solve_dare,
     top_k_indices,
 )
+from wcsrl.environment import Observation
 from wcsrl.dynamics import unstable_drift
 
 SQRT5 = np.sqrt(5.0)
@@ -150,3 +157,50 @@ def test_invalid_arguments():
         round_robin(3, 4, 1.0, 0)
     with pytest.raises(ValueError):
         channel_aware(np.ones(3), 0, 1.0)
+
+
+BATCH_SHAPES = [(), (8,), (2, 3)]
+
+
+def tied_observation(shape, m=7, p=3, seed=0):
+    """Gains and states drawn from a few small integers, so many rows hold
+    equal gains and equal state norms."""
+    rng = np.random.default_rng(seed)
+    channel = rng.integers(0, 3, size=shape + (m,)).astype(float)
+    plant = rng.integers(-2, 3, size=shape + (m, p)).astype(float)
+    return Observation(channel=channel, plant=plant)
+
+
+@pytest.mark.parametrize("shape", BATCH_SHAPES, ids=str)
+@pytest.mark.parametrize("n_active", [1, 3, 7])
+def test_selecting_heuristics_match_oracles(shape, n_active):
+    for seed in range(5):
+        obs = tied_observation(shape, seed=seed)
+        got = channel_aware(obs.channel, n_active, 4.5)
+        assert got.shape == shape + (7,)
+        assert np.array_equal(got, oracles.channel_aware(obs.channel, n_active, 4.5))
+        got = control_aware(obs.plant, n_active, 4.5)
+        assert np.array_equal(got, oracles.control_aware(obs.plant, n_active, 4.5))
+    # continuous scores too: rows without ties
+    rng = np.random.default_rng(9)
+    gains, x = rng.exponential(size=shape + (7,)), rng.standard_normal(shape + (7, 3))
+    assert np.array_equal(channel_aware(gains, n_active, 2.0), oracles.channel_aware(gains, n_active, 2.0))
+    assert np.array_equal(control_aware(x, n_active, 2.0), oracles.control_aware(x, n_active, 2.0))
+
+
+@pytest.mark.parametrize("shape", BATCH_SHAPES, ids=str)
+def test_make_allocator_matches_baselines(shape):
+    m, n_active, power = 7, 3, 4.5
+    reference = {
+        "equal": lambda obs, t: equal_power(m, power),
+        "all_on": lambda obs, t: equal_power(m, power),
+        "zero": lambda obs, t: np.zeros(m),
+        "round_robin": lambda obs, t: round_robin(m, n_active, power, t),
+        "channel_aware": lambda obs, t: oracles.channel_aware(obs.channel, n_active, power),
+        "control_aware": lambda obs, t: oracles.control_aware(obs.plant, n_active, power),
+    }
+    for name, oracle in reference.items():
+        allocator = policies.make_allocator(name, m, n_active, power)
+        for t in range(3 * m):
+            obs = tied_observation(shape, seed=t)
+            assert np.array_equal(allocator(obs, t), oracle(obs, t)), (name, t)

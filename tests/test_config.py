@@ -95,6 +95,20 @@ def test_auto_resolution():
     assert cfg3.alloc_n_active == 2
 
 
+@pytest.mark.parametrize("count", [1, 2, 7])
+def test_sum_power_budget_defaults_to_25_per_plant(count):
+    # an unset budget is always resolved, so no config reaches validation without one
+    cfg = load_config(
+        overrides={
+            "scenario": "linear_power",
+            "plants.count": count,
+            "constraint.kind": "sum_power",
+            "constraint.power_budget": None,
+        }
+    )
+    assert cfg.constraint_power_budget == 25.0 * count
+
+
 def test_validation_rejections():
     with pytest.raises(ConfigError):
         load_config(overrides={"scenario": "nope"})

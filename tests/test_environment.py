@@ -3,7 +3,9 @@
 Proves:
  Group 1: Constraint signals
    1.  Sum-power signal: sum(alpha) - (1-gamma) * budget by hand
-   2.  Region signal: -0.05 inside, 0.95 outside for gamma=0.99, budget 5
+   2.  Region signal: -0.05 inside, 0.95 outside for gamma=0.99, budget 5;
+       any coordinate outside counts, a NaN coordinate does not, and both
+       kinds match the elementwise formula bitwise at batch (), (4,) and (2, 3)
    3.  Discounted signal sums fold the budget correctly (brute-force check)
    4.  Penalized cost adds multiplier-weighted signals
    5.  Only sum_power and region are constraint kinds: an instantaneous
@@ -26,9 +28,13 @@ Proves:
   17.  B rows reset, observe and step bitwise like B single-row environments
        on the same generators: linear and cart-pole plants, sum_power,
        region and no constraint, force_delivery on and off
+  18.  Every action check raises its own message at batch () and (B,): a
+       wrong alpha or u shape, a non-finite alpha or u entry (NaN, +inf,
+       -inf, in any row), a negative allocation, a step past the tape
 """
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -97,6 +103,26 @@ def test_region_signal_values():
     # any coordinate outside trips the indicator
     mixed = np.array([[0.0, 0.0, -16.0], [1.0, 1.0, 1.0]])
     assert np.allclose(spec.signal(mixed, np.zeros(2), 0.99), [0.95, -0.05], atol=1e-12)
+    # a NaN coordinate is not outside, and does not hide one that is
+    nan_rows = np.array([[np.nan, 16.0, 0.0], [np.nan, np.nan, np.nan], [np.inf, 0.0, np.nan]])
+    assert np.allclose(spec.signal(nan_rows, np.zeros(3), 0.99), [0.95, -0.05, 0.95], atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (2, 3)], ids=str)
+def test_signals_match_elementwise_formula(shape):
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal(shape + (5, 3)) * 2.0
+    x.flat[::7] = np.nan
+    x.flat[::11] = -np.inf
+    alpha = rng.exponential(size=shape + (5,))
+    gamma = 0.97
+    region = ConstraintSpec(kind="region", region_half_width=1.5, region_budget=4.0)
+    want = (np.abs(x) > 1.5).any(axis=-1).astype(float) - (1.0 - gamma) * 4.0
+    assert region.signal(x, alpha, gamma).tobytes() == want.tobytes()
+    power = ConstraintSpec(kind="sum_power", power_budget=20.0)
+    want = (np.sum(alpha, axis=-1) - (1.0 - gamma) * 20.0)[..., None]
+    got = power.signal(x, alpha, gamma)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_discounted_folding_brute_force():
@@ -362,3 +388,41 @@ def test_rows_match_single_row_environments(kind, constraint, force_delivery):
     assert res.delivered.all() or not force_delivery
 
 
+
+
+@pytest.mark.parametrize("rngs", [gen(3), [gen(3), gen(4)]], ids=["single", "rows"])
+def test_step_checks_keep_their_messages(rngs):
+    env = make_rows_env("linear", "region", False, rngs)
+    batch = env.batch_shape
+    state = env.reset(1)
+    alpha, u = np.ones(batch + (3,)), np.zeros(batch + (3, 3))
+
+    def raises(message, alpha, u, state=state):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            env.step(state, JointAction(alpha=alpha, u=u))
+
+    raises(f"alpha must have shape {batch + (3,)}, got {batch + (4,)}", np.ones(batch + (4,)), u)
+    if batch:  # one row's allocation handed to a batch
+        raises(f"alpha must have shape {batch + (3,)}, got (3,)", np.ones(3), u)
+    raises(f"u must have shape {batch + (3, 3)}, got {batch + (3, 2)}", alpha, np.zeros(batch + (3, 2)))
+    for bad in (np.nan, np.inf, -np.inf):
+        for idx in np.ndindex(*batch + (3,)):
+            bad_alpha = alpha.copy()
+            bad_alpha[idx] = bad
+            raises("action contains non-finite entries", bad_alpha, u)
+            bad_u = u.copy()
+            bad_u[idx + (2,)] = bad
+            raises("action contains non-finite entries", alpha, bad_u)
+    # non-finite wins over negative, as the checks run in that order
+    mixed = alpha.copy()
+    mixed[..., 0], mixed[..., 1] = -1.0, np.nan
+    raises("action contains non-finite entries", mixed, u)
+    negative = alpha.copy()
+    negative[..., -1] = -0.25
+    raises("negative allocation: min entry -2.500e-01", negative, u)
+    # a negative zero is no negative allocation
+    signed_zero = alpha.copy()
+    signed_zero[..., 0] = -0.0
+    env.step(state, JointAction(alpha=signed_zero, u=u))
+    done = env.step(state, JointAction(alpha=alpha, u=u)).next_state
+    raises("step 1 is past the 1-step noise tape; reset with a longer horizon", alpha, u, done)

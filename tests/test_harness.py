@@ -10,22 +10,25 @@ Proves:
    5.  Identical policies under paired seeds score identically
    6.  Equal power beats no power on unstable plants
    7.  The divergence sentinel trips and saturates the recorded cost
+   8.  rollout's statistics equal the np.linalg.norm / numpy-scalar oracle
+       bitwise: on normal cells, on a cell that diverges and on one whose
+       state turns NaN
  Group 3: Artifacts and round trips
-   8.  run_experiment writes config, logs, checkpoints, evaluation, manifest
-   9.  Training logs and evaluation are bitwise repeatable across reruns
-  10.  evaluate_run reproduces the stored evaluation byte for byte, and every
+   9.  run_experiment writes config, logs, checkpoints, evaluation, manifest
+  10.  Training logs and evaluation are bitwise repeatable across reruns
+  11.  evaluate_run reproduces the stored evaluation byte for byte, and every
        evaluation.csv cell is the report's statistic
-  11.  save/load round-trips access-point plus per-plant agents; each per-plant
+  12.  save/load round-trips access-point plus per-plant agents; each per-plant
        checkpoint holds the bytes a standalone copy of its member saves to
-  12.  evaluate_run names the checkpoint, field and values on a config mismatch,
+  13.  evaluate_run names the checkpoint, field and values on a config mismatch,
        and both file lists when a checkpoint is stray or missing
-  13.  Pretraining and warm-up train under a region constraint, which sets
+  14.  Pretraining and warm-up train under a region constraint, which sets
        no power budget
-  14.  Each approach trains the actors learner.APPROACHES says, with every
+  15.  Each approach trains the actors learner.APPROACHES says, with every
        HeadSpec field and checkpoint file name pinned
  Group 4: Command line
-  15.  train/evaluate/baselines/gradcheck all exit zero on a tiny run
-  16.  Config errors exit 2 with a one-line message
+  16.  train/evaluate/baselines/gradcheck all exit zero on a tiny run
+  17.  Config errors exit 2 with a one-line message
 """
 from __future__ import annotations
 
@@ -43,6 +46,7 @@ from wcsrl import config as config_mod
 from wcsrl import harness, neuralnet, policies
 from wcsrl.dynamics import control_bounds
 from wcsrl.learner import TrainedAgents
+import oracles
 
 TINY = {
     "plants.count": 2,
@@ -200,6 +204,48 @@ def test_divergence_sentinel(tmp_path):
         report.costs["runaway"], np.full((1, 2), harness.DIVERGENCE_COST)
     )
     assert np.all(report.max_norms["runaway"] > harness.DIVERGENCE_LIMIT)
+
+
+def same_stats(got, want):
+    """Bitwise equality of two RolloutStats, float types included."""
+    return (
+        type(got.cost) is type(want.cost) is float
+        and np.float64(got.cost).tobytes() == np.float64(want.cost).tobytes()
+        and got.signals.tobytes() == want.signals.tobytes()
+        and np.float64(got.max_norm).tobytes() == np.float64(want.max_norm).tobytes()
+        and got.diverged == want.diverged
+    )
+
+
+def test_rollout_matches_oracle(tmp_path):
+    cfg = tiny_config(tmp_path, **{"plants.count": 4, "eval.horizon": 30})
+    bundle = harness.build_scenario(cfg)
+    eval_policies = harness.baseline_policies(bundle)
+    for seed in range(3):
+        env = bundle.env_factory(np.random.default_rng(seed))
+        start = env.reset(cfg.eval_horizon)
+        for name, policy in eval_policies.items():
+            got = harness.rollout(env, start, policy, np.random.default_rng(0))
+            want = oracles.rollout(env, start, policy, np.random.default_rng(0))
+            assert not got.diverged and same_stats(got, want), (seed, name)
+
+    # an unstable plant left open loop passes the divergence limit mid-episode
+    cfg = tiny_config(tmp_path, **{"plants.a_values": [3.0, 3.0], "eval.horizon": 60})
+    bundle = harness.build_scenario(cfg)
+    runaway = policies.HeuristicPolicy(policies.zero_allocator(2), policies.zero_controller(2, 3))
+    env = bundle.env_factory(np.random.default_rng(1))
+    start = env.reset(cfg.eval_horizon)
+    got = harness.rollout(env, start, runaway, np.random.default_rng(0))
+    assert got.diverged and got.cost == harness.DIVERGENCE_COST
+    assert same_stats(got, oracles.rollout(env, start, runaway, np.random.default_rng(0)))
+
+    # an infinite entry meets a zero of the drift matrix: the next state is NaN
+    start = dataclasses.replace(start, x=np.where(np.eye(2, 3) > 0, np.inf, 1.0))
+    zero_action = runaway.act(env.observe(start), 0, None)
+    assert np.isnan(env.step(start, zero_action).next_state.x).any()
+    got = harness.rollout(env, start, runaway, np.random.default_rng(0))
+    assert got.diverged and got.max_norm == np.inf
+    assert same_stats(got, oracles.rollout(env, start, runaway, np.random.default_rng(0)))
 
 
 # Group 3 -------------------------------------------------------------------

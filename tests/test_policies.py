@@ -6,6 +6,8 @@ Proves:
   2.  The Riccati controller matches the per-plant -K_i x_i oracle bitwise
   3.  A batch of observations composes into the per-row actions, with the
       fixed sources broadcast over the batch
+  4.  The cached allocations (equal power, the round-robin cycle) are
+      read-only: a consumer writing to one fails instead of changing later steps
 """
 from __future__ import annotations
 
@@ -91,3 +93,16 @@ def test_missing_half_raises():
         policies.compose_action(policies.ActionSources(allocator=sources(0)["equal"]), obs, 0)
     with pytest.raises(ValueError, match="no allocation"):
         policies.compose_action(policies.ActionSources(controller=sources(0)["riccati"]), obs, 0)
+
+
+@pytest.mark.parametrize("name", ["equal", "zero", "round_robin"])
+def test_cached_allocations_are_read_only(name):
+    allocator = policies.make_allocator(name, M, 2, 3.0)
+    obs = batched_obs(7)
+    first = allocator(obs, 1).copy()
+    with pytest.raises(ValueError, match="read-only"):
+        allocator(obs, 1)[0] = 99.0
+    with pytest.raises(ValueError, match="read-only"):
+        allocator(obs, 1 + M)[...] *= 2.0
+    assert np.array_equal(allocator(obs, 1), first)
+    assert np.array_equal(allocator(obs, 1 + M), first)

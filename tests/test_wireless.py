@@ -9,8 +9,13 @@ Proves:
   6.  Empirical delivery frequency tracks 1 - exp(-snr) over 1e5 draws
   7.  Negative allocations are rejected
   8.  Gains compose slow and fast parts multiplicatively and are seeded
+  9.  snr and delivery_probability on NaN and empty inputs: a NaN passes
+      through unless a negative entry sits beside it, and empty arrays
+      give empty results
 """
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
@@ -98,3 +103,23 @@ def test_gains_compose_and_seed():
     # fast part is the gain divided by the slow part, and is plant-iid
     assert g1.shape == (2,)
     assert np.all(g1 >= 0)
+
+
+def test_snr_and_delivery_on_nan_and_empty():
+    nan = np.nan
+    got = snr(np.ones(3), np.array([nan, 0.5, -0.0]))
+    assert np.array_equal(got, [nan, 0.5, -0.0], equal_nan=True)
+    for alpha in ([-1.0, nan], [nan, -1.0], [[0.5, nan], [-2.0, 1.0]]):
+        alpha = np.array(alpha)
+        with pytest.raises(ValueError, match="negative allocation: min entry nan"):
+            snr(np.ones(alpha.shape), alpha)
+    with pytest.raises(ValueError, match=re.escape("negative allocation: min entry -2.000e+00")):
+        snr(np.ones((2, 2)), np.array([[0.5, 1.0], [-2.0, 1.0]]))
+    assert np.isnan(delivery_probability(np.array(nan)))
+    assert np.array_equal(delivery_probability(np.array([nan, 0.0])), [nan, 0.0], equal_nan=True)
+    for values in ([-1.0, nan], [nan, -1.0], -1.0):
+        with pytest.raises(ValueError, match="snr must be nonnegative"):
+            delivery_probability(np.array(values))
+    for shape in ((0,), (2, 0)):
+        assert snr(np.ones(shape), np.ones(shape)).shape == shape
+        assert delivery_probability(np.ones(shape)).shape == shape
