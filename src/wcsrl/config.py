@@ -389,7 +389,7 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 def _blas_info() -> str:
     """Name and version of the BLAS NumPy was built against; the bitwise
-    reproducibility claims hold per BLAS build."""
+    reproducibility claims hold per BLAS build and kernel."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         return f"{blas['name']} {blas['version']}"

@@ -13,8 +13,9 @@ discounted episode sum estimates the constraint slack.
 All randomness is exogenous: it never depends on the actions. So reset()
 draws a whole episode of it up front, one noise tape per row from that
 row's own generator, and observe() and step() are pure array functions
-of the state, the action and the tape. Each row's generator is read in a
-fixed order:
+of the state, the action and the tape; episode() is the one loop that
+calls them, for training, pretraining and evaluation alike. Each row's
+generator is read in a fixed order:
 
     reset:      initial state, then the channel gains
     every step: observation noise, delivery uniforms (skipped under
@@ -23,7 +24,7 @@ fixed order:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -217,6 +218,9 @@ class WirelessControlEnv:
             raise ValueError("cost state weight does not match plant state dimension")
         if weights.r.shape[0] != self.input_dim:
             raise ValueError("cost input weight does not match plant input dimension")
+        # CostWeights holds diagonal weights only
+        self._q_diag = np.diagonal(weights.q).copy()
+        self._r_diag = np.diagonal(weights.r).copy()
 
         # the diagonal of the observation-noise covariance, one variance per entry
         if obs_noise_cov is None:
@@ -311,8 +315,8 @@ class WirelessControlEnv:
             delivered = tape.uniforms[t] < probs
         realized_u = u * delivered[..., None]
 
-        per_plant = np.einsum("...ij,jk,...ik->...i", state.x, self.weights.q, state.x)
-        per_plant += np.einsum("...ij,jk,...ik->...i", realized_u, self.weights.r, realized_u)
+        per_plant = np.add.reduce(state.x * self._q_diag * state.x, axis=-1)
+        per_plant += np.add.reduce(realized_u * self._r_diag * realized_u, axis=-1)
         if self.constraint is None:
             signals = np.zeros(self.batch_shape + (0,))
         else:
@@ -335,3 +339,19 @@ class WirelessControlEnv:
             snr=snr_values,
             realized_u=realized_u,
         )
+
+    def episode(
+        self, start: SystemState, act: Callable[[Observation, int], JointAction]
+    ) -> Iterator[tuple[int, Observation, JointAction, StepResult, float]]:
+        """The closed loop from start to the end of its tape: each step observes,
+        asks act(obs, t) for the action, steps, and yields (t, obs, action,
+        result, discount), the discount being the running product gamma^t.
+        Callers keep their own sums and divergence rules."""
+        state, disc = start, 1.0
+        for t in range(start.t, start.tape.horizon):
+            obs = self.observe(state)
+            action = act(obs, t)
+            result = self.step(state, action)
+            yield t, obs, action, result, disc
+            disc *= self.gamma
+            state = result.next_state

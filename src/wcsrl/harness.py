@@ -246,26 +246,19 @@ def rollout(
     policy,
     policy_rng: np.random.Generator,
 ) -> RolloutStats:
-    """One evaluation episode from start over its whole noise tape:
-    discounted cost and constraint sums, the largest joint state norm seen,
-    and whether the state left the representable region (cost then
+    """One evaluation episode, env.episode from start over its whole noise
+    tape: discounted cost and constraint sums, the largest joint state norm
+    seen, and whether the state left the representable region (cost then
     saturates at DIVERGENCE_COST). The env is a single row, so the cost
     sums in Python floats, which round as numpy's float64 scalars do."""
-    gamma = env.gamma
-    state = start
-    disc = 1.0
     cost = 0.0
     signals = np.zeros(env.n_signals)
-    max_norm = _norm(state.x)
-    for t in range(start.tape.horizon):
-        obs = env.observe(state)
-        action = policy.act(obs, t, policy_rng)
-        res = env.step(state, action)
+    max_norm = _norm(start.x)
+    act = lambda obs, t: policy.act(obs, t, policy_rng)
+    for _, _, _, res, disc in env.episode(start, act):
         cost += disc * float(res.stage_cost)
         signals += disc * res.signals
-        disc *= gamma
-        state = res.next_state
-        norm = _norm(state.x)
+        norm = _norm(res.next_state.x)
         if not math.isfinite(norm):
             norm = math.inf
         max_norm = max(max_norm, norm)

@@ -23,13 +23,13 @@ plants draw, record and update in one call per step; each member still
 learns from its own plant's cost alone, and only the access-point agent
 sees the constraint penalty.
 
-The N workers are the N rows of one batched environment: each step
-observes and steps all of them in one call each, and one call to
-policies.compose_action (which evaluation uses too) forms the actions of
-all workers. The halves the agents do not learn come from one call to
-the fixed allocator or controller. The pending segment update runs inside
-that call: after the allocation draw when per-plant actors exist,
-before the joint actor's draw otherwise.
+The N workers are the N rows of one batched environment, and an episode
+is one pass of WirelessControlEnv.episode, the loop pretraining and
+evaluation step through too. Each step, one call to
+policies.compose_action forms the actions of all workers, with the
+halves the agents do not learn from one call to the fixed allocator or
+controller. The pending segment update runs inside that call: after the
+allocation draw when per-plant actors exist, before the joint actor's.
 """
 from __future__ import annotations
 
@@ -313,7 +313,7 @@ def build_agents(
 
 def pretrain_allocation(
     actor: GaussianActor,
-    env: WirelessControlEnv,
+    rows_env: Callable[[int], WirelessControlEnv],
     cfg: ExperimentConfig,
     controller: policies.Controller,
     rng: np.random.Generator,
@@ -321,28 +321,21 @@ def pretrain_allocation(
     """Warm-start the allocation head toward the state-norm heuristic
     (policies.heuristic_allocator's control_aware, at the baselines' power).
 
-    Rolls the system under that heuristic to gather observations, then
-    fits the deterministic allocation output to the heuristic's choice
-    by minibatch MSE steps (train.pretrain_iters, train.pretrain_batch,
-    train.pretrain_lr).
+    Rolls the fewest whole episodes E that give at least max(512, 4 *
+    train.pretrain_batch) observations under that heuristic, as the rows of
+    rows_env(E), and fits the deterministic allocation output to its
+    choices by minibatch MSE steps (train.pretrain_iters, train.pretrain_lr).
     """
     heuristic = policies.ActionSources(
         allocator=policies.heuristic_allocator("control_aware", cfg), controller=controller
     )
-
-    pool_obs: list[np.ndarray] = []
-    pool_target: list[np.ndarray] = []
-    while len(pool_obs) < max(512, 4 * cfg.train_pretrain_batch):
-        state = env.reset(cfg.train_horizon)
-        for t in range(cfg.train_horizon):
-            obs = env.observe(state)
-            action = policies.compose_action(heuristic, obs, t)
-            pool_obs.append(obs.stacked())
-            pool_target.append(action.alpha)
-            state = env.step(state, action).next_state
-
-    obs_mat = np.stack(pool_obs)
-    target_mat = np.stack(pool_target)
+    env = rows_env(-(-max(512, 4 * cfg.train_pretrain_batch) // cfg.train_horizon))
+    act = lambda obs, t: policies.compose_action(heuristic, obs, t)
+    loop = env.episode(env.reset(cfg.train_horizon), act)
+    obs_steps, target_steps = zip(*((obs.stacked(), action.alpha) for _, obs, action, *_ in loop))
+    # (H, E, ...) -> episode-major rows
+    obs_mat = np.stack(obs_steps, axis=1).reshape(-1, env.obs_dim)
+    target_mat = np.stack(target_steps, axis=1).reshape(-1, env.m)
     opt = make_optimizer(cfg.train_optimizer)
     for _ in range(cfg.train_pretrain_iters):
         idx = rng.integers(0, obs_mat.shape[0], size=cfg.train_pretrain_batch)
@@ -364,7 +357,7 @@ def train(
 
     env_factory(rng) builds an environment around rng: training steps one
     around the list of worker generators, one batch row per worker, and
-    pretraining one around worker 0's generator alone. When allocation
+    pretraining one whose rows all hold worker 0's generator. When allocation
     (control) is not learned, alloc_provider (control_provider) supplies
     that half of the action for the whole worker batch; both default to
     zero actions when absent. Pretraining runs only beside fixed control,
@@ -407,9 +400,9 @@ def train(
 
     controller = control_provider or policies.zero_controller(m, env.input_dim)
     if cfg.train_pretrain_iters > 0 and spec.control == "fixed":
-        # worker 0's generator: its draws continue into training as before
-        pretrain_env = env_factory(worker_rngs[0])
-        pretrain_allocation(agents.actor, pretrain_env, cfg, controller, pretrain_rng)
+        # rows drawn in turn from worker 0's generator, which training continues
+        rows_env = lambda rows: env_factory([worker_rngs[0]] * rows)
+        pretrain_allocation(agents.actor, rows_env, cfg, controller, pretrain_rng)
 
     allocator = alloc_provider or policies.zero_allocator(m)
     sources = policies.ActionSources(agents.actor, agents.rc_actor, allocator, controller)
@@ -431,19 +424,15 @@ def train(
             if rc_agent is not None:
                 rc_agent.update(rc_inputs, at_end=False, episode=episode)
 
-        state = env.reset(cfg.train_horizon)
-        obs = env.observe(state)
-        disc = 1.0
+        def act(obs: Observation, t: int) -> policies.ComposedAction:
+            update = segment_update if t > 0 and t % cfg.train_segment == 0 else None
+            return policies.compose_action(episode_sources, obs, t, sample_rng, update)
+
         ep_pen = np.zeros(n)
         ep_sig = np.zeros((n, n_sig))
-
-        for t in range(cfg.train_horizon):
-            update = segment_update if t > 0 and t % cfg.train_segment == 0 else None
-            action = policies.compose_action(episode_sources, obs, t, sample_rng, update)
-            res = env.step(state, action)
-            state = res.next_state
-            if not np.isfinite(state.x).all():
-                worker = int(np.argmin(np.isfinite(state.x).reshape(n, -1).all(axis=1)))
+        for t, _, action, res, disc in env.episode(env.reset(cfg.train_horizon), act):
+            if not np.isfinite(res.next_state.x).all():
+                worker = int(np.argmin(np.isfinite(res.next_state.x).reshape(n, -1).all(axis=1)))
                 raise TrainingDivergedError(
                     f"non-finite plant state at episode {episode}, step {t}, worker {worker}",
                     episode,
@@ -452,15 +441,11 @@ def train(
             pen_costs = res.stage_cost + res.signals @ dual.multipliers
             ep_pen += disc * pen_costs
             ep_sig += disc * res.signals
-            disc *= cfg.train_gamma
 
             if ap_agent is not None and action.raw is not None:
                 ap_agent.record(action.rows, action.raw, pen_costs)
             if rc_agent is not None:
                 rc_agent.record(action.rc_inputs, action.rc_raw, res.per_plant_costs.T)
-
-            if t < cfg.train_horizon - 1:
-                obs = env.observe(state)
         for ag in seg_agents:
             ag.update(None, at_end=True, episode=episode)
 

@@ -73,7 +73,7 @@ def snr(gains: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     if gains.shape != alpha.shape:
         raise ValueError(f"gain shape {gains.shape} != allocation shape {alpha.shape}")
     if np.count_nonzero(alpha < 0.0):
-        raise ValueError(f"negative allocation: min entry {alpha.min():.3e}")
+        raise ValueError(f"negative allocation: min entry {alpha[alpha < 0.0].min():.3e}")
     return gains * alpha
 
 

@@ -283,14 +283,9 @@ def test_joint_policy_stabilizes_small_initial_states(codesign_study):
     bound, horizon, n_traj = 50.0, 100, 200
     peaks = np.empty(n_traj)
     for k in range(n_traj):
-        state = env.reset(horizon)
-        state = dataclasses.replace(state, x=state.x * (0.1 / np.linalg.norm(state.x)))
-        peak = float(np.linalg.norm(state.x))
-        for t in range(horizon):
-            action = policy.act(env.observe(state), t, rng)
-            state = env.step(state, action).next_state
-            peak = max(peak, float(np.linalg.norm(state.x)))
-        peaks[k] = peak
+        start = env.reset(horizon)
+        start = dataclasses.replace(start, x=start.x * (0.1 / np.linalg.norm(start.x)))
+        peaks[k] = harness.rollout(env, start, policy, rng).max_norm
     frac = float(np.mean(peaks < bound))
     verdict(
         10,

@@ -19,7 +19,8 @@ Proves:
   11.  psd_factor: S S^T recovers the covariance, zero matrix passes through
   12.  Switched actuation zeroes dropped inputs only
   13.  Quadratic stage cost matches the explicit sum
-  14.  CostWeights rejects an indefinite state weight
+  14.  CostWeights takes diagonal weights only, names the one that is not
+       diagonal, and checks the signs of the diagonals
 Items 2-4, 12 and 13 hold the plain reference forms in tests/oracles.py
 (linear_step, make_linear_ensemble, apply_switched_input,
 quadratic_stage_cost) to hand values; other tests and the acceptance
@@ -218,10 +219,18 @@ def test_quadratic_stage_cost_value():
 
 
 def test_cost_weights_validation():
-    with pytest.raises(ValueError):
-        CostWeights(q=np.array([[0.0, 1.0], [1.0, 0.0]]), r=np.eye(1))
-    with pytest.raises(ValueError):
-        CostWeights(q=np.eye(2), r=np.zeros((1, 1)))  # input weight must be PD
+    coupled = np.array([[1.0, 0.5], [0.5, 1.0]])  # PD, but not diagonal
+    with pytest.raises(ValueError, match="q must be diagonal"):
+        CostWeights(q=coupled, r=np.eye(1))
+    with pytest.raises(ValueError, match="r must be diagonal"):
+        CostWeights(q=np.eye(2), r=coupled)
+    with pytest.raises(ValueError, match="q must be positive semidefinite"):
+        CostWeights(q=np.diag([1.0, -1e-12]), r=np.eye(1))
+    with pytest.raises(ValueError, match="r must be positive definite"):
+        CostWeights(q=np.eye(2), r=np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="q must be square"):
+        CostWeights(q=np.ones((2, 3)), r=np.eye(1))
+    CostWeights(q=np.diag([0.1, 0.0, 1.0, 0.0]), r=np.array([[1e-3]]))  # the cart-pole preset
 
 
 def test_fixed_ensemble_shares_matrices():

@@ -31,6 +31,13 @@ Proves:
   18.  Every action check raises its own message at batch () and (B,): a
        wrong alpha or u shape, a non-finite alpha or u entry (NaN, +inf,
        -inf, in any row), a negative allocation, a step past the tape
+  19.  episode() is the hand loop of observe and step: exactly horizon
+       steps, act called once per step and never ahead of the consumer,
+       its observations and results bitwise those of the hand loop, and a
+       discount that is the running product of gamma
+  20.  The per-diagonal stage cost equals the three-operand einsum over
+       the weight matrices bitwise, at batch () and (B,), for linear and
+       cart-pole plants
 """
 from __future__ import annotations
 
@@ -426,3 +433,59 @@ def test_step_checks_keep_their_messages(rngs):
     env.step(state, JointAction(alpha=signed_zero, u=u))
     done = env.step(state, JointAction(alpha=alpha, u=u)).next_state
     raises("step 1 is past the 1-step noise tape; reset with a longer horizon", alpha, u, done)
+
+
+@pytest.mark.parametrize("seeds", [3, [3, 4]], ids=["single", "rows"])
+def test_episode_is_the_hand_loop(seeds):
+    def rngs():
+        return gen(seeds) if isinstance(seeds, int) else [gen(s) for s in seeds]
+
+    env = make_rows_env("linear", "region", False, rngs())
+    twin = make_rows_env("linear", "region", False, rngs())
+    horizon, batch = 7, env.batch_shape
+    act_rng = gen(8)
+    asked = []
+
+    def act(obs, t):
+        asked.append(t)
+        alpha = np.abs(act_rng.standard_normal(batch + (3,)))
+        return JointAction(alpha=alpha, u=act_rng.standard_normal(batch + (3, 3)))
+
+    loop = env.episode(env.reset(horizon), act)
+    first = next(loop)
+    assert asked == [0]  # the next step waits for the consumer
+    steps = [first, *loop]
+    assert asked == [t for t, *_ in steps] == list(range(horizon))
+    state, disc = twin.reset(horizon), 1.0
+    for t, obs, action, res, discount in steps:
+        want_obs = twin.observe(state)
+        assert np.array_equal(obs.channel, want_obs.channel)
+        assert np.array_equal(obs.plant, want_obs.plant)
+        want = twin.step(state, action)
+        for field in ("stage_cost", "per_plant_costs", "signals", "delivered", "snr", "realized_u"):
+            assert np.array_equal(getattr(res, field), getattr(want, field)), (t, field)
+        assert np.array_equal(res.next_state.x, want.next_state.x)
+        assert discount == disc == pytest.approx(twin.gamma**t, rel=1e-14)
+        disc *= twin.gamma
+        state = want.next_state
+
+
+@pytest.mark.parametrize("seeds", [21, [21, 22, 23, 24, 25, 26, 27, 28]], ids=["single", "rows"])
+@pytest.mark.parametrize("kind", ["linear", "cartpole"])
+def test_diagonal_stage_cost_is_the_einsum(kind, seeds):
+    rngs = gen(seeds) if isinstance(seeds, int) else [gen(s) for s in seeds]
+    env = make_rows_env(kind, None, False, rngs)
+    q, r = env.weights.q, env.weights.r
+    draw = gen(9)
+    state = env.reset(50)
+    for _ in range(50):
+        # states from 1e-3 to 1e3 in magnitude; forces inside the actuator interval
+        x = draw.standard_normal(state.x.shape) * 10.0 ** draw.uniform(-3, 3, state.x.shape)
+        state = replace(state, x=x)
+        alpha = np.abs(draw.standard_normal(env.batch_shape + (3,)))
+        u = np.clip(draw.standard_normal(env.batch_shape + (3, env.input_dim)), -1.0, 1.0)
+        res = env.step(state, JointAction(alpha=alpha, u=u))
+        want = np.einsum("...ij,jk,...ik->...i", x, q, x)
+        want += np.einsum("...ij,jk,...ik->...i", res.realized_u, r, res.realized_u)
+        assert np.array_equal(res.per_plant_costs, want)
+        state = res.next_state

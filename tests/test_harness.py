@@ -11,8 +11,9 @@ Proves:
    6.  Equal power beats no power on unstable plants
    7.  The divergence sentinel trips and saturates the recorded cost
    8.  rollout's statistics equal the np.linalg.norm / numpy-scalar oracle
-       bitwise: on normal cells, on a cell that diverges and on one whose
-       state turns NaN
+       bitwise: on normal cells, on their starts rescaled to joint norm 0.1
+       (gate 10's small starts, whose peak is rollout's max_norm), on a cell
+       that diverges and on one whose state turns NaN
  Group 3: Artifacts and round trips
    9.  run_experiment writes config, logs, checkpoints, evaluation, manifest
   10.  Training logs and evaluation are bitwise repeatable across reruns
@@ -224,10 +225,12 @@ def test_rollout_matches_oracle(tmp_path):
     for seed in range(3):
         env = bundle.env_factory(np.random.default_rng(seed))
         start = env.reset(cfg.eval_horizon)
+        small = dataclasses.replace(start, x=start.x * (0.1 / np.linalg.norm(start.x)))
         for name, policy in eval_policies.items():
-            got = harness.rollout(env, start, policy, np.random.default_rng(0))
-            want = oracles.rollout(env, start, policy, np.random.default_rng(0))
-            assert not got.diverged and same_stats(got, want), (seed, name)
+            for begin in (start, small):
+                got = harness.rollout(env, begin, policy, np.random.default_rng(0))
+                want = oracles.rollout(env, begin, policy, np.random.default_rng(0))
+                assert not got.diverged and same_stats(got, want), (seed, name)
 
     # an unstable plant left open loop passes the divergence limit mid-episode
     cfg = tiny_config(tmp_path, **{"plants.a_values": [3.0, 3.0], "eval.horizon": 60})

@@ -28,13 +28,16 @@ Proves:
   16.  One power rule, per allocation head and constraint kind, gives the
        pretraining target, the warm-up allocation, control_only's equal
        power and the equal baseline; pretraining follows alloc.n_active
+  17.  Pretraining's pool, gathered as E rows that draw in turn from one
+       generator, is bitwise the pool of E sequential single-row episodes
+       on it, read episode-major, and leaves the generator in the same state
 """
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from wcsrl import harness
+from wcsrl import harness, policies
 from wcsrl.config import load_config
 from wcsrl.dynamics import CostWeights, PlantModel, unstable_drift
 from wcsrl.environment import ConstraintSpec, WirelessControlEnv
@@ -399,9 +402,11 @@ class TargetRecorder:
     batch it is asked to fit and changes nothing."""
 
     def __init__(self):
+        self.obs = []
         self.targets = []
 
     def grad_alloc_mse(self, obs, target):
+        self.obs.append(obs)
         self.targets.append(target)
         return 0.0, np.zeros(1)
 
@@ -452,7 +457,9 @@ def test_heuristic_power_rule(head, kind, power):
 
     # the pretraining target: control_aware over alloc.n_active = 2 plants
     recorder = TargetRecorder()
-    pretrain_allocation(recorder, env, cfg, bundle.riccati_controller(), np.random.default_rng(1))
+    rows_env = lambda rows: bundle.env_factory([np.random.default_rng(0)] * rows)
+    controller = bundle.riccati_controller()
+    pretrain_allocation(recorder, rows_env, cfg, controller, np.random.default_rng(1))
     assert len(recorder.targets) == 2
     for target in recorder.targets:
         ranked = np.sort(target, axis=-1)
@@ -472,3 +479,61 @@ def test_heuristic_power_rule(head, kind, power):
     assert len(sent) == cfg.train_horizon
     for alpha in sent:
         assert np.array_equal(alpha, np.broadcast_to(equal, alpha.shape))
+
+
+def sequential_pool(env, cfg, controller):
+    """The pretraining pool gathered one single-row episode at a time on env,
+    step by step, until it holds max(512, 4 * train.pretrain_batch) rows."""
+    allocator = policies.heuristic_allocator("control_aware", cfg)
+    heuristic = policies.ActionSources(allocator=allocator, controller=controller)
+    obs_rows, targets = [], []
+    while len(obs_rows) < max(512, 4 * cfg.train_pretrain_batch):
+        state = env.reset(cfg.train_horizon)
+        for t in range(cfg.train_horizon):
+            obs = env.observe(state)
+            action = policies.compose_action(heuristic, obs, t)
+            obs_rows.append(obs.stacked())
+            targets.append(action.alpha)
+            state = env.step(state, action).next_state
+    return np.stack(obs_rows), np.stack(targets)
+
+
+# (scenario, horizon, pretrain batch): 512 rows in 18 episodes of 30 steps
+# and in 16 of 32, 800 rows in 32 of 25, and one episode longer than the pool
+@pytest.mark.parametrize(
+    "scenario, horizon, batch",
+    [
+        ("linear_power", 30, 64),
+        ("linear_power", 32, 64),
+        ("linear_codesign", 25, 200),
+        ("cartpole_codesign", 600, 64),
+    ],
+)
+def test_pretraining_rows_pool_sequential_episodes(scenario, horizon, batch):
+    overrides = {
+        **SMALL,
+        "scenario": scenario,
+        "plants.count": 3,
+        "alloc.n_active": 1,
+        "train.horizon": horizon,
+        "train.pretrain_batch": batch,
+        "train.pretrain_iters": 100,
+    }
+    cfg = load_config(overrides=overrides)
+    bundle = harness.build_scenario(cfg)
+    controller = bundle.riccati_controller()
+    recorder, shared = TargetRecorder(), np.random.default_rng(4)
+    rows_env = lambda rows: bundle.env_factory([shared] * rows)
+    pretrain_allocation(recorder, rows_env, cfg, controller, np.random.default_rng(1))
+
+    alone = np.random.default_rng(4)
+    obs_mat, target_mat = sequential_pool(bundle.env_factory(alone), cfg, controller)
+    assert shared.bit_generator.state == alone.bit_generator.state
+    # replay the minibatch draws; together they read every row of the pool
+    draws, seen = np.random.default_rng(1), []
+    for obs, target in zip(recorder.obs, recorder.targets, strict=True):
+        idx = draws.integers(0, len(obs_mat), size=batch)
+        assert np.array_equal(obs, obs_mat[idx])
+        assert np.array_equal(target, target_mat[idx])
+        seen.append(idx)
+    assert len(seen) == 100 and np.unique(np.concatenate(seen)).size == len(obs_mat)

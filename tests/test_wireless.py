@@ -10,8 +10,8 @@ Proves:
   7.  Negative allocations are rejected
   8.  Gains compose slow and fast parts multiplicatively and are seeded
   9.  snr and delivery_probability on NaN and empty inputs: a NaN passes
-      through unless a negative entry sits beside it, and empty arrays
-      give empty results
+      through unless a negative entry sits beside it (snr's error then
+      names the most negative entry), and empty arrays give empty results
 """
 from __future__ import annotations
 
@@ -109,9 +109,11 @@ def test_snr_and_delivery_on_nan_and_empty():
     nan = np.nan
     got = snr(np.ones(3), np.array([nan, 0.5, -0.0]))
     assert np.array_equal(got, [nan, 0.5, -0.0], equal_nan=True)
-    for alpha in ([-1.0, nan], [nan, -1.0], [[0.5, nan], [-2.0, 1.0]]):
+    # a NaN beside the negative entries does not hide the most negative one
+    for alpha, least in (([-1.0, nan], "-1.000e+00"), ([nan, -1.0, -3.0], "-3.000e+00"),
+                         ([[0.5, nan], [-2.0, 1.0]], "-2.000e+00")):
         alpha = np.array(alpha)
-        with pytest.raises(ValueError, match="negative allocation: min entry nan"):
+        with pytest.raises(ValueError, match=re.escape(f"negative allocation: min entry {least}")):
             snr(np.ones(alpha.shape), alpha)
     with pytest.raises(ValueError, match=re.escape("negative allocation: min entry -2.000e+00")):
         snr(np.ones((2, 2)), np.array([[0.5, 1.0], [-2.0, 1.0]]))
