@@ -231,16 +231,14 @@ class SegmentAgent:
         grad = clip_global_norm(grad, cfg.train_grad_clip)
         if not np.isfinite(grad).all():
             raise TrainingDivergedError("non-finite policy gradient", episode)
-        self.actor.set_flat(self.opt_actor.step(self.actor.get_flat(), grad, cfg.train_policy_lr))
+        self.opt_actor.step(self.actor.params, grad, cfg.train_policy_lr)
 
         # the critic is unchanged since the forward pass above
         vgrad = self.critic.backward(critic_cache, 2.0 * (values - returns))
         vgrad = clip_global_norm(vgrad, cfg.train_grad_clip)
         if not np.isfinite(vgrad).all():
             raise TrainingDivergedError("non-finite value gradient", episode)
-        self.critic.set_flat(
-            self.opt_critic.step(self.critic.get_flat(), vgrad, cfg.train_value_lr)
-        )
+        self.opt_critic.step(self.critic.params, vgrad, cfg.train_value_lr)
 
         self._obs.clear()
         self._raw.clear()
@@ -340,7 +338,7 @@ def pretrain_allocation(
     for _ in range(cfg.train_pretrain_iters):
         idx = rng.integers(0, obs_mat.shape[0], size=cfg.train_pretrain_batch)
         _, grad = actor.grad_alloc_mse(obs_mat[idx], target_mat[idx])
-        actor.set_flat(opt.step(actor.get_flat(), grad, cfg.train_pretrain_lr))
+        opt.step(actor.params, grad, cfg.train_pretrain_lr)
 
 
 def train(

@@ -9,16 +9,20 @@ learned state-independent log-std); the raw sample is then pushed
 through a structural layer (simplex / softplus / interval) and the
 log-probability is taken with respect to the raw-space Gaussian.
 
-A network may stack several members of the same shape along leading
-axes of every parameter (`members`, empty for a single network): the
-per-plant controller actors run as one network of m members. A stacked
-network takes inputs `members + (rows, n_in)`, returns `members + (...)`,
-and its flat parameters and gradients are `members + (n_params,)`, one
-row per member in the single-network layout; each member gets the same
-numbers, bit for bit, as it would alone.
+Every network keeps its parameters in one array, `params`, shaped
+`members + (n_params,)`: layer by layer (weights, then biases), then an
+actor's log-std. `weights`, `biases` and `log_std` are views of it,
+written through and never rebound, so a write to any of them or to
+`params` reaches all. `members` is empty for a single network; the
+per-plant controller actors run as one network of m members, which maps
+`members + (rows, n_in)` to `members + (...)`, has one parameter and
+gradient row per member and gives each member the numbers it would get
+alone, bit for bit.
 """
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -81,17 +85,88 @@ def gaussian_log_prob(sample: np.ndarray, mean: np.ndarray, log_std: np.ndarray)
 
 
 # ---------------------------------------------------------------------------
+# one parameter array per network
+
+
+def _views(params: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive blocks of params' last axis, block k viewed as
+    params.shape[:-1] + shapes[k]."""
+    views, k = [], 0
+    for shape in shapes:
+        n = math.prod(shape)
+        views.append(params[..., k : k + n].reshape(params.shape[:-1] + shape))
+        k += n
+    return views
+
+
+class _Params:
+    """What MLP, GaussianActor and ValueNet share: the one array `params`,
+    members + (n_params,), stacking and member views over it, and the flat
+    get/set. A subclass cuts its views of params in _bind."""
+
+    params: np.ndarray
+
+    def _bind(self, params: np.ndarray) -> None:
+        raise NotImplementedError
+
+    @property
+    def _spec(self) -> tuple:
+        """What networks stacked together must share: layer sizes and head."""
+        return getattr(self, "net", self).sizes, getattr(self, "head", None)
+
+    def _over(self, params: np.ndarray):
+        """A copy of this network whose parameters are params."""
+        out = copy.copy(self)
+        out._bind(params)
+        return out
+
+    @classmethod
+    def stack(cls, nets: list):
+        """One network whose member i is nets[i] (single networks of one shape)."""
+        if any(n._spec != nets[0]._spec or n.members for n in nets):
+            specs = [n._spec for n in nets]
+            raise ValueError(f"can stack only single networks of one shape, got {specs}")
+        return nets[0]._over(np.stack([n.params for n in nets]))
+
+    def member(self, i: int):
+        """Member i of a stacked network as a single network sharing its array."""
+        return self._over(self.params[i])
+
+    @property
+    def members(self) -> tuple[int, ...]:
+        return self.params.shape[:-1]
+
+    @property
+    def n_params(self) -> int:
+        """Parameters per member."""
+        return self.params.shape[-1]
+
+    def get_flat(self) -> np.ndarray:
+        """A copy of params."""
+        return self.params.copy()
+
+    def set_flat(self, vec: np.ndarray) -> None:
+        """Copy vec into params."""
+        vec = np.asarray(vec, dtype=float)
+        if vec.shape != self.params.shape:
+            raise ValueError(f"expected {self.params.shape} parameters, got {vec.shape}")
+        self.params[...] = vec
+
+
+# ---------------------------------------------------------------------------
 # dense network
 
 
-class MLP:
+class MLP(_Params):
     """Fully connected net, tanh hidden layers, linear output.
 
     forward() returns the output plus a cache; backward() consumes the
     cache and an output gradient and returns flat parameter gradients.
-    Weight layout per layer l: w[l] members + (n_in, n_out), b[l]
-    members + (n_out,), both initialized uniformly in +-1/sqrt(n_in); a
-    new network is a single one, MLP.stack makes a stacked one.
+    params holds, layer by layer, w[l] members + (n_in, n_out) and then
+    b[l] members + (n_out,); weights[l] and biases[l] are views of it,
+    written through and never rebound. Both are initialized uniformly in
+    +-1/sqrt(n_in); a new network is a single one, MLP.stack makes a
+    stacked one.
     """
 
     def __init__(self, sizes: tuple[int, ...], rng: Optional[np.random.Generator] = None) -> None:
@@ -100,40 +175,19 @@ class MLP:
         if any(s < 1 for s in sizes):
             raise ValueError(f"all layer sizes must be positive, got {sizes}")
         self.sizes = tuple(int(s) for s in sizes)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for n_in, n_out in zip(self.sizes[:-1], self.sizes[1:]):
-            bound = 1.0 / np.sqrt(n_in)
-            if rng is None:
-                w = np.zeros((n_in, n_out))
-                b = np.zeros(n_out)
-            else:
-                w = rng.uniform(-bound, bound, size=(n_in, n_out))
-                b = rng.uniform(-bound, bound, size=n_out)
-            self.weights.append(w)
-            self.biases.append(b)
+        pairs = list(zip(self.sizes[:-1], self.sizes[1:]))
+        self._shapes = [shape for n_in, n_out in pairs for shape in ((n_in, n_out), (n_out,))]
+        self._bind(np.zeros(sum((n_in + 1) * n_out for n_in, n_out in pairs)))
+        if rng is not None:
+            for w, b in zip(self.weights, self.biases):
+                bound = 1.0 / np.sqrt(w.shape[0])
+                w[...] = rng.uniform(-bound, bound, size=w.shape)
+                b[...] = rng.uniform(-bound, bound, size=b.shape)
 
-    @classmethod
-    def stack(cls, nets: list[MLP]) -> MLP:
-        """One network whose member i is nets[i] (same sizes, single networks)."""
-        if len({n.sizes for n in nets}) != 1 or any(n.members for n in nets):
-            sizes = [n.sizes for n in nets]
-            raise ValueError(f"can stack only single networks of one shape, got {sizes}")
-        out = cls(nets[0].sizes)
-        out.weights = [np.stack(ws) for ws in zip(*(n.weights for n in nets))]
-        out.biases = [np.stack(bs) for bs in zip(*(n.biases for n in nets))]
-        return out
-
-    def member(self, i: int) -> MLP:
-        """Member i of a stacked network as a single network sharing its arrays."""
-        out = MLP(self.sizes)
-        out.weights = [w[i] for w in self.weights]
-        out.biases = [b[i] for b in self.biases]
-        return out
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        return self.weights[0].shape[:-2]
+    def _bind(self, params: np.ndarray) -> None:
+        self.params = params
+        views = _views(params, self._shapes)
+        self.weights, self.biases = views[0::2], views[1::2]
 
     @property
     def in_dim(self) -> int:
@@ -155,48 +209,23 @@ class MLP:
             cache.append(x)
         return x, cache
 
-    def backward(self, cache: list[np.ndarray], grad_out: np.ndarray) -> np.ndarray:
-        """Flat gradient of sum_b loss_b when grad_out[..., b, :] = dloss_b/doutput_b."""
+    def backward(
+        self, cache: list[np.ndarray], grad_out: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Flat gradient of sum_b loss_b when grad_out[..., b, :] = dloss_b/doutput_b,
+        written into out (shaped like params) when given, else into a new array."""
         g = np.asarray(grad_out, dtype=float)
         if g.ndim == 1:
             g = g[None, :]
-        grads_w = [np.empty(0)] * len(self.weights)
-        grads_b = [np.empty(0)] * len(self.biases)
+        grad = np.empty(self.params.shape) if out is None else out
+        views = _views(grad, self._shapes)
         for l in reversed(range(len(self.weights))):
             a_in = cache[l]
-            grads_w[l] = a_in.swapaxes(-1, -2) @ g
-            grads_b[l] = g.sum(axis=-2)
+            np.matmul(a_in.swapaxes(-1, -2), g, out=views[2 * l])
+            np.add.reduce(g, axis=-2, out=views[2 * l + 1])
             if l > 0:
                 g = (g @ self.weights[l].swapaxes(-1, -2)) * (1.0 - a_in**2)
-        return self._flatten(arr for pair in zip(grads_w, grads_b) for arr in pair)
-
-    # flat parameter vector <-> structured weights
-
-    def _flatten(self, arrays) -> np.ndarray:
-        """Per-layer arrays as members + (n_params,), layer by layer."""
-        lead = self.members + (-1,)
-        return np.concatenate([arr.reshape(lead) for arr in arrays], axis=-1)
-
-    @property
-    def n_params(self) -> int:
-        """Parameters per member."""
-        return sum((n_in + 1) * n_out for n_in, n_out in zip(self.sizes[:-1], self.sizes[1:]))
-
-    def get_flat(self) -> np.ndarray:
-        return self._flatten(arr for pair in zip(self.weights, self.biases) for arr in pair)
-
-    def set_flat(self, vec: np.ndarray) -> None:
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != self.members + (self.n_params,):
-            raise ValueError(
-                f"expected {self.members + (self.n_params,)} parameters, got {vec.shape}"
-            )
-        k = 0
-        for l, (n_in, n_out) in enumerate(zip(self.sizes[:-1], self.sizes[1:])):
-            self.weights[l] = vec[..., k : k + n_in * n_out].reshape(self.weights[l].shape)
-            k += n_in * n_out
-            self.biases[l] = vec[..., k : k + n_out].copy()
-            k += n_out
+        return grad
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +287,12 @@ class ActionSample:
     u: Optional[np.ndarray]
 
 
-class GaussianActor:
+class GaussianActor(_Params):
     """Stochastic policy: network mean, learned log-std, structural heads.
 
-    A stacked actor (GaussianActor.stack) has log_std members + (raw_dim,)
-    and one head shared by every member.
+    params holds net.params and then log_std, both views of it. A stacked
+    actor (GaussianActor.stack) has log_std members + (raw_dim,) and one
+    head shared by every member.
     """
 
     def __init__(
@@ -274,25 +304,19 @@ class GaussianActor:
         init_log_std: float = np.log(0.5),
     ) -> None:
         self.head = head
-        self.net = MLP((obs_dim, *hidden, head.raw_dim), rng)
-        self.log_std = np.full(head.raw_dim, float(init_log_std))
+        self.net = net = MLP((obs_dim, *hidden, head.raw_dim), rng)
+        self._bind(np.empty(net.n_params + head.raw_dim))
+        self.net.params[...] = net.params
+        self.log_std[...] = init_log_std
 
-    @classmethod
-    def stack(cls, actors: list[GaussianActor]) -> GaussianActor:
-        """One actor whose member i is actors[i] (all single, with one head)."""
-        if any(a.head != actors[0].head for a in actors):
-            raise ValueError("can stack only actors with one head")
-        out = cls(actors[0].obs_dim, actors[0].head, actors[0].net.sizes[1:-1])
-        out.net = MLP.stack([a.net for a in actors])
-        out.log_std = np.stack([a.log_std for a in actors])
-        return out
+    def _bind(self, params: np.ndarray) -> None:
+        self.params = params
+        net_params, self.log_std = self._split(params)
+        self.net = self.net._over(net_params)
 
-    def member(self, i: int) -> GaussianActor:
-        """Member i of a stacked actor as a single actor sharing its arrays."""
-        out = GaussianActor(self.obs_dim, self.head, self.net.sizes[1:-1])
-        out.net = self.net.member(i)
-        out.log_std = self.log_std[i]
-        return out
+    def _split(self, flat: np.ndarray) -> list[np.ndarray]:
+        """The network part and the log-std part of a params-shaped array."""
+        return _views(flat, [(self.net.n_params,), (self.head.raw_dim,)])
 
     @property
     def obs_dim(self) -> int:
@@ -343,7 +367,7 @@ class GaussianActor:
     ) -> np.ndarray:
         """Flat gradient of sum_b coeffs[b] * log pi(raw[b] | obs[b]).
 
-        Layout matches get_flat(): network parameters then log-std. A
+        Layout matches params: network parameters then log-std. A
         stacked actor takes obs members + (rows, obs_dim) and coeffs
         members + (rows,).
         """
@@ -354,16 +378,17 @@ class GaussianActor:
         std = np.exp(self.log_std)[..., None, :]
         z = (raw - mean) / std
         grad_mean = coeffs[..., None] * z / std
-        net_grad = self.net.backward(cache, grad_mean)
-        grad_log_std = (coeffs[..., None] * (z**2 - 1.0)).sum(axis=-2)
-        return np.concatenate([net_grad, grad_log_std], axis=-1)
+        grad = np.empty(self.params.shape)
+        net_grad, grad_log_std = self._split(grad)
+        self.net.backward(cache, grad_mean, out=net_grad)
+        np.add.reduce(coeffs[..., None] * (z**2 - 1.0), axis=-2, out=grad_log_std)
+        return grad
 
     def grad_entropy(self) -> np.ndarray:
         """Flat gradient of the (state-independent) entropy of one action draw."""
-        members = self.net.members
-        return np.concatenate(
-            [np.zeros(members + (self.net.n_params,)), np.ones(self.log_std.shape)], axis=-1
-        )
+        grad = np.zeros(self.params.shape)
+        self._split(grad)[1][...] = 1.0
+        return grad
 
     def grad_alloc_mse(self, obs: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
         """Loss and flat gradient of mean squared error between the deterministic
@@ -389,31 +414,13 @@ class GaussianActor:
             g_raw = positive_layer_grad(raw_alloc, g_alloc)
         grad_mean = np.zeros_like(mean)
         grad_mean[:, : self.head.alloc_raw_dim] = g_raw
-        net_grad = self.net.backward(cache, grad_mean)
-        return loss, np.concatenate([net_grad, np.zeros(self.log_std.size)])
-
-    # flat parameters -------------------------------------------------------
-
-    @property
-    def n_params(self) -> int:
-        """Parameters per member."""
-        return self.net.n_params + self.head.raw_dim
-
-    def get_flat(self) -> np.ndarray:
-        return np.concatenate([self.net.get_flat(), self.log_std], axis=-1)
-
-    def set_flat(self, vec: np.ndarray) -> None:
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != self.net.members + (self.n_params,):
-            raise ValueError(
-                f"expected {self.net.members + (self.n_params,)} parameters, got {vec.shape}"
-            )
-        self.net.set_flat(vec[..., : self.net.n_params])
-        self.log_std = vec[..., self.net.n_params :].copy()
+        grad = np.zeros(self.params.shape)
+        self.net.backward(cache, grad_mean, out=self._split(grad)[0])
+        return loss, grad
 
 
-class ValueNet:
-    """Scalar state-value estimator; ValueNet.stack stacks members like MLP."""
+class ValueNet(_Params):
+    """Scalar state-value estimator; its params are its net's."""
 
     def __init__(
         self,
@@ -422,27 +429,15 @@ class ValueNet:
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         self.net = MLP((obs_dim, *hidden, 1), rng)
+        self.params = self.net.params
 
-    @classmethod
-    def stack(cls, critics: list[ValueNet]) -> ValueNet:
-        """One critic whose member i is critics[i]."""
-        out = cls(critics[0].obs_dim, critics[0].net.sizes[1:-1])
-        out.net = MLP.stack([c.net for c in critics])
-        return out
-
-    def member(self, i: int) -> ValueNet:
-        """Member i of a stacked critic as a single critic sharing its arrays."""
-        out = ValueNet(self.obs_dim, self.net.sizes[1:-1])
-        out.net = self.net.member(i)
-        return out
+    def _bind(self, params: np.ndarray) -> None:
+        self.params = params
+        self.net = self.net._over(params)
 
     @property
     def obs_dim(self) -> int:
         return self.net.in_dim
-
-    @property
-    def n_params(self) -> int:
-        return self.net.n_params
 
     def forward(self, obs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Values (..., rows) and the cache backward() takes."""
@@ -461,20 +456,15 @@ class ValueNet:
         """Flat gradient of a loss whose per-sample derivative w.r.t. the value is dloss_dv."""
         return self.backward(self.forward(obs)[1], dloss_dv)
 
-    def get_flat(self) -> np.ndarray:
-        return self.net.get_flat()
-
-    def set_flat(self, vec: np.ndarray) -> None:
-        self.net.set_flat(vec)
-
 
 # ---------------------------------------------------------------------------
 # optimizers
 
 
 class SGD:
-    def step(self, params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
-        return params - lr * grad
+    def step(self, params: np.ndarray, grad: np.ndarray, lr: float) -> None:
+        """Update params in place."""
+        params -= lr * grad
 
 
 class RMSProp:
@@ -485,11 +475,14 @@ class RMSProp:
         self.eps = eps
         self.cache: Optional[np.ndarray] = None
 
-    def step(self, params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
+    def step(self, params: np.ndarray, grad: np.ndarray, lr: float) -> None:
+        """Update params in place."""
         if self.cache is None:
             self.cache = np.zeros_like(params)
+        # a new cache each step: kept in place, it leaves the update's temporaries
+        # free at the heap top, where glibc trims and refaults them every update
         self.cache = self.decay * self.cache + (1.0 - self.decay) * grad**2
-        return params - lr * grad / (np.sqrt(self.cache) + self.eps)
+        params -= lr * grad / (np.sqrt(self.cache) + self.eps)
 
 
 def make_optimizer(name: str):
@@ -545,23 +538,38 @@ def _head_from_arrays(data) -> HeadSpec:
     )
 
 
-def _net_arrays(net: MLP) -> dict:
-    out = {"sizes": np.array(net.sizes), "activation": np.array("tanh")}
+def _layer_views(net: MLP) -> dict:
+    """net's weight and bias views under their checkpoint keys w{l}, b{l}."""
+    out = {}
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):
         out[f"w{l}"] = w
         out[f"b{l}"] = b
     return out
 
 
-def _load_net(data) -> MLP:
+def _net_arrays(net: MLP) -> dict:
+    return {"sizes": np.array(net.sizes), "activation": np.array("tanh"), **_layer_views(net)}
+
+
+def _stored_sizes(data, kind: str) -> tuple[int, ...]:
+    """The layer sizes of a checkpoint, after checking its format, kind and activation."""
+    if int(data["format"]) != CHECKPOINT_FORMAT:
+        raise ValueError(f"unsupported checkpoint format {int(data['format'])}")
+    if str(data["kind"]) != kind:
+        raise ValueError(f"checkpoint holds a {data['kind']!r}, expected {kind}")
     if str(data["activation"]) != "tanh":
         raise ValueError(f"unsupported activation {data['activation']!r}")
-    sizes = tuple(int(s) for s in data["sizes"])
-    net = MLP(sizes)
-    for l in range(len(sizes) - 1):
-        net.weights[l] = np.asarray(data[f"w{l}"], dtype=float)
-        net.biases[l] = np.asarray(data[f"b{l}"], dtype=float)
-    return net
+    return tuple(int(s) for s in data["sizes"])
+
+
+def _read_into(data, views: dict) -> None:
+    """Write the array stored under each key into its view; ValueError
+    naming the key and both shapes where they differ."""
+    for key, view in views.items():
+        stored = data[key]
+        if stored.shape != view.shape:
+            raise ValueError(f"checkpoint {key} has shape {stored.shape}, expected {view.shape}")
+        view[...] = stored
 
 
 def save_actor(path: str, actor: GaussianActor) -> None:
@@ -577,15 +585,9 @@ def save_actor(path: str, actor: GaussianActor) -> None:
 
 def load_actor(path: str) -> GaussianActor:
     with np.load(path, allow_pickle=False) as data:
-        if int(data["format"]) != CHECKPOINT_FORMAT:
-            raise ValueError(f"unsupported checkpoint format {int(data['format'])}")
-        if str(data["kind"]) != "actor":
-            raise ValueError(f"checkpoint holds a {data['kind']!r}, expected actor")
-        head = _head_from_arrays(data)
-        net = _load_net(data)
-        actor = GaussianActor(net.in_dim, head, hidden=net.sizes[1:-1])
-        actor.net = net
-        actor.log_std = np.asarray(data["log_std"], dtype=float)
+        sizes = _stored_sizes(data, "actor")
+        actor = GaussianActor(sizes[0], _head_from_arrays(data), hidden=sizes[1:-1])
+        _read_into(data, {"log_std": actor.log_std, **_layer_views(actor.net)})
     return actor
 
 
@@ -600,13 +602,9 @@ def save_critic(path: str, critic: ValueNet) -> None:
 
 def load_critic(path: str) -> ValueNet:
     with np.load(path, allow_pickle=False) as data:
-        if int(data["format"]) != CHECKPOINT_FORMAT:
-            raise ValueError(f"unsupported checkpoint format {int(data['format'])}")
-        if str(data["kind"]) != "critic":
-            raise ValueError(f"checkpoint holds a {data['kind']!r}, expected critic")
-        net = _load_net(data)
-        critic = ValueNet(net.in_dim, hidden=net.sizes[1:-1])
-        critic.net = net
+        sizes = _stored_sizes(data, "critic")
+        critic = ValueNet(sizes[0], hidden=sizes[1:-1])
+        _read_into(data, _layer_views(critic.net))
     return critic
 
 

@@ -16,15 +16,22 @@ Proves:
   10.  sample() transforms of the raw draw agree with transform()
   11.  Deterministic given the generator state
   12.  Checkpoint save/load round-trips actor and critic bitwise
-  13.  Optimizers take the expected first step (sgd exact, rmsprop scale)
+  13.  Loading a mis-shaped stored array names its key and both shapes
+  14.  Optimizers take the expected first step in place (sgd exact,
+       rmsprop scale); in-place RMSProp is the returned-copy form bitwise
  Group 4: Member-stacked networks, bitwise against m separate ones
-  14.  MLP forward and backward
-  15.  GaussianActor sample (same generator end state), act_mean,
+  15.  MLP forward and backward
+  16.  GaussianActor sample (same generator end state), act_mean,
        grad_weighted_log_prob and grad_entropy; ValueNet values and gradient
-  16.  get_flat / set_flat, member views and stacking
-  17.  clip_global_norm clips each member on its own norm
+  17.  The same for 1, 2 and 5 members, 1 and 7 rows, no hidden layer or (3,)
+  18.  get_flat / set_flat, member views and stacking
+  19.  Writes through set_flat and an optimizer step reach every view:
+       forward, sample, log_std and member(i)
+  20.  clip_global_norm clips each member on its own norm
 """
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +57,7 @@ from wcsrl.neuralnet import (
 )
 
 STD_NORMAL_LOGP_AT_MEAN = -0.9189385332046727  # -0.5 * ln(2 pi)
+M = 3  # members of a stacked network
 
 
 # Group 1 -------------------------------------------------------------------
@@ -222,15 +230,67 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(cloaded.values(obs), critic.values(obs))
 
 
+@pytest.mark.parametrize(
+    "load, key, bad",
+    [
+        (load_actor, "log_std", np.zeros(5)),
+        (load_actor, "w1", np.zeros((8, 4))),
+        (load_actor, "b0", np.array(0.0)),
+        (load_critic, "w0", np.zeros((3, 8))),
+    ],
+    ids=["log_std", "weight", "bias_0d", "critic_weight"],
+)
+def test_checkpoint_names_misshaped_array(tmp_path, load, key, bad):
+    rng = np.random.Generator(np.random.PCG64(75))
+    path = str(tmp_path / "net.npz")
+    if load is load_actor:
+        save_actor(path, GaussianActor(4, HeadSpec(n_plants=1, control_dim=3), (8,), rng))
+    else:
+        save_critic(path, ValueNet(4, (8,), rng))
+    with np.load(path) as data:
+        arrays = dict(data)
+    want = arrays[key].shape
+    arrays[key] = bad
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match=re.escape(f"{key} has shape {bad.shape}, expected {want}")):
+        load(path)
+
+
 def test_optimizer_steps():
     x = np.array([1.0, 2.0])
     g = np.array([0.5, -1.0])
-    assert np.allclose(SGD().step(x, g, 0.1), [0.95, 2.1], atol=1e-15)
+    params = x.copy()
+    SGD().step(params, g, 0.1)
+    assert np.allclose(params, [0.95, 2.1], atol=1e-15)
     # rmsprop first step: cache = (1-decay) g^2, step = lr g / (sqrt(cache) + eps)
-    opt = RMSProp(decay=0.99, eps=1e-8)
-    out = opt.step(x, g, 0.1)
+    params = x.copy()
+    RMSProp(decay=0.99, eps=1e-8).step(params, g, 0.1)
     expect = x - 0.1 * g / (np.sqrt(0.01 * g**2) + 1e-8)
-    assert np.allclose(out, expect, atol=1e-12)
+    assert np.allclose(params, expect, atol=1e-12)
+
+
+def returned_copy_rmsprop(params, grads, lr, decay=0.99, eps=1e-8):
+    """RMSProp written as expressions that return new arrays: the oracle for
+    the in-place step."""
+    cache = np.zeros_like(params)
+    for g in grads:
+        cache = decay * cache + (1.0 - decay) * g**2
+        params = params - lr * g / (np.sqrt(cache) + eps)
+    return params, cache
+
+
+def test_rmsprop_in_place_is_the_returned_copy():
+    rng = np.random.Generator(np.random.PCG64(77))
+    params = rng.standard_normal((M, 40))
+    # gradients over several magnitudes, so the cache's running sum rounds
+    grads = [10.0 ** rng.uniform(-6, 2, size=params.shape) * rng.standard_normal(params.shape)
+             for _ in range(5)]
+    want_params, want_cache = returned_copy_rmsprop(params, grads, 0.01)
+    opt = RMSProp()
+    for g in grads:
+        opt.step(params, g, 0.01)
+    assert np.array_equal(params, want_params)
+    assert np.array_equal(opt.cache, want_cache)
 
 
 def test_clip_global_norm():
@@ -248,8 +308,6 @@ def test_clip_global_norm_is_the_single_vector_rule():
 
 
 # Group 4 -------------------------------------------------------------------
-
-M = 3
 
 
 def separate_and_stacked(make):
@@ -283,7 +341,7 @@ def test_stacked_actor_bitwise(bounded):
     )
     # distinct log-stds per member, so a member mix-up would show
     for i, a in enumerate(actors):
-        a.log_std = a.log_std + 0.1 * i
+        a.log_std += 0.1 * i
     stacked = GaussianActor.stack(actors)
     obs = rng.standard_normal((M, 6, 4))
 
@@ -319,6 +377,41 @@ def test_stacked_critic_bitwise():
         assert np.array_equal(grad[i], c.grad_weighted(obs[i], dloss[i]))
 
 
+@pytest.mark.parametrize("hidden", [(), (3,)], ids=["no_hidden", "hidden_3"])
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_stack_equals_separate_networks(m, rows, hidden):
+    head = HeadSpec(n_plants=1, control_dim=2, control_low=-3.0, control_high=3.0)
+    rng = np.random.Generator(np.random.PCG64(101))
+    actors = [GaussianActor(4, head, hidden, rng) for _ in range(m)]
+    critics = [ValueNet(4, hidden, rng) for _ in range(m)]
+    for i, a in enumerate(actors):
+        a.log_std += 0.1 * i
+    actor, critic = GaussianActor.stack(actors), ValueNet.stack(critics)
+    net = MLP.stack([a.net for a in actors])
+    obs = rng.standard_normal((m, rows, 4))
+    coeffs = rng.standard_normal((m, rows))
+    g_out = rng.standard_normal((m, rows, 2))
+
+    rng_stacked = np.random.Generator(np.random.PCG64(103))
+    rng_single = np.random.Generator(np.random.PCG64(103))
+    raw = actor.sample(obs, rng_stacked).raw
+    out, cache = net.forward(obs)
+    grad = net.backward(cache, g_out)
+    actor_grad = actor.grad_weighted_log_prob(obs, raw, coeffs)
+    critic_grad = critic.grad_weighted(obs, coeffs)
+    for i, (a, c) in enumerate(zip(actors, critics)):
+        assert np.array_equal(raw[i], a.sample(obs[i], rng_single).raw)
+        out_i, cache_i = a.net.forward(obs[i])
+        assert np.array_equal(out[i], out_i)
+        assert np.array_equal(grad[i], a.net.backward(cache_i, g_out[i]))
+        assert np.array_equal(actor_grad[i], a.grad_weighted_log_prob(obs[i], raw[i], coeffs[i]))
+        assert np.array_equal(critic.values(obs)[i], c.values(obs[i]))
+        assert np.array_equal(critic_grad[i], c.grad_weighted(obs[i], coeffs[i]))
+        assert np.array_equal(actor.member(i).params, a.params)
+    assert rng_stacked.bit_generator.state == rng_single.bit_generator.state
+
+
 def test_stacked_flat_roundtrip_and_members():
     head = HeadSpec(n_plants=1, control_dim=1)
     actors, stacked, rng = separate_and_stacked(lambda r: GaussianActor(3, head, (8,), r))
@@ -337,6 +430,40 @@ def test_stacked_flat_roundtrip_and_members():
         stacked.set_flat(new[0])
     with pytest.raises(ValueError, match="stack"):
         MLP.stack([MLP((3, 4, 1), rng), MLP((3, 5, 1), rng)])
+
+
+@pytest.mark.parametrize("write", ["set_flat", "sgd", "rmsprop"])
+def test_writes_reach_every_view(write):
+    head = HeadSpec(n_plants=1, control_dim=2)
+    _, stacked, rng = separate_and_stacked(lambda r: GaussianActor(3, head, (8,), r))
+    member = stacked.member(1)
+    views = [*stacked.net.weights, *stacked.net.biases, stacked.log_std, stacked.net.params]
+    for view in views + [member.params, *member.net.weights, member.log_std]:
+        assert np.shares_memory(view, stacked.params)
+    grad = rng.standard_normal(stacked.params.shape)
+    if write == "set_flat":
+        new = grad
+        stacked.set_flat(new)
+    elif write == "sgd":
+        new = stacked.get_flat() - 0.1 * grad
+        SGD().step(stacked.params, grad, 0.1)
+    else:
+        new = returned_copy_rmsprop(stacked.get_flat(), [grad], 0.1)[0]
+        RMSProp().step(stacked.params, grad, 0.1)
+    assert np.array_equal(stacked.params, new)
+
+    obs = rng.standard_normal((M, 2, 3))
+    raw = stacked.sample(obs, np.random.Generator(np.random.PCG64(107))).raw
+    rng_single = np.random.Generator(np.random.PCG64(107))
+    for i in range(M):
+        fresh = GaussianActor(3, head, (8,))
+        fresh.set_flat(new[i])
+        assert np.array_equal(stacked.member(i).params, new[i])
+        assert np.array_equal(stacked.log_std[i], fresh.log_std)
+        assert np.array_equal(stacked.net.forward(obs)[0][i], fresh.net.forward(obs[i])[0])
+        assert np.array_equal(raw[i], fresh.sample(obs[i], rng_single).raw)
+    assert np.array_equal(member.log_std, stacked.log_std[1])
+    assert np.array_equal(member.net.forward(obs[1])[0], stacked.net.forward(obs)[0][1])
 
 
 def test_clip_global_norm_per_member():
