@@ -420,8 +420,11 @@ def _load_checked(dir_path: str, name: str, load, expected):
     both values where the stored network differs from expected."""
     path = os.path.join(dir_path, name)
     net = load(path)
-    heads = _HEAD_FIELDS if isinstance(expected, neuralnet.GaussianActor) else []
-    for key in ["obs_dim", "net.sizes", *heads]:
+    if isinstance(expected, neuralnet.GaussianActor):
+        keys = ["obs_dim", "net.sizes", *_HEAD_FIELDS]
+    else:  # a critic, whose input width is sizes[0]
+        keys = ["sizes"]
+    for key in keys:
         need, have = operator.attrgetter(key)(expected), operator.attrgetter(key)(net)
         if need != have:
             raise ValueError(
@@ -448,7 +451,7 @@ def load_agents(dir_path: str, expected: TrainedAgents) -> TrainedAgents:
         agents.actor, agents.critic = actors.pop(0), critics.pop(0)
     if expected.rc_actor is not None:
         agents.rc_actor = neuralnet.GaussianActor.stack(actors)
-        agents.rc_critic = neuralnet.ValueNet.stack(critics)
+        agents.rc_critic = neuralnet.MLP.stack(critics)
     return agents
 
 

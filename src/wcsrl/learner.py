@@ -43,13 +43,7 @@ from wcsrl import policies
 from wcsrl.baselines import control_aware  # noqa: F401  traced by name in perfbench/layers.py
 from wcsrl.dynamics import control_bounds
 from wcsrl.environment import Observation, WirelessControlEnv
-from wcsrl.neuralnet import (
-    GaussianActor,
-    HeadSpec,
-    ValueNet,
-    clip_global_norm,
-    make_optimizer,
-)
+from wcsrl.neuralnet import MLP, GaussianActor, HeadSpec, clip_global_norm, make_optimizer
 
 if TYPE_CHECKING:  # config imports this module
     from wcsrl.config import ExperimentConfig
@@ -173,9 +167,9 @@ class TrainedAgents:
     pairs, member i for plant i."""
 
     actor: Optional[GaussianActor] = None
-    critic: Optional[ValueNet] = None
+    critic: Optional[MLP] = None
     rc_actor: Optional[GaussianActor] = None
-    rc_critic: Optional[ValueNet] = None
+    rc_critic: Optional[MLP] = None
 
 
 @dataclass
@@ -196,7 +190,7 @@ class SegmentAgent:
     A stacked pair records members + (N, ...) per step (costs (m, N)) and
     updates every member on its own rows in one pass."""
 
-    def __init__(self, actor: GaussianActor, critic: ValueNet, cfg: ExperimentConfig) -> None:
+    def __init__(self, actor: GaussianActor, critic: MLP, cfg: ExperimentConfig) -> None:
         self.actor = actor
         self.critic = critic
         self.cfg = cfg
@@ -216,13 +210,17 @@ class SegmentAgent:
             return
         cfg = self.cfg
         costs = np.stack(self._costs)
-        bootstrap = np.zeros(costs.shape[1:]) if at_end else self.critic.values(boot_obs)
+        if at_end:
+            bootstrap = np.zeros(costs.shape[1:])
+        else:
+            bootstrap = self.critic.forward(boot_obs)[0][..., 0]
         returns = compute_cost_to_go(costs, bootstrap, cfg.train_gamma)
         # (L, ..., N) -> (..., L * N), step-major like the pooled rows
         returns = returns.swapaxes(0, -2).reshape(costs.shape[1:-1] + (-1,))
         obs_flat = np.concatenate(self._obs, axis=-2)
         raw_flat = np.concatenate(self._raw, axis=-2)
         values, critic_cache = self.critic.forward(obs_flat)
+        values = values[..., 0]
         adv = compute_advantage(returns, values)
 
         grad = self.actor.grad_weighted_log_prob(obs_flat, raw_flat, adv)
@@ -234,7 +232,7 @@ class SegmentAgent:
         self.opt_actor.step(self.actor.params, grad, cfg.train_policy_lr)
 
         # the critic is unchanged since the forward pass above
-        vgrad = self.critic.backward(critic_cache, 2.0 * (values - returns))
+        vgrad = self.critic.backward(critic_cache, (2.0 * (values - returns))[..., None])
         vgrad = clip_global_norm(vgrad, cfg.train_grad_clip)
         if not np.isfinite(vgrad).all():
             raise TrainingDivergedError("non-finite value gradient", episode)
@@ -295,7 +293,7 @@ def build_agents(
             control_high=high if bounds else None,
         )
         agents.actor = GaussianActor(env.obs_dim, head, hidden, rng, log_std)
-        agents.critic = ValueNet(env.obs_dim, hidden, rng)
+        agents.critic = MLP((env.obs_dim, *hidden, 1), rng)
     if spec.control == "per_plant":
         rc_obs_dim = 1 + p + 1
         head = HeadSpec(n_plants=1, control_dim=q, control_low=low, control_high=high)
@@ -303,9 +301,9 @@ def build_agents(
         actors, critics = [], []
         for _ in range(m):
             actors.append(GaussianActor(rc_obs_dim, head, hidden, rng, log_std))
-            critics.append(ValueNet(rc_obs_dim, hidden, rng))
+            critics.append(MLP((rc_obs_dim, *hidden, 1), rng))
         agents.rc_actor = GaussianActor.stack(actors)
-        agents.rc_critic = ValueNet.stack(critics)
+        agents.rc_critic = MLP.stack(critics)
     return agents
 
 

@@ -9,15 +9,18 @@ learned state-independent log-std); the raw sample is then pushed
 through a structural layer (simplex / softplus / interval) and the
 log-probability is taken with respect to the raw-space Gaussian.
 
+A critic is a plain MLP with one output: its values are
+`forward(obs)[0][..., 0]`.
+
 Every network keeps its parameters in one array, `params`, shaped
 `members + (n_params,)`: layer by layer (weights, then biases), then an
 actor's log-std. `weights`, `biases` and `log_std` are views of it,
 written through and never rebound, so a write to any of them or to
-`params` reaches all. `members` is empty for a single network; the
-per-plant controller actors run as one network of m members, which maps
-`members + (rows, n_in)` to `members + (...)`, has one parameter and
-gradient row per member and gives each member the numbers it would get
-alone, bit for bit.
+`params` reaches all. Networks take row matrices only: inputs are
+`members + (rows, n_in)`. `members` is empty for a single network; the
+per-plant controller actors and critics run as one network of m members
+each, which has one parameter and gradient row per member and gives each
+member the numbers it would get alone, bit for bit.
 """
 from __future__ import annotations
 
@@ -100,7 +103,7 @@ def _views(params: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray
 
 
 class _Params:
-    """What MLP, GaussianActor and ValueNet share: the one array `params`,
+    """What MLP and GaussianActor share: the one array `params`,
     members + (n_params,), stacking and member views over it, and the flat
     get/set. A subclass cuts its views of params in _bind."""
 
@@ -194,9 +197,9 @@ class MLP(_Params):
         return self.sizes[0]
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Outputs members + (rows, n_out) of inputs members + (rows, n_in),
+        and the cache backward() takes."""
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[None, :]
         if x.shape[-1] != self.in_dim:
             raise ValueError(f"input width {x.shape[-1]} != {self.in_dim}")
         cache = [x]
@@ -215,8 +218,6 @@ class MLP(_Params):
         """Flat gradient of sum_b loss_b when grad_out[..., b, :] = dloss_b/doutput_b,
         written into out (shaped like params) when given, else into a new array."""
         g = np.asarray(grad_out, dtype=float)
-        if g.ndim == 1:
-            g = g[None, :]
         grad = np.empty(self.params.shape) if out is None else out
         views = _views(grad, self._shapes)
         for l in reversed(range(len(self.weights))):
@@ -229,7 +230,7 @@ class MLP(_Params):
 
 
 # ---------------------------------------------------------------------------
-# policy and value networks
+# policy networks
 
 
 @dataclass
@@ -325,9 +326,6 @@ class GaussianActor(_Params):
     def transform(self, raw: np.ndarray) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
         """Map raw-space values to environment actions (alpha, u)."""
         raw = np.asarray(raw, dtype=float)
-        squeeze = raw.ndim == 1
-        if squeeze:
-            raw = raw[None, :]
         head = self.head
         alpha = None
         u = None
@@ -340,9 +338,6 @@ class GaussianActor(_Params):
             if head.bounded_control:
                 block = interval_layer(block, head.control_low, head.control_high)
             u = block.reshape(block.shape[:-1] + (head.n_plants, head.control_dim))
-        if squeeze:
-            alpha = None if alpha is None else alpha[0]
-            u = None if u is None else u[0]
         return alpha, u
 
     def sample(self, obs: np.ndarray, rng: np.random.Generator) -> ActionSample:
@@ -371,8 +366,6 @@ class GaussianActor(_Params):
         stacked actor takes obs members + (rows, obs_dim) and coeffs
         members + (rows,).
         """
-        obs = np.atleast_2d(np.asarray(obs, dtype=float))
-        raw = np.atleast_2d(np.asarray(raw, dtype=float))
         coeffs = np.asarray(coeffs, dtype=float).reshape(self.net.members + (-1,))
         mean, cache = self.net.forward(obs)
         std = np.exp(self.log_std)[..., None, :]
@@ -396,15 +389,13 @@ class GaussianActor(_Params):
         Used for warm-starting the allocation head toward a heuristic."""
         if self.head.alloc is None:
             raise ValueError("actor has no allocation head")
-        obs = np.atleast_2d(np.asarray(obs, dtype=float))
-        targets = np.atleast_2d(np.asarray(targets, dtype=float))
         mean, cache = self.net.forward(obs)
         raw_alloc = mean[:, : self.head.alloc_raw_dim]
         if self.head.alloc == "simplex":
             alloc = simplex_layer(raw_alloc, self.head.alpha_total)
         else:
             alloc = positive_layer(raw_alloc)
-        n = obs.shape[0]
+        n = mean.shape[0]
         diff = alloc - targets
         loss = float((diff**2).sum() / n)
         g_alloc = 2.0 * diff / n
@@ -417,44 +408,6 @@ class GaussianActor(_Params):
         grad = np.zeros(self.params.shape)
         self.net.backward(cache, grad_mean, out=self._split(grad)[0])
         return loss, grad
-
-
-class ValueNet(_Params):
-    """Scalar state-value estimator; its params are its net's."""
-
-    def __init__(
-        self,
-        obs_dim: int,
-        hidden: tuple[int, ...] = (64, 64),
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        self.net = MLP((obs_dim, *hidden, 1), rng)
-        self.params = self.net.params
-
-    def _bind(self, params: np.ndarray) -> None:
-        self.params = params
-        self.net = self.net._over(params)
-
-    @property
-    def obs_dim(self) -> int:
-        return self.net.in_dim
-
-    def forward(self, obs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Values (..., rows) and the cache backward() takes."""
-        out, cache = self.net.forward(obs)
-        return out[..., 0], cache
-
-    def backward(self, cache: list[np.ndarray], dloss_dv: np.ndarray) -> np.ndarray:
-        """Flat gradient of a loss whose per-sample derivative w.r.t. the value
-        is dloss_dv, at the forward pass that left cache."""
-        return self.net.backward(cache, np.asarray(dloss_dv, dtype=float)[..., None])
-
-    def values(self, obs: np.ndarray) -> np.ndarray:
-        return self.forward(obs)[0]
-
-    def grad_weighted(self, obs: np.ndarray, dloss_dv: np.ndarray) -> np.ndarray:
-        """Flat gradient of a loss whose per-sample derivative w.r.t. the value is dloss_dv."""
-        return self.backward(self.forward(obs)[1], dloss_dv)
 
 
 # ---------------------------------------------------------------------------
@@ -591,20 +544,20 @@ def load_actor(path: str) -> GaussianActor:
     return actor
 
 
-def save_critic(path: str, critic: ValueNet) -> None:
+def save_critic(path: str, critic: MLP) -> None:
     np.savez(
         path,
         format=np.array(CHECKPOINT_FORMAT),
         kind=np.array("critic"),
-        **_net_arrays(critic.net),
+        **_net_arrays(critic),
     )
 
 
-def load_critic(path: str) -> ValueNet:
+def load_critic(path: str) -> MLP:
     with np.load(path, allow_pickle=False) as data:
         sizes = _stored_sizes(data, "critic")
-        critic = ValueNet(sizes[0], hidden=sizes[1:-1])
-        _read_into(data, _layer_views(critic.net))
+        critic = MLP((*sizes[:-1], 1))
+        _read_into(data, _layer_views(critic))
     return critic
 
 
@@ -717,11 +670,12 @@ def gradient_check(
                 mse = lambda: float(actor.grad_alloc_mse(obs, targets)[0])
                 note(f"{name}_warmstart_mse", gradient_error(actor, mse, analytic))
 
-        critic = ValueNet(joint_obs, hidden, rng)
+        critic = MLP((joint_obs, *hidden, 1), rng)
         obs = rng.standard_normal((batch, joint_obs))
         coeffs = rng.standard_normal(batch)
-        analytic = critic.grad_weighted(obs, coeffs)
-        value = lambda: float(np.sum(coeffs * critic.values(obs)))
+        _, cache = critic.forward(obs)
+        analytic = critic.backward(cache, coeffs[..., None])
+        value = lambda: float(np.sum(coeffs * critic.forward(obs)[0][..., 0]))
         note("critic_value", gradient_error(critic, value, analytic))
 
     cases = [GradcheckCase(name, err, err < tolerance) for name, err in worst.items()]

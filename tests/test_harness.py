@@ -347,7 +347,7 @@ def test_save_load_separate_agents(tmp_path):
     for i in range(2):
         actor = neuralnet.GaussianActor(rc_actor.obs_dim, rc_actor.head, cfg.train_hidden)
         actor.set_flat(rc_actor.get_flat()[i].copy())
-        critic = neuralnet.ValueNet(rc_critic.obs_dim, cfg.train_hidden)
+        critic = neuralnet.MLP(rc_critic.sizes)
         critic.set_flat(rc_critic.get_flat()[i].copy())
         neuralnet.save_actor(str(tmp_path / "standalone_actor.npz"), actor)
         neuralnet.save_critic(str(tmp_path / "standalone_critic.npz"), critic)
@@ -458,7 +458,7 @@ def test_approach_layouts(tmp_path, approach):
     else:
         assert dataclasses.asdict(agents.rc_actor.head) == rc_head
         assert agents.rc_actor.obs_dim == 1 + 4 + 1
-        assert agents.rc_actor.net.members == agents.rc_critic.net.members == (2,)
+        assert agents.rc_actor.net.members == agents.rc_critic.members == (2,)
     harness.save_agents(str(tmp_path / "ckpt"), agents)
     assert sorted(os.listdir(tmp_path / "ckpt")) == files
 

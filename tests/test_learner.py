@@ -51,7 +51,7 @@ from wcsrl.learner import (
     pretrain_allocation,
     train,
 )
-from wcsrl.neuralnet import GaussianActor, HeadSpec, ValueNet
+from wcsrl.neuralnet import MLP, GaussianActor, HeadSpec
 from wcsrl.wireless import ChannelModel
 from oracles import dual_descent
 
@@ -188,16 +188,16 @@ def test_value_step_moves_toward_returns():
     )
     head = HeadSpec(n_plants=2, alloc="softplus")
     actor = GaussianActor(4, head, (8,), rng)
-    critic = ValueNet(4, (8,), rng)
+    critic = MLP((4, 8, 1), rng)
     agent = SegmentAgent(actor, critic, cfg)
     obs = rng.standard_normal((2, 4))
     raw = actor.sample(obs, rng).raw
     costs = np.array([5.0, 5.0])
-    before = critic.values(obs)
+    before = critic.forward(obs)[0][..., 0]
     err_before = np.abs(before - 5.0).sum()
     agent.record(obs, raw, costs)
     agent.update(None, at_end=True, episode=0)
-    err_after = np.abs(critic.values(obs) - 5.0).sum()
+    err_after = np.abs(critic.forward(obs)[0][..., 0] - 5.0).sum()
     assert err_after < err_before
 
 
@@ -206,7 +206,7 @@ def test_pooled_update_worker_order_invariance():
         rng = np.random.Generator(np.random.PCG64(seed))
         head = HeadSpec(n_plants=2, alloc="simplex", alpha_total=2.0)
         actor = GaussianActor(4, head, (8,), rng)
-        critic = ValueNet(4, (8,), rng)
+        critic = MLP((4, 8, 1), rng)
         return actor, critic
 
     cfg = load_config(overrides={"train.optimizer": "sgd", "train.grad_clip": 0.0})
@@ -237,11 +237,11 @@ def test_stacked_agent_matches_separate_agents():
 
     def pairs():
         rng = np.random.Generator(np.random.PCG64(23))
-        return [(GaussianActor(4, head, (8,), rng), ValueNet(4, (8,), rng)) for _ in range(m)]
+        return [(GaussianActor(4, head, (8,), rng), MLP((4, 8, 1), rng)) for _ in range(m)]
 
     single = [SegmentAgent(a, c, cfg) for a, c in pairs()]
     actors, critics = zip(*pairs())
-    stacked = SegmentAgent(GaussianActor.stack(actors), ValueNet.stack(critics), cfg)
+    stacked = SegmentAgent(GaussianActor.stack(actors), MLP.stack(critics), cfg)
     rng = np.random.Generator(np.random.PCG64(29))
     for t in range(8):
         obs = rng.standard_normal((m, n_workers, 4))
@@ -320,7 +320,7 @@ def test_train_separate_topology():
     result = train(env_factory_for(constraint="sum_power"), cfg, "codesign", seed=7)
     assert result.agents.actor is not None
     assert result.agents.rc_actor.net.members == (2,)
-    assert result.agents.rc_critic.net.members == (2,)
+    assert result.agents.rc_critic.members == (2,)
     for i in range(2):
         actor = result.agents.rc_actor.member(i)
         assert np.isfinite(actor.get_flat()).all()

@@ -22,7 +22,7 @@ Proves:
  Group 4: Member-stacked networks, bitwise against m separate ones
   15.  MLP forward and backward
   16.  GaussianActor sample (same generator end state), act_mean,
-       grad_weighted_log_prob and grad_entropy; ValueNet values and gradient
+       grad_weighted_log_prob and grad_entropy; a one-output critic MLP
   17.  The same for 1, 2 and 5 members, 1 and 7 rows, no hidden layer or (3,)
   18.  get_flat / set_flat, member views and stacking
   19.  Writes through set_flat and an optimizer step reach every view:
@@ -42,7 +42,6 @@ from wcsrl.neuralnet import (
     HeadSpec,
     RMSProp,
     SGD,
-    ValueNet,
     clip_global_norm,
     gaussian_log_prob,
     gradient_error,
@@ -174,11 +173,11 @@ def test_policy_gradient_matches_finite_differences(head):
 
 def test_critic_gradient_matches_finite_differences():
     rng = np.random.Generator(np.random.PCG64(59))
-    critic = ValueNet(5, (8,), rng)
+    critic = MLP((5, 8, 1), rng)
     obs = rng.standard_normal((4, 5))
     coeffs = rng.standard_normal(4)
-    analytic = critic.grad_weighted(obs, coeffs)
-    objective = lambda: float(np.sum(coeffs * critic.values(obs)))
+    analytic = critic.backward(critic.forward(obs)[1], coeffs[..., None])
+    objective = lambda: float(np.sum(coeffs * critic.forward(obs)[0][..., 0]))
     assert gradient_error(critic, objective, analytic) < 1e-6
 
 
@@ -222,12 +221,13 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(a1, a2)
     assert np.array_equal(u1, u2)
 
-    critic = ValueNet(8, (16, 16), rng)
+    critic = MLP((8, 16, 16, 1), rng)
     cpath = str(tmp_path / "critic.npz")
     save_critic(cpath, critic)
     cloaded = load_critic(cpath)
+    assert cloaded.sizes == critic.sizes
     assert np.array_equal(cloaded.get_flat(), critic.get_flat())
-    assert np.array_equal(cloaded.values(obs), critic.values(obs))
+    assert np.array_equal(cloaded.forward(obs)[0], critic.forward(obs)[0])
 
 
 @pytest.mark.parametrize(
@@ -246,7 +246,7 @@ def test_checkpoint_names_misshaped_array(tmp_path, load, key, bad):
     if load is load_actor:
         save_actor(path, GaussianActor(4, HeadSpec(n_plants=1, control_dim=3), (8,), rng))
     else:
-        save_critic(path, ValueNet(4, (8,), rng))
+        save_critic(path, MLP((4, 8, 1), rng))
     with np.load(path) as data:
         arrays = dict(data)
     want = arrays[key].shape
@@ -365,16 +365,15 @@ def test_stacked_actor_bitwise(bounded):
 
 
 def test_stacked_critic_bitwise():
-    critics, stacked, rng = separate_and_stacked(lambda r: ValueNet(4, (8, 8), r))
+    critics, stacked, rng = separate_and_stacked(lambda r: MLP((4, 8, 8, 1), r))
     obs = rng.standard_normal((M, 5, 4))
-    dloss = rng.standard_normal((M, 5))
+    dloss = rng.standard_normal((M, 5, 1))
     values, cache = stacked.forward(obs)
     grad = stacked.backward(cache, dloss)
-    assert np.array_equal(values, stacked.values(obs))
-    assert np.array_equal(grad, stacked.grad_weighted(obs, dloss))
     for i, c in enumerate(critics):
-        assert np.array_equal(values[i], c.values(obs[i]))
-        assert np.array_equal(grad[i], c.grad_weighted(obs[i], dloss[i]))
+        values_i, cache_i = c.forward(obs[i])
+        assert np.array_equal(values[i], values_i)
+        assert np.array_equal(grad[i], c.backward(cache_i, dloss[i]))
 
 
 @pytest.mark.parametrize("hidden", [(), (3,)], ids=["no_hidden", "hidden_3"])
@@ -384,10 +383,10 @@ def test_stack_equals_separate_networks(m, rows, hidden):
     head = HeadSpec(n_plants=1, control_dim=2, control_low=-3.0, control_high=3.0)
     rng = np.random.Generator(np.random.PCG64(101))
     actors = [GaussianActor(4, head, hidden, rng) for _ in range(m)]
-    critics = [ValueNet(4, hidden, rng) for _ in range(m)]
+    critics = [MLP((4, *hidden, 1), rng) for _ in range(m)]
     for i, a in enumerate(actors):
         a.log_std += 0.1 * i
-    actor, critic = GaussianActor.stack(actors), ValueNet.stack(critics)
+    actor, critic = GaussianActor.stack(actors), MLP.stack(critics)
     net = MLP.stack([a.net for a in actors])
     obs = rng.standard_normal((m, rows, 4))
     coeffs = rng.standard_normal((m, rows))
@@ -399,15 +398,17 @@ def test_stack_equals_separate_networks(m, rows, hidden):
     out, cache = net.forward(obs)
     grad = net.backward(cache, g_out)
     actor_grad = actor.grad_weighted_log_prob(obs, raw, coeffs)
-    critic_grad = critic.grad_weighted(obs, coeffs)
+    values, critic_cache = critic.forward(obs)
+    critic_grad = critic.backward(critic_cache, coeffs[..., None])
     for i, (a, c) in enumerate(zip(actors, critics)):
         assert np.array_equal(raw[i], a.sample(obs[i], rng_single).raw)
         out_i, cache_i = a.net.forward(obs[i])
         assert np.array_equal(out[i], out_i)
         assert np.array_equal(grad[i], a.net.backward(cache_i, g_out[i]))
         assert np.array_equal(actor_grad[i], a.grad_weighted_log_prob(obs[i], raw[i], coeffs[i]))
-        assert np.array_equal(critic.values(obs)[i], c.values(obs[i]))
-        assert np.array_equal(critic_grad[i], c.grad_weighted(obs[i], coeffs[i]))
+        values_i, cache_i = c.forward(obs[i])
+        assert np.array_equal(values[i], values_i)
+        assert np.array_equal(critic_grad[i], c.backward(cache_i, coeffs[i][..., None]))
         assert np.array_equal(actor.member(i).params, a.params)
     assert rng_stacked.bit_generator.state == rng_single.bit_generator.state
 
