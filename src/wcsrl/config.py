@@ -9,6 +9,11 @@ A config file looks like
     train.episodes = 1000
     train.hidden = 64 64
 
+`#` starts a comment. A list value splits at spaces and commas, and an
+empty one is an empty list; a string key (`out_dir`, `scenario`, ...)
+reads its whole right-hand side, stripped, as one value, so a path may
+hold spaces or commas.
+
 Every key is declared once, as one row of `_TABLE`: its file key, value
 kind, default and its limit: the allowed values of an enum key, or the
 bound "positive" or "nonnegative" of a numeric one. `KEY_SPECS`,
@@ -21,6 +26,7 @@ presets; command-line overrides beat both. Unknown keys are an error.
 """
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import operator
 from dataclasses import make_dataclass
@@ -245,14 +251,14 @@ def parse_config_text(text: str) -> dict[str, object]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw_line!r}")
         key, _, rhs = line.partition("=")
-        key = key.strip()
-        tokens = rhs.replace(",", " ").split()
+        key, value = key.strip(), rhs.strip()
         if key not in KEY_SPECS:
             unknown.append(key)
             continue
-        if not tokens:
-            raise ConfigError(f"line {lineno}: no value for {key}")
         _, kind = KEY_SPECS[key]
+        if not value and not kind.endswith("_list"):
+            raise ConfigError(f"line {lineno}: no value for {key}")
+        tokens = [value] if kind == "str" else value.replace(",", " ").split()
         values[key] = _parse_value(kind, tokens, key)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -397,6 +403,19 @@ def _blas_info() -> str:
         return "unknown"
 
 
+def _blas_kernel() -> str:
+    """The OpenBLAS kernel NumPy's BLAS runs on this CPU (OPENBLAS_CORETYPE
+    overrides the pick), read from the library NumPy loaded; "unknown" where
+    that library or its symbol is absent."""
+    try:
+        # symbols of the libraries an extension module links are found through its handle
+        corename = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_openblas_get_corename64_
+    except (OSError, AttributeError):
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
 def write_manifest(path: str, cfg: ExperimentConfig, extras: Optional[dict] = None) -> None:
     """Write the resolved run manifest: config, hash, versions, and any extra
     records (placements, sampled plant parameters, wall time)."""
@@ -406,6 +425,7 @@ def write_manifest(path: str, cfg: ExperimentConfig, extras: Optional[dict] = No
         f"package_version = {wcsrl.__version__}",
         f"numpy_version = {np.__version__}",
         f"blas = {_blas_info()}",
+        f"blas_kernel = {_blas_kernel()}",
         "",
     ]
     lines.extend(config_lines(cfg))

@@ -420,11 +420,9 @@ def _load_checked(dir_path: str, name: str, load, expected):
     both values where the stored network differs from expected."""
     path = os.path.join(dir_path, name)
     net = load(path)
-    if isinstance(expected, neuralnet.GaussianActor):
-        keys = ["obs_dim", "net.sizes", *_HEAD_FIELDS]
-    else:  # a critic, whose input width is sizes[0]
-        keys = ["sizes"]
-    for key in keys:
+    # a critic is an MLP, whose input width is sizes[0]
+    actor = isinstance(expected, neuralnet.GaussianActor)
+    for key in ["obs_dim", "net.sizes", *_HEAD_FIELDS] if actor else ["sizes"]:
         need, have = operator.attrgetter(key)(expected), operator.attrgetter(key)(net)
         if need != have:
             raise ValueError(

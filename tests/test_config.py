@@ -10,23 +10,30 @@ Proves:
       table row unless it is one of the few with none; an override of the
       wrong kind names the key and its kind, and configs share no list with
       the defaults
-  6.  config_lines round-trips through the parser for every preset
+  6.  config_lines round-trips through the parser for every preset, and
+      load_config(text=...) reads an out_dir holding spaces and commas
   7.  config_hash ignores out_dir but tracks every experiment key; the
       preset hashes are pinned
   8.  cost_matrix expands scales and diagonals
-  9.  Manifest contains hash, versions, config, and extras
+  9.  Manifest contains hash, versions, the BLAS kernel, config, and
+      extras; OPENBLAS_CORETYPE changes the kernel it names
 """
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import wcsrl
 from wcsrl.config import (
     _TABLE,
     ConfigError,
     KEY_SPECS,
+    _blas_kernel,
     config_hash,
     config_lines,
     cost_matrix,
@@ -283,6 +290,19 @@ def test_config_lines_roundtrip(scenario):
     assert config_hash(cfg) == config_hash(cfg2)
 
 
+@pytest.mark.parametrize("out_dir", ["runs/my run,1", "a, b ,c", "x = y"])
+def test_string_value_is_the_whole_right_hand_side(out_dir):
+    cfg = load_config(overrides={"scenario": "linear_power", "out_dir": out_dir})
+    cfg2 = load_config(text="\n".join(config_lines(cfg)))
+    assert cfg2.out_dir == out_dir
+    assert config_hash(cfg2) == config_hash(cfg)
+    # a comment still ends the value, and lists still split at commas
+    values = parse_config_text("out_dir =  runs/a b  # note\ntrain.hidden = 8,4")
+    assert values["out_dir"] == "runs/a b" and values["train.hidden"] == [8, 4]
+    # an empty list, which config_lines writes as nothing, reads back
+    assert parse_config_text("eval.baselines =") == {"eval.baselines": []}
+
+
 @pytest.mark.parametrize(
     "scenario, digest",
     [
@@ -326,5 +346,24 @@ def test_manifest_contents(tmp_path):
     assert f"config_hash = {config_hash(cfg)}" in text
     assert "numpy_version =" in text
     assert "blas =" in text
+    assert f"blas_kernel = {_blas_kernel()}\n" in text
     assert "seed = 3" in text
     assert "train.alloc_lqr.wall_seconds = 12.5" in text
+
+
+def test_manifest_names_the_kernel_openblas_runs(tmp_path):
+    if _blas_kernel() == "unknown":
+        pytest.skip("NumPy's BLAS does not report its OpenBLAS kernel")
+    # the child imports the same wcsrl as this process, installed or not
+    src = os.path.dirname(os.path.dirname(wcsrl.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    manifest = tmp_path / "manifest.txt"
+    code = "import sys; from wcsrl import config; "
+    code += "config.write_manifest(sys.argv[1], config.load_config())"
+    subprocess.run(
+        [sys.executable, "-c", code, str(manifest)],
+        check=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": "Haswell"},
+    )
+    assert "blas_kernel = Haswell\n" in manifest.read_text()

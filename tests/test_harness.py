@@ -17,12 +17,14 @@ Proves:
  Group 3: Artifacts and round trips
    9.  run_experiment writes config, logs, checkpoints, evaluation, manifest
   10.  Training logs and evaluation are bitwise repeatable across reruns
-  11.  evaluate_run reproduces the stored evaluation byte for byte, and every
+  11.  evaluate_run reproduces the stored evaluation byte for byte, also in a
+       run directory whose path holds a space and a comma, and every
        evaluation.csv cell is the report's statistic
   12.  save/load round-trips access-point plus per-plant agents; each per-plant
        checkpoint holds the bytes a standalone copy of its member saves to
-  13.  evaluate_run names the checkpoint, field and values on a config mismatch,
-       and both file lists when a checkpoint is stray or missing
+  13.  evaluate_run names the checkpoint, field and values on a config mismatch
+       of an actor or a critic, and both file lists when a checkpoint is
+       stray or missing
   14.  Pretraining and warm-up train under a region constraint, which sets
        no power budget
   15.  Each approach trains the actors learner.APPROACHES says, with every
@@ -301,6 +303,14 @@ def test_evaluate_run_reproduces(tmp_path):
     assert (tmp_path / "run" / "evaluation.csv").read_bytes() == first
 
 
+def test_evaluate_run_in_a_path_with_space_and_comma(tmp_path):
+    run = tmp_path / "my run,1"
+    harness.run_experiment(tiny_config(run))
+    first = (run / "evaluation.csv").read_bytes()
+    assert harness.evaluate_run(str(run)).cfg.out_dir == str(run)
+    assert (run / "evaluation.csv").read_bytes() == first
+
+
 def test_eval_csv_cells_match_report(tmp_path):
     # region signals, one per plant; stochastic policies
     result = harness.run_experiment(tiny_config(tmp_path / "run", **{"eval.stochastic": True}))
@@ -385,8 +395,14 @@ def test_evaluate_run_rejects_mismatched_checkpoint(tmp_path):
         config_path.write_text(text.replace(old, new))
         assert rejection() == f"checkpoint {actor}: {have}, but the scenario in config.txt {need}"
 
-    # a stray checkpoint file, then a missing one, under the original config
+    # a critic, an MLP, is checked on its sizes
     config_path.write_text(text)
+    critic = os.path.join(ckpt, "critic.npz")
+    neuralnet.save_critic(critic, neuralnet.MLP((8, 5, 1)))
+    have, need = "sizes is (8, 5, 1)", "needs (8, 64, 64, 1)"
+    assert rejection() == f"checkpoint {critic}: {have}, but the scenario in config.txt {need}"
+
+    # a stray checkpoint file, then a missing one, under the original config
     trains = "the config trains ['actor.npz', 'critic.npz']"
     shutil.copy(actor, os.path.join(ckpt, "rc_actor_0.npz"))
     held = "['actor.npz', 'critic.npz', 'rc_actor_0.npz']"

@@ -15,7 +15,8 @@ Proves:
  Group 3: Sampling and persistence
   10.  sample() transforms of the raw draw agree with transform()
   11.  Deterministic given the generator state
-  12.  Checkpoint save/load round-trips actor and critic bitwise
+  12.  Checkpoint save/load round-trips actor and critic bitwise; a stored
+       critic of another output width is refused
   13.  Loading a mis-shaped stored array names its key and both shapes
   14.  Optimizers take the expected first step in place (sgd exact,
        rmsprop scale); in-place RMSProp is the returned-copy form bitwise
@@ -228,6 +229,10 @@ def test_checkpoint_roundtrip(tmp_path):
     assert cloaded.sizes == critic.sizes
     assert np.array_equal(cloaded.get_flat(), critic.get_flat())
     assert np.array_equal(cloaded.forward(obs)[0], critic.forward(obs)[0])
+    # a critic has one output, whatever width a stored network has
+    save_critic(cpath, MLP((8, 16, 2), rng))
+    with pytest.raises(ValueError, match=re.escape("w1 has shape (16, 2), expected (16, 1)")):
+        load_critic(cpath)
 
 
 @pytest.mark.parametrize(
