@@ -162,9 +162,9 @@ class EpisodeRow:
 
 @dataclass
 class TrainedAgents:
-    """Trained actors/critics; unused slots stay None. actor/critic is the
-    joint or access-point pair; rc_actor and rc_critic stack the per-plant
-    pairs, member i for plant i."""
+    """Trained actors and critics (one-output MLPs); unused slots stay None.
+    actor/critic is the joint or access-point pair; rc_actor and rc_critic
+    stack the per-plant pairs, member i for plant i."""
 
     actor: Optional[GaussianActor] = None
     critic: Optional[MLP] = None
