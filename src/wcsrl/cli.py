@@ -41,7 +41,9 @@ def _load_config(args: argparse.Namespace) -> config_mod.ExperimentConfig:
     for item in args.assignments:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        lines.append(item.replace("=", " = ", 1))
+        key, _, value = item.partition("=")
+        config_mod.check_line_value(key.strip(), value)
+        lines.append(f"{key} = {value}")
     overrides = config_mod.parse_config_text("\n".join(lines))
     if args.scenario is not None:
         overrides["scenario"] = args.scenario

@@ -9,10 +9,11 @@ A config file looks like
     train.episodes = 1000
     train.hidden = 64 64
 
-`#` starts a comment. A list value splits at spaces and commas, and an
-empty one is an empty list; a string key (`out_dir`, `scenario`, ...)
-reads its whole right-hand side, stripped, as one value, so a path may
-hold spaces or commas.
+`#` starts a comment and a line break ends a value, so a value given as
+an override or on the command line may hold neither. A list value splits
+at spaces and commas, and an empty one is an empty list; a string key
+(`out_dir`, `scenario`, ...) reads its whole right-hand side, stripped,
+as one value, so a path may hold spaces or commas.
 
 Every key is declared once, as one row of `_TABLE`: its file key, value
 kind, default and its limit: the allowed values of an enum key, or the
@@ -61,6 +62,15 @@ def _parse_scalar(kind: str, tokens: list[str], key: str):
         raise ConfigError(f"{key}: cannot read {tok!r} as {kind}") from None
 
 
+def check_line_value(key: str, text: str) -> None:
+    """ConfigError naming key when text would not read back whole from a
+    config line: a `#` would start a comment, a line break a new line."""
+    if "#" in text:
+        raise ConfigError(f"{key}: '#' starts a comment in config text, got {text!r}")
+    if text and text.splitlines() != [text]:
+        raise ConfigError(f"{key}: a line break ends a value in config text, got {text!r}")
+
+
 def _has_kind(elem: str, value) -> bool:
     """Whether a Python value has the scalar kind; an int serves a float."""
     if isinstance(value, bool):
@@ -80,6 +90,8 @@ def _checked(key: str, value):
         if isinstance(value, (list, tuple)) and all(_has_kind(elem, v) for v in value):
             return list(value)
     elif _has_kind(elem, value):
+        if elem == "str":
+            check_line_value(key, value)
         return value
     raise ConfigError(f"{key}: expected kind {kind}, got {value!r}")
 

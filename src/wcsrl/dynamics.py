@@ -8,7 +8,7 @@ for that step.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -43,38 +43,19 @@ def unstable_drift(a: float) -> np.ndarray:
     )
 
 
-def psd_factor(cov: np.ndarray) -> np.ndarray:
-    """Factor S of a PSD matrix with S S^T = cov, tolerant of zero eigenvalues."""
-    cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValueError(f"covariance must be square, got shape {cov.shape}")
-    if not np.allclose(cov, cov.T, atol=1e-10):
-        raise ValueError("covariance must be symmetric")
-    if not cov.any():
-        return np.zeros_like(cov)
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(cov)
-        if vals.min() < -1e-10:
-            raise ValueError(f"covariance has negative eigenvalue {vals.min():.3e}")
-        return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
-
-
 @dataclass
 class PlantModel:
     """One plant: a linear system (A, B) or the cart-pole.
 
     kind is "linear" or "cartpole". Linear plants carry their matrices;
-    the cart-pole uses the module constants. process_noise_cov is the
-    covariance of the additive per-step disturbance.
+    the cart-pole uses the module constants. process_noise is the variance
+    of each entry of the i.i.d. additive per-step disturbance.
     """
 
     kind: str
     a_mat: Optional[np.ndarray] = None
     b_mat: Optional[np.ndarray] = None
-    process_noise_cov: Optional[np.ndarray] = None
-    _noise_factor: np.ndarray = field(init=False, repr=False)
+    process_noise: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kind == "linear":
@@ -93,15 +74,11 @@ class PlantModel:
                 raise ValueError("cartpole plant does not take matrices")
         else:
             raise ValueError(f"unknown plant kind {self.kind!r}")
-        if self.process_noise_cov is None:
-            self.process_noise_cov = np.zeros((self.state_dim, self.state_dim))
-        self.process_noise_cov = np.asarray(self.process_noise_cov, dtype=float)
-        if self.process_noise_cov.shape != (self.state_dim, self.state_dim):
+        self.process_noise = float(self.process_noise)
+        if not self.process_noise >= 0.0:
             raise ValueError(
-                f"process_noise_cov must be {(self.state_dim, self.state_dim)}, "
-                f"got {self.process_noise_cov.shape}"
+                f"process_noise must be a nonnegative variance, got {self.process_noise}"
             )
-        self._noise_factor = psd_factor(self.process_noise_cov)
 
     @property
     def state_dim(self) -> int:
@@ -206,18 +183,11 @@ class CostWeights:
             raise ValueError("r must be positive definite")
 
 
-def make_fixed_ensemble(
-    m: int,
-    a_mat: np.ndarray,
-    b_mat: Optional[np.ndarray] = None,
-    process_noise_cov: Optional[np.ndarray] = None,
-) -> list[PlantModel]:
-    """m identical linear plants sharing the given matrices (B defaults to identity)."""
+def make_fixed_ensemble(m: int, a_mat: np.ndarray, process_noise: float = 0.0) -> list[PlantModel]:
+    """m identical linear plants x' = A x + u + w sharing the drift a_mat."""
     a_mat = np.asarray(a_mat, dtype=float)
-    if b_mat is None:
-        b_mat = np.eye(a_mat.shape[0])
     return [
-        PlantModel(kind="linear", a_mat=a_mat.copy(), b_mat=np.asarray(b_mat, dtype=float).copy(),
-                   process_noise_cov=process_noise_cov)
+        PlantModel(kind="linear", a_mat=a_mat.copy(), b_mat=np.eye(a_mat.shape[0]),
+                   process_noise=process_noise)
         for _ in range(m)
     ]

@@ -38,7 +38,8 @@ class NoiseTape:
     """One episode of exogenous randomness for every row, time first:
     gains (H+1, ..., m) at reset and after each step, observation noise
     (H, ..., obs_dim), delivery uniforms (H, ..., m) or None under
-    force_delivery, and process noise L w (H, ..., m, p). channel_noise
+    force_delivery, and process noise (H, ..., m, p), each plant's standard
+    normal draws scaled by its standard deviation. channel_noise
     and plant_noise view the observation noise split the way observe()
     adds it: (H, ..., m) and (H, ..., m, p)."""
 
@@ -146,7 +147,6 @@ class StepResult:
     per_plant_costs: np.ndarray
     signals: np.ndarray
     delivered: np.ndarray
-    snr: np.ndarray
     realized_u: np.ndarray
 
 
@@ -240,7 +240,8 @@ class WirelessControlEnv:
         else:
             self._a_stack = None
             self._b_stack = None
-        self._noise_stack = np.stack([p._noise_factor for p in plants])
+        # one process-noise standard deviation per plant, broadcast over its entries
+        self._process_std = np.sqrt([p.process_noise for p in plants])[:, None]
 
     @property
     def n_signals(self) -> int:
@@ -273,8 +274,8 @@ class WirelessControlEnv:
                 rng.standard_normal(out=row_z[t])
                 row_gains[t + 1] = self.channel.sample_gains(rng)
         obs *= self._obs_noise_std
-        process = np.einsum("ijk,...ik->...ij", self._noise_stack, z)
-        tape = NoiseTape(gains=gains, obs=obs, uniforms=uniforms, process=process)
+        z *= self._process_std
+        tape = NoiseTape(gains=gains, obs=obs, uniforms=uniforms, process=z)
         return SystemState(x=x0, h=gains[0], tape=tape, t=0)
 
     def _tape_index(self, state: SystemState) -> int:
@@ -307,8 +308,7 @@ class WirelessControlEnv:
         t = self._tape_index(state)
         tape = state.tape
 
-        snr_values = snr(state.h, alpha)
-        probs = delivery_probability(snr_values)
+        probs = delivery_probability(snr(state.h, alpha))
         if self.force_delivery:
             delivered = np.ones(alpha.shape, dtype=bool)
         else:
@@ -336,7 +336,6 @@ class WirelessControlEnv:
             per_plant_costs=per_plant,
             signals=signals,
             delivered=delivered,
-            snr=snr_values,
             realized_u=realized_u,
         )
 

@@ -93,18 +93,17 @@ def _build_plants(
     cfg: ExperimentConfig, rng: np.random.Generator
 ) -> tuple[list, Optional[np.ndarray]]:
     m = cfg.plants_count
+    noise = cfg.plants_process_noise
     if cfg.plants_family == "cartpole":
-        noise = cfg.plants_process_noise * np.eye(4)
-        return [PlantModel(kind="cartpole", process_noise_cov=noise) for _ in range(m)], None
-    noise = cfg.plants_process_noise * np.eye(3)
+        return [PlantModel(kind="cartpole", process_noise=noise) for _ in range(m)], None
     if cfg.plants_family == "fixed_mixed":
-        return make_fixed_ensemble(m, MIXED_DRIFT, process_noise_cov=noise), None
+        return make_fixed_ensemble(m, MIXED_DRIFT, process_noise=noise), None
     if cfg.plants_a_values is not None:
         a_values = np.asarray(cfg.plants_a_values, dtype=float)
     else:
         a_values = rng.uniform(cfg.plants_a_low, cfg.plants_a_high, size=m)
     plants = [
-        PlantModel(kind="linear", a_mat=unstable_drift(a), b_mat=np.eye(3), process_noise_cov=noise)
+        PlantModel(kind="linear", a_mat=unstable_drift(a), b_mat=np.eye(3), process_noise=noise)
         for a in a_values
     ]
     return plants, a_values

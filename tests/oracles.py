@@ -6,7 +6,7 @@ the selecting heuristics; these stay readable.
 """
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -55,7 +55,7 @@ def make_linear_ensemble(
     a_low: float,
     a_high: float,
     rng: np.random.Generator,
-    process_noise_cov: Optional[np.ndarray] = None,
+    process_noise: float = 0.0,
 ) -> list[PlantModel]:
     """m independent plants on the unstable-drift template, a ~ U[a_low, a_high], B = I."""
     if m < 1:
@@ -70,7 +70,7 @@ def make_linear_ensemble(
                 kind="linear",
                 a_mat=unstable_drift(a),
                 b_mat=np.eye(3),
-                process_noise_cov=process_noise_cov,
+                process_noise=process_noise,
             )
         )
     return plants

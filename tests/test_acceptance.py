@@ -1,11 +1,11 @@
 """Acceptance gates for the package.
 
-Eleven end-to-end checks, one test each, every one printing a single
+Twelve end-to-end checks, one test each, every one printing a single
 ``[criterion N] PASS/FAIL`` line (run pytest with ``-s`` to see the lines
-for passing tests too). The training-based gates (7 through 10) build
-their policies once per session through shared fixtures; everything is
-deterministic for the pinned seeds, so reruns reproduce these numbers
-exactly.
+for passing tests too). The training-based gates (7 through 10, and 12)
+build their policies once per session through shared fixtures;
+everything is deterministic for the pinned seeds, so reruns reproduce
+these numbers exactly.
 """
 from __future__ import annotations
 
@@ -221,7 +221,7 @@ def test_learned_allocation_beats_heuristics(power_study):
     )
 
 
-# -- 9/10: joint learning study ----------------------------------------------
+# -- 9/10/12: joint learning study -------------------------------------------
 
 
 @pytest.fixture(scope="session")
@@ -243,15 +243,18 @@ def codesign_study():
             }
         )
         bundle = harness.build_scenario(cfg)
-        pols, agents = {}, {}
+        pols, agents, multipliers = {}, {}, {}
         for idx, approach in enumerate(cfg.train_approaches):
             result = harness.train_approach(bundle, approach, idx)
             agents[approach] = result.agents
+            multipliers[approach] = result.dual.multipliers
             pols[approach] = harness.eval_policy_for(bundle, approach, result.agents)
         report = harness.evaluate(bundle, pols)
         runs[seed] = {
             "bundle": bundle,
             "agents": agents,
+            "multipliers": multipliers,
+            "report": report,
             "ratio": report.overall_mean("codesign") / report.overall_mean("alloc_lqr"),
         }
     return {"runs": runs, "wall": time.time() - t0}
@@ -328,4 +331,21 @@ def test_repeat_runs_bitwise_identical(tmp_path_factory):
         11,
         artifacts[0] == artifacts[1],
         "training log and evaluation table byte-identical across a repeated run",
+    )
+
+
+# -- 12: the power budget where the multiplier acts ---------------------------
+
+
+def test_learned_codesign_meets_its_power_budget(codesign_study):
+    # sum_power is the one constraint whose multiplier the gate-9 runs move;
+    # the bound 0 is the budget itself, and the seeds are gate 9's
+    runs = codesign_study["runs"]
+    signals = np.stack([runs[s]["report"].mean_signals("codesign") for s in SEEDS])
+    lams = np.stack([runs[s]["multipliers"]["codesign"] for s in SEEDS])
+    verdict(
+        12,
+        bool(np.all(signals <= 0.0)),
+        f"learned codesign mean discounted power signals per seed {np.round(signals[:, 0], 3)} "
+        f"(bound 0), final multipliers {np.round(lams[:, 0], 3)}",
     )

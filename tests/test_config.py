@@ -11,7 +11,9 @@ Proves:
       wrong kind names the key and its kind, and configs share no list with
       the defaults
   6.  config_lines round-trips through the parser for every preset, and
-      load_config(text=...) reads an out_dir holding spaces and commas
+      load_config(text=...) reads an out_dir holding spaces and commas; a
+      given string value holding `#` or a line break is refused, naming
+      its key
   7.  config_hash ignores out_dir but tracks every experiment key; the
       preset hashes are pinned
   8.  cost_matrix expands scales and diagonals
@@ -301,6 +303,17 @@ def test_string_value_is_the_whole_right_hand_side(out_dir):
     assert values["out_dir"] == "runs/a b" and values["train.hidden"] == [8, 4]
     # an empty list, which config_lines writes as nothing, reads back
     assert parse_config_text("eval.baselines =") == {"eval.baselines": []}
+
+
+@pytest.mark.parametrize("key", ["out_dir", "plants.init"])
+def test_given_string_value_must_read_back_whole(key):
+    # written to config.txt, "runs/a#b" would read back as "runs/a", and
+    # "runs/a\neval.tests = 1" would also set eval.tests
+    with pytest.raises(ConfigError, match=re.escape(f"{key}: '#' starts a comment")):
+        load_config(overrides={key: "runs/a#b"})
+    for text in ("runs/a\neval.tests = 1", "runs/a\r", "runs/a\u2028b"):
+        with pytest.raises(ConfigError, match=re.escape(f"{key}: a line break ends a value")):
+            load_config(overrides={key: text})
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,8 @@ Proves:
   11.  Stepping rows (..., 4) at once equals stepping each row alone,
        bitwise, and an out-of-range force names its row
  Group 3: Noise and cost plumbing
-  11.  psd_factor: S S^T recovers the covariance, zero matrix passes through
+  11.  Process noise is one nonnegative variance per plant; a negative or
+       NaN value is named
   12.  Switched actuation zeroes dropped inputs only
   13.  Quadratic stage cost matches the explicit sum
   14.  CostWeights takes diagonal weights only, names the one that is not
@@ -43,7 +44,6 @@ from wcsrl.dynamics import (
     cartpole_linearization,
     cartpole_step,
     make_fixed_ensemble,
-    psd_factor,
     unstable_drift,
 )
 from oracles import apply_switched_input, linear_step, make_linear_ensemble, quadratic_stage_cost
@@ -187,20 +187,14 @@ def test_cartpole_linearization_local_accuracy():
 # Group 3 -------------------------------------------------------------------
 
 
-def test_psd_factor_roundtrip():
-    rng = np.random.Generator(np.random.PCG64(5))
-    mat = rng.standard_normal((4, 4))
-    cov = mat @ mat.T
-    factor = psd_factor(cov)
-    assert np.allclose(factor @ factor.T, cov, atol=1e-10)
-    assert np.array_equal(psd_factor(np.zeros((3, 3))), np.zeros((3, 3)))
-    # singular but PSD: rank-1
-    v = np.array([[1.0], [2.0]])
-    cov1 = v @ v.T
-    f1 = psd_factor(cov1)
-    assert np.allclose(f1 @ f1.T, cov1, atol=1e-10)
-    with pytest.raises(ValueError):
-        psd_factor(np.array([[1.0, 0.0], [0.0, -1.0]]))
+def test_process_noise_is_one_nonnegative_variance():
+    assert PlantModel(kind="cartpole").process_noise == 0.0
+    plant = PlantModel(kind="linear", a_mat=unstable_drift(1.1), b_mat=np.eye(3), process_noise=2)
+    assert plant.process_noise == 2.0 and isinstance(plant.process_noise, float)
+    for bad in (-1e-12, float("nan")):
+        with pytest.raises(ValueError, match=f"nonnegative variance, got {bad}"):
+            PlantModel(kind="cartpole", process_noise=bad)
+    assert all(p.process_noise == 0.3 for p in make_fixed_ensemble(2, unstable_drift(1.1), 0.3))
 
 
 def test_switched_input():

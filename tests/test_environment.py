@@ -23,7 +23,8 @@ Proves:
   13.  Identical generators give identical trajectories
   14.  reset() honors init kinds
  Group 4: Batched rows and the noise tape
-  15.  The tape holds the documented draw order of the row's generator
+  15.  The tape holds the documented draw order of the row's generator,
+       each plant's process draws scaled by the root of its own variance
   16.  observe() and step() never draw; stepping past the tape raises
   17.  B rows reset, observe and step bitwise like B single-row environments
        on the same generators: linear and cart-pole plants, sum_power,
@@ -68,7 +69,7 @@ def make_env(
             kind="linear",
             a_mat=unstable_drift(1.05 + 0.02 * i),
             b_mat=np.eye(3),
-            process_noise_cov=process_noise * np.eye(3),
+            process_noise=process_noise,
         )
         for i in range(m)
     ]
@@ -297,12 +298,12 @@ def make_rows_env(kind, constraint, force_delivery, rngs):
                 kind="linear",
                 a_mat=unstable_drift(1.05 + 0.02 * i) + 0.1 * np.tri(3, k=-1),
                 b_mat=np.eye(3),
-                process_noise_cov=0.1 * np.eye(3) + 0.05,
+                process_noise=0.05 * (i + 1),
             )
             for i in range(m)
         ]
     else:
-        plants = [PlantModel(kind="cartpole", process_noise_cov=1e-4 * np.eye(4)) for _ in range(m)]
+        plants = [PlantModel(kind="cartpole", process_noise=1e-4) for _ in range(m)]
     p, q = plants[0].state_dim, plants[0].input_dim
     obs_noise = np.linspace(0.05, 0.5, m * (1 + p))
     specs = {
@@ -333,13 +334,13 @@ def test_tape_holds_documented_draw_order():
     state = env.reset(horizon)
     rng = gen(5)  # replay the documented order by hand
     noise_std = np.sqrt(np.linspace(0.05, 0.5, env.obs_dim))
-    factors = np.stack([p._noise_factor for p in env.plants])
+    process_std = np.sqrt([p.process_noise for p in env.plants])[:, None]
     assert np.array_equal(state.x, 1.0 * rng.standard_normal((3, 3)))
     assert np.array_equal(state.h, env.channel.sample_gains(rng))
     for t in range(horizon):
         assert np.array_equal(state.tape.obs[t], noise_std * rng.standard_normal(env.obs_dim))
         assert np.array_equal(state.tape.uniforms[t], rng.random(3))
-        w = np.einsum("ijk,ik->ij", factors, rng.standard_normal((3, 3)))
+        w = process_std * rng.standard_normal((3, 3))
         assert np.array_equal(state.tape.process[t], w)
         assert np.array_equal(state.tape.gains[t + 1], env.channel.sample_gains(rng))
     # the next episode continues the stream exactly where this one stopped
@@ -385,7 +386,7 @@ def test_rows_match_single_row_environments(kind, constraint, force_delivery):
                 assert np.array_equal(obs.channel[i], one_obs.channel)
                 assert np.array_equal(obs.plant[i], one_obs.plant)
                 one = env.step(s, JointAction(alpha=alpha[i], u=u[i]))
-                for field in ("stage_cost", "per_plant_costs", "signals", "delivered", "snr", "realized_u"):
+                for field in ("stage_cost", "per_plant_costs", "signals", "delivered", "realized_u"):
                     assert np.array_equal(getattr(res, field)[i], getattr(one, field)), (t, i, field)
                 assert np.array_equal(res.next_state.x[i], one.next_state.x)
                 assert np.array_equal(res.next_state.h[i], one.next_state.h)
@@ -462,7 +463,7 @@ def test_episode_is_the_hand_loop(seeds):
         assert np.array_equal(obs.channel, want_obs.channel)
         assert np.array_equal(obs.plant, want_obs.plant)
         want = twin.step(state, action)
-        for field in ("stage_cost", "per_plant_costs", "signals", "delivered", "snr", "realized_u"):
+        for field in ("stage_cost", "per_plant_costs", "signals", "delivered", "realized_u"):
             assert np.array_equal(getattr(res, field), getattr(want, field)), (t, field)
         assert np.array_equal(res.next_state.x, want.next_state.x)
         assert discount == disc == pytest.approx(twin.gamma**t, rel=1e-14)

@@ -536,5 +536,16 @@ def test_cli_config_error(tmp_path):
     assert proc.stderr.startswith("error: ")
     proc = run_cli("train", "--set", "seed=abc")
     assert proc.returncode == 2
+    # a '#' would cut the value short where config text is read, a line break
+    # would start another key's line
+    for args, why in (
+        (["--set", "out_dir=runs/a#b"], "out_dir: '#' starts a comment"),
+        (["--out", "runs/a#b"], "out_dir: '#' starts a comment"),
+        (["--set", "seed=3#4"], "seed: '#' starts a comment"),
+        (["--set", "out_dir=runs/a\ntrain.episodes=5"], "out_dir: a line break ends a value"),
+    ):
+        proc = run_cli("train", *args)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: {why}"), proc.stderr
     proc = run_cli("evaluate", "--run", str(tmp_path / "missing"))
     assert proc.returncode in (1, 2)

@@ -62,7 +62,7 @@ def env_factory_for(m=2, gamma=0.99, constraint="region", a_mat=None):
             kind="linear",
             a_mat=unstable_drift(1.05) if a_mat is None else a_mat,
             b_mat=np.eye(3),
-            process_noise_cov=0.05 * np.eye(3),
+            process_noise=0.05,
         )
         for _ in range(m)
     ]

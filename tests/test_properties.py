@@ -3,11 +3,17 @@
 Proves:
   1.  Config text round-trips: config_lines -> load_config(text=...) gives
       the same lines and config_hash for every preset, any out_dir text
-      and in-range numeric overrides
+      and in-range numeric overrides; an out_dir holding `#` or a line
+      break, which would not read back whole, is refused naming out_dir
   2.  A member-stacked MLP (every critic is one) equals its separate
       members bitwise, for 1-5 members, 1-9 rows and any layer sizes
   3.  The environment's per-diagonal stage cost equals the three-operand
       einsum for finite states of any batch shape
+  4.  B rows of one environment reset, observe and step bitwise like B
+      single-row environments on the same generators, for any B, m, plant
+      kind and linear state and input size, per-plant process-noise
+      variances that include 0, any constraint, with and without
+      force_delivery, and feasible actions
 
 The profile is derandomized, so every run tries the same examples.
 """
@@ -22,9 +28,15 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from wcsrl.config import SCENARIO_PRESETS, config_hash, config_lines, load_config  # noqa: E402
-from wcsrl.dynamics import CostWeights, PlantModel, unstable_drift  # noqa: E402
-from wcsrl.environment import JointAction, WirelessControlEnv  # noqa: E402
+from wcsrl.config import (  # noqa: E402
+    SCENARIO_PRESETS,
+    ConfigError,
+    config_hash,
+    config_lines,
+    load_config,
+)
+from wcsrl.dynamics import FORCE_LIMIT, CostWeights, PlantModel, unstable_drift  # noqa: E402
+from wcsrl.environment import ConstraintSpec, JointAction, WirelessControlEnv  # noqa: E402
 from wcsrl.neuralnet import MLP  # noqa: E402
 from wcsrl.wireless import ChannelModel  # noqa: E402
 
@@ -38,10 +50,10 @@ def finite(low: float, high: float):
 
 # -- 1: config text round-trips ----------------------------------------------
 
-# Path text as config_lines writes it: one line, no comment sign, and no
-# surrounding whitespace, which the parser strips.
+# Path text without surrounding whitespace, which the parser strips. `#`
+# and line breaks are drawn often, since a value holding one is refused.
 OUT_DIRS = (
-    st.text(st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp"), exclude_characters="#"))
+    st.text(st.characters(exclude_categories=("Cs",)) | st.sampled_from("#\n/ ,"))
     .map(str.strip)
     .filter(bool)
 )
@@ -61,13 +73,19 @@ NUMERIC = {
 }
 
 
+@settings(max_examples=300)  # so that over a hundred out_dirs read back whole
 @given(
     scenario=st.sampled_from(sorted(SCENARIO_PRESETS)),
     out_dir=OUT_DIRS,
     overrides=st.fixed_dictionaries({}, optional=NUMERIC),
 )
 def test_config_text_round_trips(scenario, out_dir, overrides):
-    cfg = load_config(overrides={"scenario": scenario, "out_dir": out_dir, **overrides})
+    given = {"scenario": scenario, "out_dir": out_dir, **overrides}
+    if "#" in out_dir or len(out_dir.splitlines()) > 1:
+        with pytest.raises(ConfigError, match="^out_dir: "):
+            load_config(overrides=given)
+        return
+    cfg = load_config(overrides=given)
     again = load_config(text="\n".join(config_lines(cfg)))
     assert again.out_dir == out_dir
     assert config_lines(again) == config_lines(cfg)
@@ -120,7 +138,7 @@ def stage_cost_cases(draw):
 def test_diagonal_stage_cost_is_the_einsum(case, seed):
     m, rows, weights, x, alpha, u = case
     plant = PlantModel(
-        kind="linear", a_mat=unstable_drift(1.1), b_mat=np.eye(3), process_noise_cov=np.eye(3)
+        kind="linear", a_mat=unstable_drift(1.1), b_mat=np.eye(3), process_noise=1.0
     )
     gens = [np.random.Generator(np.random.PCG64([seed, k])) for k in range(rows or 1)]
     env = WirelessControlEnv(
@@ -133,3 +151,86 @@ def test_diagonal_stage_cost_is_the_einsum(case, seed):
     want = np.einsum("...ij,jk,...ik->...i", x, weights.q, x)
     want += np.einsum("...ij,jk,...ik->...i", res.realized_u, weights.r, res.realized_u)
     assert np.array_equal(res.per_plant_costs, want)
+
+
+# -- 4: batched rows equal single-row environments ---------------------------
+
+CONSTRAINTS = {
+    "sum_power": ConstraintSpec(kind="sum_power", power_budget=10.0),
+    "region": ConstraintSpec(kind="region", region_half_width=0.5, region_budget=2.0),
+    None: None,
+}
+
+
+@st.composite
+def rows_cases(draw):
+    kind = draw(st.sampled_from(["linear", "cartpole"]))
+    m = draw(st.integers(1, 4))
+    variance = st.sampled_from([0.0, 1e-4]) | finite(0.0, 1.0)
+    variances = draw(st.lists(variance, min_size=m, max_size=m))
+    if kind == "linear":
+        p, q = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        a_mat = 1.05 * np.eye(p) + 0.1 * np.tri(p, k=-1)
+        plants = [
+            PlantModel(kind="linear", a_mat=a_mat, b_mat=np.ones((p, q)) / q, process_noise=v)
+            for v in variances
+        ]
+    else:
+        plants = [PlantModel(kind="cartpole", process_noise=v) for v in variances]
+    options = dict(
+        constraint=CONSTRAINTS[draw(st.sampled_from(sorted(CONSTRAINTS, key=str)))],
+        force_delivery=draw(st.booleans()),
+        init_kind=draw(st.sampled_from(["normal", "uniform", "zero"])),
+        init_scale=0.05 if kind == "cartpole" else 1.0,
+    )
+    return plants, options, draw(st.integers(1, 5)), draw(st.integers(1, 5))
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@given(case=rows_cases(), seed=st.integers(0, 2**32 - 1))
+def test_rows_equal_single_row_environments(case, seed):
+    plants, options, rows, horizon = case
+    m, p, q = len(plants), plants[0].state_dim, plants[0].input_dim
+    aux = np.random.Generator(np.random.PCG64([seed, rows]))
+    obs_var = np.where(aux.random(m * (1 + p)) < 0.3, 0.0, aux.random(m * (1 + p)))
+
+    def make(rng):
+        return WirelessControlEnv(
+            plants=plants,
+            channel=ChannelModel(distances=np.linspace(0.8, 1.6, m)),
+            weights=CostWeights(q=np.diag(np.arange(1.0, p + 1)), r=0.1 * np.eye(q)),
+            rng=rng,
+            obs_noise_cov=obs_var,
+            **options,
+        )
+
+    def gens():
+        return [np.random.Generator(np.random.PCG64([seed, k])) for k in range(rows)]
+
+    batched = make(gens())
+    singles = [make(g) for g in gens()]
+    for _ in range(2):  # the second episode continues every row's stream
+        state = batched.reset(horizon)
+        single_states = [env.reset(horizon) for env in singles]
+        for i, (env, s) in enumerate(zip(singles, single_states)):
+            assert same_bits(state.tape.process[:, i], s.tape.process)
+        for _ in range(horizon):
+            obs = batched.observe(state)
+            alpha = np.abs(aux.standard_normal((rows, m)))
+            u = np.clip(3.0 * aux.standard_normal((rows, m, q)), -FORCE_LIMIT, FORCE_LIMIT)
+            res = batched.step(state, JointAction(alpha=alpha, u=u))
+            for i, (env, s) in enumerate(zip(singles, single_states)):
+                one_obs = env.observe(s)
+                assert same_bits(obs.channel[i], one_obs.channel)
+                assert same_bits(obs.plant[i], one_obs.plant)
+                one = env.step(s, JointAction(alpha=alpha[i], u=u[i]))
+                for name in ("stage_cost", "per_plant_costs", "signals", "delivered", "realized_u"):
+                    assert same_bits(getattr(res, name)[i], getattr(one, name)), name
+                assert same_bits(res.next_state.x[i], one.next_state.x)
+                assert same_bits(res.next_state.h[i], one.next_state.h)
+                single_states[i] = one.next_state
+            state = res.next_state
