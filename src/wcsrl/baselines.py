@@ -8,6 +8,8 @@ shape: gains (..., m), plant states (..., m, p).
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -90,13 +92,24 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     return (-scores).argsort(axis=-1, kind="stable")[..., :k]
 
 
+@functools.lru_cache(maxsize=32)
+def _share_operands(n_active: int, p_total: float) -> tuple[np.ndarray, np.ndarray]:
+    """n_active and p_total/n_active as read-only 0-d arrays, built once per
+    pair: a ufunc takes a 0-d array operand faster than a Python scalar."""
+    operands = np.array(n_active), np.array(p_total / n_active)
+    for arr in operands:
+        arr.flags.writeable = False
+    return operands
+
+
 def _share_top_k(scores: np.ndarray, n_active: int, p_total: float) -> np.ndarray:
     """p_total/n_active to each of the n_active largest scores along the last axis."""
     m = scores.shape[-1]
     _check_alloc_args(m, n_active, p_total)
     # each score's place in the descending order; the first n_active places get power
     rank = top_k_indices(scores, m).argsort(axis=-1, kind="stable")
-    return (rank < n_active) * (p_total / n_active)
+    active, share = _share_operands(n_active, p_total)
+    return (rank < active) * share
 
 
 def equal_power(m: int, p_total: float) -> np.ndarray:

@@ -5,10 +5,12 @@ A row is one independent copy of the system: a training worker, or the
 single row of an evaluation cell or of pretraining. States, actions and
 results carry the rows as a leading batch shape, which is empty for a
 single row. A step takes the joint action (power allocations, candidate
-control inputs), rolls the delivery lottery per plant, applies delivered
-inputs (dropped plants run open loop), charges the quadratic stage cost
-on the realized inputs, and reports per-step constraint signals whose
-discounted episode sum estimates the constraint slack.
+control inputs), rolls the delivery lottery per plant and applies the
+delivered inputs (dropped plants run open loop). charge() prices steps
+apart from the transition: the quadratic stage cost of a state and its
+realized inputs, and the constraint signals whose discounted episode sum
+estimates the constraint slack. It takes any leading shape, so training
+charges each step's worker batch and evaluation a whole episode at once.
 
 All randomness is exogenous: it never depends on the actions. So reset()
 draws a whole episode of it up front, one noise tape per row from that
@@ -122,6 +124,8 @@ class ConstraintSpec:
                 raise ValueError("region constraint needs a positive region_half_width")
             if self.region_budget is None or self.region_budget < 0:
                 raise ValueError("region constraint needs a nonnegative region_budget")
+            # a 0-d array operand, which a comparison takes faster than a float
+            self._half_width = np.array(float(self.region_half_width))
         else:
             raise ValueError(f"unknown constraint kind {self.kind!r}")
 
@@ -134,18 +138,17 @@ class ConstraintSpec:
         constraint bound in via the geometric series (1-gamma) * bound * sum(gamma^t)."""
         if self.kind == "sum_power":
             return (np.add.reduce(alpha, axis=-1) - (1.0 - gamma) * self.power_budget)[..., None]
-        outside = np.logical_or.reduce(np.abs(x_stack) > self.region_half_width, axis=-1)
+        outside = np.logical_or.reduce(np.abs(x_stack) > self._half_width, axis=-1)
         return outside - (1.0 - gamma) * self.region_budget
 
 
 @dataclass
 class StepResult:
-    """Per-row outcome of one step; stage_cost has the batch shape."""
+    """Per-row transition of one step: the next state, which plants' packets
+    arrived (batch + (m,)) and the inputs that reached them (batch + (m, q)).
+    charge() prices the step from its pre-step state and realized_u."""
 
     next_state: SystemState
-    stage_cost: np.ndarray
-    per_plant_costs: np.ndarray
-    signals: np.ndarray
     delivered: np.ndarray
     realized_u: np.ndarray
 
@@ -315,13 +318,6 @@ class WirelessControlEnv:
             delivered = tape.uniforms[t] < probs
         realized_u = u * delivered[..., None]
 
-        per_plant = np.add.reduce(state.x * self._q_diag * state.x, axis=-1)
-        per_plant += np.add.reduce(realized_u * self._r_diag * realized_u, axis=-1)
-        if self.constraint is None:
-            signals = np.zeros(self.batch_shape + (0,))
-        else:
-            signals = self.constraint.signal(state.x, alpha, self.gamma)
-
         w = tape.process[t]
         if self._a_stack is not None:
             next_x = np.einsum("ijk,...ik->...ij", self._a_stack, state.x)
@@ -332,12 +328,25 @@ class WirelessControlEnv:
 
         return StepResult(
             next_state=SystemState(x=next_x, h=tape.gains[t + 1], tape=tape, t=t + 1),
-            stage_cost=np.add.reduce(per_plant, axis=-1),
-            per_plant_costs=per_plant,
-            signals=signals,
             delivered=delivered,
             realized_u=realized_u,
         )
+
+    def charge(
+        self, x: np.ndarray, realized_u: np.ndarray, alpha: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(per-plant costs (..., m), stage costs (...), signals (..., n_signals))
+        of pre-step states x (..., m, p), the inputs that reached the plants
+        (..., m, q) and allocations (..., m), for any leading shape: one step
+        of a batch, or a stacked (T, ...) trajectory, which prices each step
+        bit for bit as charging it alone would."""
+        per_plant = np.add.reduce(x * self._q_diag * x, axis=-1)
+        per_plant += np.add.reduce(realized_u * self._r_diag * realized_u, axis=-1)
+        if self.constraint is None:
+            signals = np.zeros(alpha.shape[:-1] + (0,))
+        else:
+            signals = self.constraint.signal(x, alpha, self.gamma)
+        return per_plant, np.add.reduce(per_plant, axis=-1), signals
 
     def episode(
         self, start: SystemState, act: Callable[[Observation, int], JointAction]
@@ -345,7 +354,7 @@ class WirelessControlEnv:
         """The closed loop from start to the end of its tape: each step observes,
         asks act(obs, t) for the action, steps, and yields (t, obs, action,
         result, discount), the discount being the running product gamma^t.
-        Callers keep their own sums and divergence rules."""
+        Callers charge the steps and keep their own sums and divergence rules."""
         state, disc = start, 1.0
         for t in range(start.t, start.tape.horizon):
             obs = self.observe(state)

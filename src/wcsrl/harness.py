@@ -248,24 +248,50 @@ def rollout(
     """One evaluation episode, env.episode from start over its whole noise
     tape: discounted cost and constraint sums, the largest joint state norm
     seen, and whether the state left the representable region (cost then
-    saturates at DIVERGENCE_COST). The env is a single row, so the cost
-    sums in Python floats, which round as numpy's float64 scalars do."""
-    cost = 0.0
-    signals = np.zeros(env.n_signals)
+    saturates at DIVERGENCE_COST). The env is a single row. Each step's
+    pre-step state, realized input and allocation are kept, and after the
+    last step run (the diverging one included) env.charge prices them all
+    at once; the sums add the discounted terms in step order from zero, as
+    a per-step loop adds them."""
+    steps = start.tape.horizon - start.t
+    xs = np.empty((steps + 1,) + start.x.shape)
+    realized = np.empty((steps, env.m, env.input_dim))
+    alphas = np.empty((steps, env.m))
+    xs[0] = start.x
     max_norm = _norm(start.x)
+    ran, diverged = 0, False
     act = lambda obs, t: policy.act(obs, t, policy_rng)
-    for _, _, _, res, disc in env.episode(start, act):
-        cost += disc * float(res.stage_cost)
-        signals += disc * res.signals
+    for _, _, action, res, _ in env.episode(start, act):
+        alphas[ran] = action.alpha
+        realized[ran] = res.realized_u
+        ran += 1
+        xs[ran] = res.next_state.x
         norm = _norm(res.next_state.x)
         if not math.isfinite(norm):
             norm = math.inf
         max_norm = max(max_norm, norm)
         if norm > DIVERGENCE_LIMIT:
-            return RolloutStats(DIVERGENCE_COST, signals, max_norm, True)
-    if not math.isfinite(cost):
+            diverged = True
+            break
+    _, stage, signals = env.charge(xs[:ran], realized[:ran], alphas[:ran])
+    # the running product gamma^t, as env.episode's discount
+    disc = np.full(ran, env.gamma)
+    disc[:1] = 1.0
+    disc = np.multiply.accumulate(disc)
+    cost = float(_sum_from_zero(disc * stage))
+    signals = _sum_from_zero(disc[:, None] * signals)
+    if diverged or not math.isfinite(cost):
         return RolloutStats(DIVERGENCE_COST, signals, max_norm, True)
     return RolloutStats(cost, signals, max_norm, False)
+
+
+def _sum_from_zero(terms: np.ndarray) -> np.ndarray:
+    """The sum over the leading axis, added term by term from zero, bit for
+    bit `total = 0.0; for term in terms: total += term` (np.sum adds
+    pairwise, and would round differently)."""
+    padded = np.zeros((len(terms) + 1,) + terms.shape[1:])
+    padded[1:] = terms
+    return np.add.accumulate(padded, axis=0)[-1]
 
 
 def _norm(x: np.ndarray) -> float:

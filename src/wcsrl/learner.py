@@ -426,22 +426,26 @@ def train(
 
         ep_pen = np.zeros(n)
         ep_sig = np.zeros((n, n_sig))
-        for t, _, action, res, disc in env.episode(env.reset(cfg.train_horizon), act):
-            if not np.isfinite(res.next_state.x).all():
-                worker = int(np.argmin(np.isfinite(res.next_state.x).reshape(n, -1).all(axis=1)))
+        state = env.reset(cfg.train_horizon)
+        x = state.x  # the pre-step state each step is charged on
+        for t, _, action, res, disc in env.episode(state, act):
+            per_plant, stage, signals = env.charge(x, res.realized_u, action.alpha)
+            x = res.next_state.x
+            if not np.isfinite(x).all():
+                worker = int(np.argmin(np.isfinite(x).reshape(n, -1).all(axis=1)))
                 raise TrainingDivergedError(
                     f"non-finite plant state at episode {episode}, step {t}, worker {worker}",
                     episode,
                 )
 
-            pen_costs = res.stage_cost + res.signals @ dual.multipliers
+            pen_costs = stage + signals @ dual.multipliers
             ep_pen += disc * pen_costs
-            ep_sig += disc * res.signals
+            ep_sig += disc * signals
 
             if ap_agent is not None and action.raw is not None:
                 ap_agent.record(action.rows, action.raw, pen_costs)
             if rc_agent is not None:
-                rc_agent.record(action.rc_inputs, action.rc_raw, res.per_plant_costs.T)
+                rc_agent.record(action.rc_inputs, action.rc_raw, per_plant.T)
         for ag in seg_agents:
             ag.update(None, at_end=True, episode=episode)
 

@@ -135,7 +135,8 @@ def control_aware(x_stack: np.ndarray, n_active: int, p_total: float) -> np.ndar
 def rollout(
     env: WirelessControlEnv, start: SystemState, policy, policy_rng: np.random.Generator
 ) -> RolloutStats:
-    """One evaluation episode as harness.rollout defines it, summed with
+    """One evaluation episode as harness.rollout defines it, from start's
+    step to the end of its tape, charged step by step and summed with
     np.linalg.norm and numpy scalars."""
     gamma = env.gamma
     state = start
@@ -143,12 +144,15 @@ def rollout(
     cost = 0.0
     signals = np.zeros(env.n_signals)
     max_norm = float(np.linalg.norm(state.x))
-    for t in range(start.tape.horizon):
+    for t in range(start.t, start.tape.horizon):
         obs = env.observe(state)
         action = policy.act(obs, t, policy_rng)
         res = env.step(state, action)
-        cost += disc * res.stage_cost
-        signals += disc * res.signals
+        _, stage_cost, step_signals = env.charge(
+            state.x, res.realized_u, np.asarray(action.alpha, dtype=float)
+        )
+        cost += disc * stage_cost
+        signals += disc * step_signals
         disc *= gamma
         state = res.next_state
         norm = float(np.linalg.norm(state.x))

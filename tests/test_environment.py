@@ -12,7 +12,7 @@ Proves:
        power cap ("simplex") is the allocation head's, and is rejected
  Group 2: Stepping
    6.  Dropped packets leave the plant open loop, delivered ones act
-   7.  Stage cost charges the realized (post-switch) input on the current
+   7.  charge() prices the realized (post-switch) input on the pre-step
        state, as the per-plant oracles do
    8.  Linear batch transition equals per-plant stepping (oracle linear_step)
    9.  force_delivery short-circuits the lottery
@@ -39,6 +39,8 @@ Proves:
   20.  The per-diagonal stage cost equals the three-operand einsum over
        the weight matrices bitwise, at batch () and (B,), for linear and
        cart-pole plants
+  21.  Charging a stacked (T, ...) trajectory at once equals T per-step
+       charges bitwise, at batch () and (B,), for every constraint kind
 """
 from __future__ import annotations
 
@@ -193,14 +195,16 @@ def test_stage_cost_uses_realized_input():
     state = state_at(env, np.ones((2, 3)), [100.0, 0.0])
     action = JointAction(alpha=np.array([100.0, 0.0]), u=2.0 * np.ones((2, 3)))
     res = env.step(state, action)
+    per_plant, stage, signals = env.charge(state.x, res.realized_u, action.alpha)
     # per plant: x'x = 3; delivered adds u'u = 12, dropped adds nothing
-    assert res.per_plant_costs[0] == pytest.approx(3.0 + 12.0, abs=1e-12)
-    assert res.per_plant_costs[1] == pytest.approx(3.0, abs=1e-12)
+    assert per_plant[0] == pytest.approx(3.0 + 12.0, abs=1e-12)
+    assert per_plant[1] == pytest.approx(3.0, abs=1e-12)
     for i in range(2):
         realized = apply_switched_input(action.u[i], bool(res.delivered[i]))
         expect = quadratic_stage_cost(state.x[i], realized, env.weights)
-        assert res.per_plant_costs[i] == pytest.approx(expect, abs=1e-12)
-    assert res.stage_cost == pytest.approx(res.per_plant_costs.sum(), abs=1e-12)
+        assert per_plant[i] == pytest.approx(expect, abs=1e-12)
+    assert stage == pytest.approx(per_plant.sum(), abs=1e-12)
+    assert signals.shape == (0,)
 
 
 def test_batch_transition_matches_per_plant():
@@ -268,8 +272,9 @@ def test_trajectory_determinism():
         total = 0.0
         for t in range(25):
             env.observe(state)
-            res = env.step(state, JointAction(alpha=np.ones(2), u=np.zeros((2, 3))))
-            total += res.stage_cost
+            action = JointAction(alpha=np.ones(2), u=np.zeros((2, 3)))
+            res = env.step(state, action)
+            total += env.charge(state.x, res.realized_u, action.alpha)[1]
             state = res.next_state
         costs.append(total)
     assert costs[0] == costs[1]
@@ -381,18 +386,22 @@ def test_rows_match_single_row_environments(kind, constraint, force_delivery):
             alpha = np.abs(act_rng.standard_normal((len(seeds), 3)))
             u = np.clip(3.0 * act_rng.standard_normal((len(seeds), 3, q)), -FORCE_LIMIT, FORCE_LIMIT)
             res = batched.step(state, JointAction(alpha=alpha, u=u))
+            charged = batched.charge(state.x, res.realized_u, alpha)
             for i, (env, s) in enumerate(zip(singles, single_states)):
                 one_obs = env.observe(s)
                 assert np.array_equal(obs.channel[i], one_obs.channel)
                 assert np.array_equal(obs.plant[i], one_obs.plant)
                 one = env.step(s, JointAction(alpha=alpha[i], u=u[i]))
-                for field in ("stage_cost", "per_plant_costs", "signals", "delivered", "realized_u"):
+                for field in ("delivered", "realized_u"):
                     assert np.array_equal(getattr(res, field)[i], getattr(one, field)), (t, i, field)
+                one_charged = env.charge(s.x, one.realized_u, alpha[i])
+                for got, want in zip(charged, one_charged):
+                    assert np.array_equal(got[i], want), (t, i)
                 assert np.array_equal(res.next_state.x[i], one.next_state.x)
                 assert np.array_equal(res.next_state.h[i], one.next_state.h)
                 single_states[i] = one.next_state
             state = res.next_state
-    assert res.signals.shape == (len(seeds), batched.n_signals)
+    assert charged[2].shape == (len(seeds), batched.n_signals)
     assert res.delivered.all() or not force_delivery
 
 
@@ -463,7 +472,7 @@ def test_episode_is_the_hand_loop(seeds):
         assert np.array_equal(obs.channel, want_obs.channel)
         assert np.array_equal(obs.plant, want_obs.plant)
         want = twin.step(state, action)
-        for field in ("stage_cost", "per_plant_costs", "signals", "delivered", "realized_u"):
+        for field in ("delivered", "realized_u"):
             assert np.array_equal(getattr(res, field), getattr(want, field)), (t, field)
         assert np.array_equal(res.next_state.x, want.next_state.x)
         assert discount == disc == pytest.approx(twin.gamma**t, rel=1e-14)
@@ -488,5 +497,25 @@ def test_diagonal_stage_cost_is_the_einsum(kind, seeds):
         res = env.step(state, JointAction(alpha=alpha, u=u))
         want = np.einsum("...ij,jk,...ik->...i", x, q, x)
         want += np.einsum("...ij,jk,...ik->...i", res.realized_u, r, res.realized_u)
-        assert np.array_equal(res.per_plant_costs, want)
+        assert np.array_equal(env.charge(x, res.realized_u, alpha)[0], want)
         state = res.next_state
+
+
+@pytest.mark.parametrize("seeds", [31, [31, 32, 33, 34]], ids=["single", "rows"])
+@pytest.mark.parametrize("constraint", ["sum_power", "region", None], ids=str)
+@pytest.mark.parametrize("kind", ["linear", "cartpole"])
+def test_trajectory_charge_is_per_step_charges(kind, constraint, seeds):
+    rngs = gen(seeds) if isinstance(seeds, int) else [gen(s) for s in seeds]
+    env = make_rows_env(kind, constraint, False, rngs)
+    draw = gen(10)
+    horizon, batch = 12, env.batch_shape
+    xs = draw.standard_normal((horizon,) + batch + (3, env.state_dim))
+    xs[::3] = 0.0  # exact zeros, and entries of both signs around the region edge
+    us = np.clip(draw.standard_normal((horizon,) + batch + (3, env.input_dim)), -1.0, 1.0)
+    us[1::4] = 0.0
+    alphas = np.abs(draw.standard_normal((horizon,) + batch + (3,)))
+    alphas[2::5] = 0.0
+    stacked = env.charge(xs, us, alphas)
+    for t in range(horizon):
+        for got, want in zip(stacked, env.charge(xs[t], us[t], alphas[t])):
+            assert got[t].shape == want.shape and got[t].tobytes() == want.tobytes(), t

@@ -12,8 +12,10 @@ Proves:
    7.  The divergence sentinel trips and saturates the recorded cost
    8.  rollout's statistics equal the np.linalg.norm / numpy-scalar oracle
        bitwise: on normal cells, on their starts rescaled to joint norm 0.1
-       (gate 10's small starts, whose peak is rollout's max_norm), on a cell
-       that diverges and on one whose state turns NaN
+       (gate 10's small starts, whose peak is rollout's max_norm), on starts
+       part way through the tape and with no step left (cost 0.0, zero
+       signals, not diverged), on a cell that diverges and on one whose
+       state turns NaN; the oracle charges step by step, rollout once
  Group 3: Artifacts and round trips
    9.  run_experiment writes config, logs, checkpoints, evaluation, manifest
   10.  Training logs and evaluation are bitwise repeatable across reruns
@@ -228,11 +230,17 @@ def test_rollout_matches_oracle(tmp_path):
         env = bundle.env_factory(np.random.default_rng(seed))
         start = env.reset(cfg.eval_horizon)
         small = dataclasses.replace(start, x=start.x * (0.1 / np.linalg.norm(start.x)))
+        # a start part way through the tape, and one with no step left
+        later = dataclasses.replace(start, t=11, h=start.tape.gains[11])
+        done = dataclasses.replace(start, t=cfg.eval_horizon, h=start.tape.gains[-1])
         for name, policy in eval_policies.items():
-            for begin in (start, small):
+            for begin in (start, small, later, done):
                 got = harness.rollout(env, begin, policy, np.random.default_rng(0))
                 want = oracles.rollout(env, begin, policy, np.random.default_rng(0))
-                assert not got.diverged and same_stats(got, want), (seed, name)
+                assert not got.diverged and same_stats(got, want), (seed, name, begin.t)
+            got = harness.rollout(env, done, policy, np.random.default_rng(0))
+            assert got.cost == 0.0 and not got.diverged
+            assert got.signals.shape == (bundle.m,) and not got.signals.any()
 
     # an unstable plant left open loop passes the divergence limit mid-episode
     cfg = tiny_config(tmp_path, **{"plants.a_values": [3.0, 3.0], "eval.horizon": 60})

@@ -14,6 +14,10 @@ Proves:
       kind and linear state and input size, per-plant process-noise
       variances that include 0, any constraint, with and without
       force_delivery, and feasible actions
+  5.  Charging a stacked (T, *batch) trajectory equals T per-step charges
+      bitwise, for linear and cart-pole plants, every constraint kind and
+      none, batch shapes () and (B,), and states holding exact zeros and
+      entries of both signs
 
 The profile is derandomized, so every run tries the same examples.
 """
@@ -150,7 +154,7 @@ def test_diagonal_stage_cost_is_the_einsum(case, seed):
     res = env.step(replace(env.reset(1), x=x), JointAction(alpha=alpha, u=u))
     want = np.einsum("...ij,jk,...ik->...i", x, weights.q, x)
     want += np.einsum("...ij,jk,...ik->...i", res.realized_u, weights.r, res.realized_u)
-    assert np.array_equal(res.per_plant_costs, want)
+    assert np.array_equal(env.charge(x, res.realized_u, alpha)[0], want)
 
 
 # -- 4: batched rows equal single-row environments ---------------------------
@@ -223,14 +227,64 @@ def test_rows_equal_single_row_environments(case, seed):
             alpha = np.abs(aux.standard_normal((rows, m)))
             u = np.clip(3.0 * aux.standard_normal((rows, m, q)), -FORCE_LIMIT, FORCE_LIMIT)
             res = batched.step(state, JointAction(alpha=alpha, u=u))
+            charged = batched.charge(state.x, res.realized_u, alpha)
             for i, (env, s) in enumerate(zip(singles, single_states)):
                 one_obs = env.observe(s)
                 assert same_bits(obs.channel[i], one_obs.channel)
                 assert same_bits(obs.plant[i], one_obs.plant)
                 one = env.step(s, JointAction(alpha=alpha[i], u=u[i]))
-                for name in ("stage_cost", "per_plant_costs", "signals", "delivered", "realized_u"):
+                for name in ("delivered", "realized_u"):
                     assert same_bits(getattr(res, name)[i], getattr(one, name)), name
+                for got, want in zip(charged, env.charge(s.x, one.realized_u, alpha[i])):
+                    assert same_bits(got[i], want)
                 assert same_bits(res.next_state.x[i], one.next_state.x)
                 assert same_bits(res.next_state.h[i], one.next_state.h)
                 single_states[i] = one.next_state
             state = res.next_state
+
+
+# -- 5: a trajectory charged at once equals its per-step charges ---------------
+
+
+@st.composite
+def charge_cases(draw):
+    kind = draw(st.sampled_from(["linear", "cartpole"]))
+    m = draw(st.integers(1, 12))
+    if kind == "linear":
+        p, q = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        plants = [PlantModel(kind="linear", a_mat=np.eye(p), b_mat=np.ones((p, q)))] * m
+    else:
+        plants = [PlantModel(kind="cartpole")] * m
+        p, q = plants[0].state_dim, plants[0].input_dim
+    rows = draw(st.one_of(st.none(), st.integers(1, 4)))  # None: an empty batch shape
+    shape = (draw(st.integers(0, 6)),) + (() if rows is None else (rows,))
+    # exact zeros and both signs, around the region edge 0.5 and far out
+    entry = st.sampled_from([0.0, -0.0, 0.5, -0.5]) | finite(-1e6, 1e6)
+    x = draw(hnp.arrays(float, shape + (m, p), elements=entry))
+    u = draw(hnp.arrays(float, shape + (m, q), elements=entry))
+    alpha = draw(hnp.arrays(float, shape + (m,), elements=st.just(0.0) | finite(0.0, 1e3)))
+    weights = CostWeights(
+        q=np.diag(draw(hnp.arrays(float, p, elements=finite(0.0, 1e3)))),
+        r=np.diag(draw(hnp.arrays(float, q, elements=finite(1e-6, 1e3)))),
+    )
+    constraint = CONSTRAINTS[draw(st.sampled_from(sorted(CONSTRAINTS, key=str)))]
+    return plants, rows, weights, constraint, draw(finite(0.0, 1.0)), x, u, alpha
+
+
+@given(case=charge_cases())
+def test_trajectory_charge_equals_per_step_charges(case):
+    plants, rows, weights, constraint, gamma, x, u, alpha = case
+    gens = [np.random.Generator(np.random.PCG64(k)) for k in range(rows or 1)]
+    env = WirelessControlEnv(
+        plants=plants,
+        channel=ChannelModel(distances=np.linspace(0.5, 1.5, len(plants))),
+        weights=weights,
+        rng=gens[0] if rows is None else gens,
+        gamma=gamma,
+        constraint=constraint,
+    )
+    stacked = env.charge(x, u, alpha)
+    assert stacked[2].shape == x.shape[:-2] + (env.n_signals,)
+    for t in range(x.shape[0]):
+        for got, want in zip(stacked, env.charge(x[t], u[t], alpha[t])):
+            assert same_bits(got[t], want), t
