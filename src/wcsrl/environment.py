@@ -6,10 +6,16 @@ single row of an evaluation cell or of pretraining. States, actions and
 results carry the rows as a leading batch shape, which is empty for a
 single row. A step takes the joint action (power allocations, candidate
 control inputs), rolls the delivery lottery per plant and applies the
-delivered inputs (dropped plants run open loop). charge() prices steps
-apart from the transition: the quadratic stage cost of a state and its
-realized inputs, and the constraint signals whose discounted episode sum
-estimates the constraint slack. It takes any leading shape, so training
+delivered inputs (dropped plants run open loop); the linear plants'
+transition calls NumPy's C einsum directly, the function np.einsum runs,
+without its Python wrapper. When the allocations do not depend on the
+plant state (evaluation under a fixed channel-or-step allocator), lottery()
+rolls a whole episode's lottery in one call before the first step and each
+step reads its row of it; every element has the bits a step's own roll
+gives it, and the tape is the same. charge() prices steps apart from the
+transition: the quadratic stage cost of a state and its realized inputs,
+and the constraint signals whose discounted episode sum estimates the
+constraint slack. It takes any leading shape, so training
 charges each step's worker batch and evaluation a whole episode at once.
 
 All randomness is exogenous: it never depends on the actions. So reset()
@@ -25,6 +31,7 @@ generator is read in a fixed order:
 """
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -33,6 +40,22 @@ import numpy as np
 from wcsrl import dynamics
 from wcsrl.dynamics import CostWeights, PlantModel
 from wcsrl.wireless import ChannelModel, delivery_probability, snr
+
+
+def _c_einsum(modules: Sequence[str] = ("numpy._core.multiarray", "numpy.core.multiarray")):
+    """The C einsum that np.einsum calls when optimize is off, found in the
+    first of modules that has it (NumPy 2, then NumPy 1): the same function
+    without the Python wrapper and its dispatcher, so the same bits. np.einsum
+    where none has it."""
+    for name in modules:
+        try:
+            return importlib.import_module(name).c_einsum
+        except (ImportError, AttributeError):
+            pass
+    return np.einsum
+
+
+_einsum = _c_einsum()
 
 
 @dataclass
@@ -296,7 +319,45 @@ class WirelessControlEnv:
             channel=state.h + tape.channel_noise[t], plant=state.x + tape.plant_noise[t]
         )
 
-    def step(self, state: SystemState, action: JointAction) -> StepResult:
+    def _where(self, t: int, *bad: np.ndarray) -> str:
+        """The place an error names: step t, and for batched rows the first
+        row that any of the masks bad (batch shape leading) flags."""
+        if not self.batch_shape:
+            return f"step {t}"
+        rows = np.logical_or.reduce(
+            [mask.reshape(self.batch_shape + (-1,)).any(axis=-1) for mask in bad]
+        )
+        return f"step {t}, row {int(np.flatnonzero(rows)[0])}"
+
+    def lottery(self, start: SystemState, alphas: np.ndarray) -> np.ndarray:
+        """Which packets arrive (T, ..., m) on the T steps from start.t to the
+        end of its tape, given every step's allocations alphas (T, ..., m),
+        rolled in one call: each step's delivery uniforms below the success
+        probability of its gains and allocations, or every packet under
+        force_delivery. For allocations that do not depend on the plant
+        state, computed before the episode; episode() hands step() its row,
+        and each element has the bits step()'s own roll would give it.
+        ValueError naming the first step (and row) whose allocation is not
+        finite and nonnegative."""
+        t0, tape = start.t, start.tape
+        bad = ~(np.isfinite(alphas) & (alphas >= 0.0))
+        if np.count_nonzero(bad):
+            i = int(np.argwhere(bad)[0, 0])
+            raise ValueError(
+                f"{self._where(t0 + i, bad[i])}: allocation is not finite and nonnegative"
+            )
+        probs = delivery_probability(snr(tape.gains[t0 : tape.horizon], alphas))
+        if self.force_delivery:
+            return np.ones(alphas.shape, dtype=bool)
+        return tape.uniforms[t0:] < probs
+
+    def step(
+        self, state: SystemState, action: JointAction, delivered: Optional[np.ndarray] = None
+    ) -> StepResult:
+        """The transition from state under action. delivered, when given, is
+        this step's row of lottery(), and step() rolls no lottery of its own.
+        Errors in the action name the step, and for batched rows the first
+        bad row."""
         alpha = np.asarray(action.alpha, dtype=float)
         u = np.asarray(action.u, dtype=float)
         if alpha.shape != self._alpha_shape:
@@ -307,21 +368,27 @@ class WirelessControlEnv:
             np.count_nonzero(np.isfinite(alpha)) < alpha.size
             or np.count_nonzero(np.isfinite(u)) < u.size
         ):
-            raise ValueError("action contains non-finite entries")
+            where = self._where(state.t, ~np.isfinite(alpha), ~np.isfinite(u))
+            raise ValueError(f"{where}: action contains non-finite entries")
         t = self._tape_index(state)
         tape = state.tape
 
-        probs = delivery_probability(snr(state.h, alpha))
-        if self.force_delivery:
-            delivered = np.ones(alpha.shape, dtype=bool)
-        else:
-            delivered = tape.uniforms[t] < probs
+        if delivered is None:
+            try:
+                snr_values = snr(state.h, alpha)
+            except ValueError as err:
+                raise ValueError(f"{self._where(t, alpha < 0.0)}: {err}") from err
+            probs = delivery_probability(snr_values)
+            if self.force_delivery:
+                delivered = np.ones(alpha.shape, dtype=bool)
+            else:
+                delivered = tape.uniforms[t] < probs
         realized_u = u * delivered[..., None]
 
         w = tape.process[t]
         if self._a_stack is not None:
-            next_x = np.einsum("ijk,...ik->...ij", self._a_stack, state.x)
-            next_x += np.einsum("ijk,...ik->...ij", self._b_stack, realized_u)
+            next_x = _einsum("ijk,...ik->...ij", self._a_stack, state.x)
+            next_x += _einsum("ijk,...ik->...ij", self._b_stack, realized_u)
             next_x += w
         else:
             next_x = dynamics.cartpole_step(state.x, realized_u[..., 0], w)
@@ -349,17 +416,25 @@ class WirelessControlEnv:
         return per_plant, np.add.reduce(per_plant, axis=-1), signals
 
     def episode(
-        self, start: SystemState, act: Callable[[Observation, int], JointAction]
+        self,
+        start: SystemState,
+        act: Callable[[Observation, int], JointAction],
+        delivered: Optional[np.ndarray] = None,
     ) -> Iterator[tuple[int, Observation, JointAction, StepResult, float]]:
         """The closed loop from start to the end of its tape: each step observes,
         asks act(obs, t) for the action, steps, and yields (t, obs, action,
         result, discount), the discount being the running product gamma^t.
+        delivered, when given, is the episode's lottery(), rolled before the
+        first step; each step reads its row instead of rolling its own.
         Callers charge the steps and keep their own sums and divergence rules."""
-        state, disc = start, 1.0
-        for t in range(start.t, start.tape.horizon):
+        state, disc, t0 = start, 1.0, start.t
+        for t in range(t0, start.tape.horizon):
             obs = self.observe(state)
             action = act(obs, t)
-            result = self.step(state, action)
+            if delivered is None:
+                result = self.step(state, action)
+            else:
+                result = self.step(state, action, delivered[t - t0])
             yield t, obs, action, result, disc
             disc *= self.gamma
             state = result.next_state

@@ -248,21 +248,34 @@ def rollout(
     """One evaluation episode, env.episode from start over its whole noise
     tape: discounted cost and constraint sums, the largest joint state norm
     seen, and whether the state left the representable region (cost then
-    saturates at DIVERGENCE_COST). The env is a single row. Each step's
-    pre-step state, realized input and allocation are kept, and after the
-    last step run (the diverging one included) env.charge prices them all
-    at once; the sums add the discounted terms in step order from zero, as
-    a per-step loop adds them."""
-    steps = start.tape.horizon - start.t
+    saturates at DIVERGENCE_COST). The env is a single row. When the
+    policy's allocation ignores the plant state (policies.
+    episode_allocations), the allocations of every step and the episode's
+    delivery lottery (env.lottery) are computed once, before the first
+    step, and each step's action carries its row; a bad allocation at any
+    step then fails before the first. Each step's pre-step state, realized
+    input and allocation are kept, and after the last step run (the
+    diverging one included) env.charge prices them all at once; the sums
+    add the discounted terms in step order from zero, as a per-step loop
+    adds them."""
+    t0, tape = start.t, start.tape
+    steps = tape.horizon - t0
     xs = np.empty((steps + 1,) + start.x.shape)
     realized = np.empty((steps, env.m, env.input_dim))
-    alphas = np.empty((steps, env.m))
+    channels = tape.gains[t0 : tape.horizon] + tape.channel_noise[t0:]
+    alphas = policies.episode_allocations(policy, channels, t0)
+    if alphas is None:
+        alphas, delivered = np.empty((steps, env.m)), None
+        act = lambda obs, t: policy.act(obs, t, policy_rng)
+    else:
+        delivered = env.lottery(start, alphas)
+        act = lambda obs, t: policy.act(obs, t, policy_rng, alphas[t - t0])
     xs[0] = start.x
     max_norm = _norm(start.x)
     ran, diverged = 0, False
-    act = lambda obs, t: policy.act(obs, t, policy_rng)
-    for _, _, action, res, _ in env.episode(start, act):
-        alphas[ran] = action.alpha
+    for _, _, action, res, _ in env.episode(start, act, delivered):
+        if delivered is None:
+            alphas[ran] = action.alpha
         realized[ran] = res.realized_u
         ran += 1
         xs[ran] = res.next_state.x

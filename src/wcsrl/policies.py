@@ -9,7 +9,10 @@ alpha_i], all plants drawn in one call) or a fixed controller.
 Allocators and controllers are callables (obs, t) -> array on
 observations with any leading batch shape, so training calls each once
 per step for all of its workers, and evaluation once per single
-observation.
+observation. An allocator that reads only the channel and the step
+(make_allocator marks it state_free) is called once per evaluation
+episode instead, on every step's channel observation at once
+(episode_allocations), and each step's action carries its row.
 """
 from __future__ import annotations
 
@@ -56,21 +59,28 @@ def zero_allocator(m: int) -> Allocator:
 
 
 def make_allocator(name: str, m: int, n_active: int, p_total: float) -> Allocator:
-    """Baseline allocator registry; all_on is the everyone-transmits alias."""
+    """Baseline allocator registry; all_on is the everyone-transmits alias.
+    Every allocator but control_aware reads only obs.channel and t, never
+    obs.plant, takes any leading shape of obs.channel and t as an int or as
+    an array of steps, and is marked state_free: episode_allocations then
+    computes a whole episode's allocations in one call."""
     if name in ("equal", "all_on"):
-        return equal_allocator(m, p_total)
-    if name == "zero":
-        return zero_allocator(m)
-    if name == "round_robin":
+        fn = equal_allocator(m, p_total)
+    elif name == "zero":
+        fn = zero_allocator(m)
+    elif name == "round_robin":
         # the schedule repeats every m steps: one cached row per step of a cycle
         cycle = np.stack([baselines.round_robin(m, n_active, p_total, t) for t in range(m)])
         cycle = _read_only(cycle)
-        return lambda obs, t: cycle[t % m]
-    if name == "channel_aware":
-        return lambda obs, t: baselines.channel_aware(obs.channel, n_active, p_total)
-    if name == "control_aware":
+        fn = lambda obs, t: cycle[t % m]
+    elif name == "channel_aware":
+        fn = lambda obs, t: baselines.channel_aware(obs.channel, n_active, p_total)
+    elif name == "control_aware":
         return lambda obs, t: baselines.control_aware(obs.plant, n_active, p_total)
-    raise ValueError(f"unknown allocator {name!r}")
+    else:
+        raise ValueError(f"unknown allocator {name!r}")
+    fn.state_free = True
+    return fn
 
 
 def heuristic_allocator(name: str, cfg: ExperimentConfig) -> Allocator:
@@ -176,6 +186,7 @@ def compose_action(
     t: int,
     rng: Optional[np.random.Generator] = None,
     segment_update: Optional[Callable[[np.ndarray, Optional[np.ndarray]], None]] = None,
+    alpha: Optional[np.ndarray] = None,
 ) -> ComposedAction:
     """The joint action for obs (any leading batch shape) at step t.
 
@@ -183,18 +194,21 @@ def compose_action(
     eval.stochastic); rng=None acts on the means. segment_update(rows,
     rc_inputs), the learner's pending update, runs before the first draw,
     except with per-plant actors: then it runs after the allocation draw,
-    so they are updated with, and act on, that allocation.
+    so they are updated with, and act on, that allocation. alpha, when
+    given, is the fixed allocator's output for this step, computed already
+    (episode_allocations), and the allocator is not called.
     """
     batch = obs.channel.shape[:-1]
-    rows = raw = alpha = u = None
+    rows = raw = u = None
     if sources.actor is not None or segment_update is not None:
         rows = obs.stacked()
         rows = rows.reshape(-1, rows.shape[-1])
     if segment_update is not None and sources.rc_actor is None:
         segment_update(rows, None)
     if sources.actor is not None:
-        alpha, u, raw = _draw(sources.actor, rows, rng)
-        alpha = None if alpha is None else alpha.reshape(batch + alpha.shape[1:])
+        drawn, u, raw = _draw(sources.actor, rows, rng)
+        if drawn is not None:
+            alpha = drawn.reshape(batch + drawn.shape[1:])
         u = None if u is None else u.reshape(batch + u.shape[1:])
     if alpha is None:
         alpha = _fixed(sources.allocator, obs, t, batch, 1, "allocation")
@@ -218,14 +232,34 @@ def compose_action(
 # evaluation policies
 
 
+def episode_allocations(policy, channels: np.ndarray, t0: int) -> Optional[np.ndarray]:
+    """The allocations (T, ..., m) of the T steps from t0 on, from one call on
+    their stacked channel observations channels (T, ..., m), when policy's
+    allocation comes from a state_free allocator (make_allocator) and from
+    no actor; else None, and each step composes its own. Passed back one row
+    per step to policy.act, they give the actions a per-step call gives."""
+    sources = policy.sources
+    if sources.actor is not None and sources.actor.head.alloc is not None:
+        return None
+    if not getattr(sources.allocator, "state_free", False):
+        return None
+    # one step per leading entry, broadcast over the batch shape
+    steps = np.arange(t0, t0 + len(channels)).reshape((-1,) + (1,) * (channels.ndim - 2))
+    alphas = np.empty(channels.shape)
+    alphas[...] = sources.allocator(Observation(channel=channels, plant=None), steps)
+    return alphas
+
+
 class HeuristicPolicy:
     """Fixed allocator plus fixed controller."""
 
     def __init__(self, allocator: Allocator, controller: Controller) -> None:
         self.sources = ActionSources(allocator=allocator, controller=controller)
 
-    def act(self, obs: Observation, t: int, rng: np.random.Generator) -> JointAction:
-        return compose_action(self.sources, obs, t)
+    def act(
+        self, obs: Observation, t: int, rng: np.random.Generator, alpha: Optional[np.ndarray] = None
+    ) -> JointAction:
+        return compose_action(self.sources, obs, t, alpha=alpha)
 
 
 class AgentPolicy:
@@ -245,5 +279,7 @@ class AgentPolicy:
         self.sources = ActionSources(agents.actor, agents.rc_actor, allocator, controller)
         self.stochastic = stochastic
 
-    def act(self, obs: Observation, t: int, rng: np.random.Generator) -> JointAction:
-        return compose_action(self.sources, obs, t, rng if self.stochastic else None)
+    def act(
+        self, obs: Observation, t: int, rng: np.random.Generator, alpha: Optional[np.ndarray] = None
+    ) -> JointAction:
+        return compose_action(self.sources, obs, t, rng if self.stochastic else None, alpha=alpha)

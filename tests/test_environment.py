@@ -41,6 +41,12 @@ Proves:
        cart-pole plants
   21.  Charging a stacked (T, ...) trajectory at once equals T per-step
        charges bitwise, at batch () and (B,), for every constraint kind
+  22.  A bad action names its step, and at batch (B,) the first bad row:
+       non-finite entries and a negative allocation in step(), and an
+       allocation that is not finite and nonnegative in lottery(), which
+       names the first bad step of the episode
+  23.  The transition einsum is np.einsum bitwise at batch (), (B,) and
+       (T, B), both NumPy's C einsum and the np.einsum fallback
 """
 from __future__ import annotations
 
@@ -50,6 +56,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from wcsrl import environment
 from wcsrl.dynamics import FORCE_LIMIT, CostWeights, PlantModel, unstable_drift
 from wcsrl.environment import ConstraintSpec, JointAction, WirelessControlEnv
 from wcsrl.wireless import ChannelModel
@@ -519,3 +526,58 @@ def test_trajectory_charge_is_per_step_charges(kind, constraint, seeds):
     for t in range(horizon):
         for got, want in zip(stacked, env.charge(xs[t], us[t], alphas[t])):
             assert got[t].shape == want.shape and got[t].tobytes() == want.tobytes(), t
+
+
+@pytest.mark.parametrize("rngs", [gen(3), [gen(3), gen(4), gen(5)]], ids=["single", "rows"])
+def test_action_errors_name_the_step_and_row(rngs):
+    env = make_rows_env("linear", "region", False, rngs)
+    batch = env.batch_shape
+    alpha, u = np.ones(batch + (3,)), np.zeros(batch + (3, 3))
+    state = env.reset(5)
+    for _ in range(2):
+        state = env.step(state, JointAction(alpha=alpha, u=u)).next_state
+    # the last row's allocation and the middle row's input go bad: the middle row is named
+    last, middle = (2,) if batch else (), (1,) if batch else ()
+    at = lambda r: f", row {r}" if batch else ""
+
+    def raises(message, alpha, u):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            env.step(state, JointAction(alpha=alpha, u=u))
+
+    for bad in (np.nan, np.inf, -np.inf):
+        bad_alpha, bad_u = alpha.copy(), u.copy()
+        bad_alpha[last + (1,)] = bad
+        raises(f"step 2{at(2)}: action contains non-finite entries", bad_alpha, u)
+        bad_u[middle + (0, 2)] = bad
+        raises(f"step 2{at(1)}: action contains non-finite entries", bad_alpha, bad_u)
+    negative = alpha.copy()
+    negative[last + (0,)] = -0.25
+    raises(f"step 2{at(2)}: negative allocation: min entry -2.500e-01", negative, u)
+
+    # lottery() checks every step's allocation before the first; the first bad step is named
+    alphas = np.ones((3,) + batch + (3,))
+    with pytest.raises(ValueError, match=f"^step 2{at(0)}: allocation"):
+        env.lottery(state, np.full((3,) + batch + (3,), np.nan))
+    for bad in (np.nan, np.inf, -np.inf, -1e-300):
+        bad_alphas = alphas.copy()
+        bad_alphas[(2,) + last + (0,)] = bad
+        bad_alphas[(1,) + middle + (2,)] = bad
+        message = f"step 3{at(1)}: allocation is not finite and nonnegative"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            env.lottery(state, bad_alphas)
+    # a negative zero is no negative allocation
+    assert env.lottery(state, -0.0 * alphas).shape == alphas.shape
+
+
+@pytest.mark.parametrize("batch", [(), (5,), (4, 5)], ids=str)
+def test_transition_einsum_is_np_einsum(batch):
+    rng = gen(9)
+    a = rng.standard_normal((3, 4, 4))
+    x = rng.standard_normal(batch + (3, 4)) * np.logspace(-150, 150, 4)
+    want = np.einsum("ijk,...ik->...ij", a, x)
+    # no module of that name, and a module without c_einsum
+    fallback = environment._c_einsum(("wcsrl_no_such_module", "numpy"))
+    assert fallback is np.einsum and environment._einsum is not np.einsum
+    for einsum in (environment._einsum, fallback):
+        got = einsum("ijk,...ik->...ij", a, x)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -16,6 +16,11 @@ Proves:
        part way through the tape and with no step left (cost 0.0, zero
        signals, not diverged), on a cell that diverges and on one whose
        state turns NaN; the oracle charges step by step, rollout once
+   8b. The same on the up-front path, where a state-free allocation and the
+       delivery lottery come before the first step: the allocator runs once
+       per episode, the eval.stochastic control_only policy and a forced
+       divergence match the oracle, and a bad allocation fails before the
+       first step naming its step, where the per-step path names it too
  Group 3: Artifacts and round trips
    9.  run_experiment writes config, logs, checkpoints, evaluation, manifest
   10.  Training logs and evaluation are bitwise repeatable across reruns
@@ -48,7 +53,7 @@ import pytest
 
 import wcsrl
 from wcsrl import config as config_mod
-from wcsrl import harness, neuralnet, policies
+from wcsrl import harness, learner, neuralnet, policies
 from wcsrl.dynamics import control_bounds
 from wcsrl.learner import TrainedAgents
 import oracles
@@ -259,6 +264,78 @@ def test_rollout_matches_oracle(tmp_path):
     got = harness.rollout(env, start, runaway, np.random.default_rng(0))
     assert got.diverged and got.max_norm == np.inf
     assert same_stats(got, oracles.rollout(env, start, runaway, np.random.default_rng(0)))
+
+
+def counted(allocator):
+    """allocator, marked state-free, counting its calls in .calls."""
+
+    def fn(obs, t):
+        fn.calls += 1
+        return allocator(obs, t)
+
+    fn.calls, fn.state_free = 0, True
+    return fn
+
+
+def up_front(policy, start):
+    tape = start.tape
+    channels = tape.gains[start.t : tape.horizon] + tape.channel_noise[start.t :]
+    return policies.episode_allocations(policy, channels, start.t) is not None
+
+
+def test_up_front_rollout_matches_oracle(tmp_path):
+    cfg = tiny_config(tmp_path, **{"plants.count": 4, "eval.horizon": 30})
+    bundle = harness.build_scenario(cfg)
+    env = bundle.env_factory(np.random.default_rng(7))
+    agents = learner.build_agents(env, cfg, "control_only", np.random.default_rng(3))
+    candidates = {
+        **harness.baseline_policies(bundle),
+        "control_only": harness.eval_policy_for(bundle, "control_only", agents, stochastic=True),
+    }
+    which = {name: up_front(p, env.reset(1)) for name, p in candidates.items()}
+    assert which == {"equal": True, "round_robin": True, "channel_aware": True,
+                     "control_aware": False, "all_on": True, "control_only": True}
+    for seed in range(3):
+        env = bundle.env_factory(np.random.default_rng(seed))
+        start = env.reset(cfg.eval_horizon)
+        later = dataclasses.replace(start, t=11, h=start.tape.gains[11])
+        for name, policy in candidates.items():
+            for begin in (start, later):
+                got = harness.rollout(env, begin, policy, np.random.default_rng(seed))
+                want = oracles.rollout(env, begin, policy, np.random.default_rng(seed))
+                assert not got.diverged and same_stats(got, want), (seed, name, begin.t)
+
+    # the allocator runs once per episode, not once per step
+    rr = counted(policies.heuristic_allocator("round_robin", cfg))
+    policy = policies.HeuristicPolicy(rr, bundle.riccati_controller())
+    harness.rollout(env, start, policy, None)
+    assert rr.calls == 1
+
+    # a forced divergence, from a state that passes the limit and from one that turns NaN
+    cfg = tiny_config(tmp_path, **{"plants.a_values": [3.0, 3.0], "eval.horizon": 60})
+    bundle = harness.build_scenario(cfg)
+    runaway = policies.HeuristicPolicy(
+        policies.make_allocator("zero", 2, 1, 1.0), policies.zero_controller(2, 3)
+    )
+    env = bundle.env_factory(np.random.default_rng(1))
+    start = env.reset(cfg.eval_horizon)
+    nan_start = dataclasses.replace(start, x=np.where(np.eye(2, 3) > 0, np.inf, 1.0))
+    for begin in (start, nan_start):
+        assert up_front(runaway, begin)
+        got = harness.rollout(env, begin, runaway, None)
+        assert got.diverged and got.cost == harness.DIVERGENCE_COST
+        assert same_stats(got, oracles.rollout(env, begin, runaway, None))
+
+    # a negative allocation at step 7 fails before the first step, naming step 7
+    def bad(obs, t):
+        return np.where((np.asarray(t) == 7)[..., None], -1.0, 1.0) * np.ones(2)
+
+    bad_policy = policies.HeuristicPolicy(bad, bundle.riccati_controller())
+    with pytest.raises(ValueError, match="^step 7: negative allocation: min entry -1.000e"):
+        harness.rollout(env, start, bad_policy, None)
+    bad.state_free = True
+    with pytest.raises(ValueError, match="^step 7: allocation is not finite and nonnegative$"):
+        harness.rollout(env, dataclasses.replace(start, x=start.x * 1e20), bad_policy, None)
 
 
 # Group 3 -------------------------------------------------------------------

@@ -18,6 +18,13 @@ Proves:
       bitwise, for linear and cart-pole plants, every constraint kind and
       none, batch shapes () and (B,), and states holding exact zeros and
       entries of both signs
+  6.  An episode's delivery lottery rolled up front equals the per-step
+      lottery tape.uniforms[t] < delivery_probability(snr(h_t, alpha_t))
+      bitwise, for every state-free allocator, 1-12 plants, batch shapes ()
+      and (B,), every start t0 from 0 to the horizon (t0 = H: empty
+      arrays) and both force_delivery settings; its allocations are the
+      per-step allocator calls', and a step handed its row of the lottery
+      steps as one that rolls its own
 
 The profile is derandomized, so every run tries the same examples.
 """
@@ -42,7 +49,13 @@ from wcsrl.config import (  # noqa: E402
 from wcsrl.dynamics import FORCE_LIMIT, CostWeights, PlantModel, unstable_drift  # noqa: E402
 from wcsrl.environment import ConstraintSpec, JointAction, WirelessControlEnv  # noqa: E402
 from wcsrl.neuralnet import MLP  # noqa: E402
-from wcsrl.wireless import ChannelModel  # noqa: E402
+from wcsrl.policies import (  # noqa: E402
+    HeuristicPolicy,
+    episode_allocations,
+    make_allocator,
+    zero_controller,
+)
+from wcsrl.wireless import ChannelModel, delivery_probability, snr  # noqa: E402
 
 settings.register_profile("wcsrl", derandomize=True, database=None, deadline=None)
 settings.load_profile("wcsrl")
@@ -288,3 +301,64 @@ def test_trajectory_charge_equals_per_step_charges(case):
     for t in range(x.shape[0]):
         for got, want in zip(stacked, env.charge(x[t], u[t], alpha[t])):
             assert same_bits(got[t], want), t
+
+
+# -- 6: an episode's lottery rolled up front equals the per-step lotteries -----
+
+STATE_FREE = ["equal", "all_on", "zero", "round_robin", "channel_aware"]
+
+
+@st.composite
+def lottery_cases(draw):
+    m = draw(st.integers(1, 12))
+    rows = draw(st.one_of(st.none(), st.integers(1, 4)))  # None: an empty batch shape
+    horizon = draw(st.integers(0, 8))
+    allocator = make_allocator(
+        draw(st.sampled_from(STATE_FREE)),
+        m,
+        draw(st.integers(1, m)),
+        draw(st.sampled_from([1e-6, 1.0]) | finite(1e-6, 1e3)),
+    )
+    options = dict(
+        force_delivery=draw(st.booleans()),
+        obs_noise_cov=np.full(m * 4, draw(st.sampled_from([0.0, 0.3]))),
+    )
+    return m, rows, horizon, draw(st.integers(0, horizon)), allocator, options
+
+
+@given(case=lottery_cases(), seed=st.integers(0, 2**32 - 1))
+def test_up_front_lottery_equals_per_step_lotteries(case, seed):
+    m, rows, horizon, t0, allocator, options = case
+    plant = PlantModel(
+        kind="linear", a_mat=unstable_drift(1.1), b_mat=np.eye(3), process_noise=0.1
+    )
+    gens = [np.random.Generator(np.random.PCG64([seed, k])) for k in range(rows or 1)]
+    env = WirelessControlEnv(
+        plants=[plant] * m,
+        channel=ChannelModel(distances=np.linspace(0.3, 2.5, m)),
+        weights=CostWeights(q=np.eye(3), r=np.eye(3)),
+        rng=gens[0] if rows is None else gens,
+        **options,
+    )
+    start = env.reset(horizon)
+    tape = start.tape
+    state = replace(start, t=t0, h=tape.gains[t0])
+    policy = HeuristicPolicy(allocator, zero_controller(m, 3))
+    alphas = episode_allocations(policy, tape.gains[t0:horizon] + tape.channel_noise[t0:], t0)
+    delivered = env.lottery(state, alphas)
+    assert alphas.shape == delivered.shape == (horizon - t0,) + env.batch_shape + (m,)
+    u = np.random.Generator(np.random.PCG64(seed)).standard_normal(env.batch_shape + (m, 3))
+    for t in range(t0, horizon):
+        alpha = np.broadcast_to(allocator(env.observe(state), t), env.batch_shape + (m,))
+        assert same_bits(alphas[t - t0], np.ascontiguousarray(alpha)), t
+        if env.force_delivery:
+            want = np.ones(alpha.shape, dtype=bool)
+        else:
+            want = tape.uniforms[t] < delivery_probability(snr(state.h, alpha))
+        assert same_bits(delivered[t - t0], want), t
+        own = env.step(state, JointAction(alpha=alpha, u=u))
+        handed = env.step(state, JointAction(alpha=alphas[t - t0], u=u), delivered[t - t0])
+        for name in ("delivered", "realized_u"):
+            assert same_bits(getattr(handed, name), getattr(own, name)), (t, name)
+        assert same_bits(handed.next_state.x, own.next_state.x), t
+        state = own.next_state
