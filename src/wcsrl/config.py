@@ -20,7 +20,7 @@ kind, default and its limit: the allowed values of an enum key, or the
 bound "positive" or "nonnegative" of a numeric one. `KEY_SPECS`,
 `BASE_DEFAULTS`, the `ExperimentConfig` attributes and the enum and bound
 checks are all derived from those rows, so adding a key means adding one
-row.
+row. Every float value and list entry must also be finite.
 
 Scenario presets fill in everything not stated; file values override
 presets; command-line overrides beat both. Unknown keys are an error.
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import operator
 from dataclasses import make_dataclass
 from typing import Optional
@@ -332,10 +333,15 @@ def _validate(cfg: ExperimentConfig) -> None:
     m = cfg.plants_count
     if m < 1:
         raise ConfigError("plants.count must be positive")
-    for key, limit in _LIMITS.items():
-        attr, kind = KEY_SPECS[key]
+    for key, (attr, kind) in KEY_SPECS.items():
         value = getattr(cfg, attr)
         entries = value if kind.endswith("_list") else [value]
+        # inf or nan would pass a bound and fail late, naming no key
+        if "float" in kind and value is not None and not all(map(math.isfinite, entries)):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
+        limit = _LIMITS.get(key)
+        if limit is None:
+            continue
         if isinstance(limit, tuple):
             for name in entries:
                 if name not in limit:

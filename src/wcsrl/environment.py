@@ -8,15 +8,17 @@ single row. A step takes the joint action (power allocations, candidate
 control inputs), rolls the delivery lottery per plant and applies the
 delivered inputs (dropped plants run open loop); the linear plants'
 transition calls NumPy's C einsum directly, the function np.einsum runs,
-without its Python wrapper. When the allocations do not depend on the
-plant state (evaluation under a fixed channel-or-step allocator), lottery()
-rolls a whole episode's lottery in one call before the first step and each
-step reads its row of it; every element has the bits a step's own roll
-gives it, and the tape is the same. charge() prices steps apart from the
-transition: the quadratic stage cost of a state and its realized inputs,
-and the constraint signals whose discounted episode sum estimates the
-constraint slack. It takes any leading shape, so training
-charges each step's worker batch and evaluation a whole episode at once.
+without its Python wrapper. There is one delivery lottery, lottery(),
+rolled for one step or for the rest of an episode: step() rolls its own
+step through it, and when the allocations do not depend on the plant state
+(evaluation under a fixed channel-or-step allocator) it rolls the whole
+episode before the first step and each step reads its row; an element's
+bits do not depend on how many steps are rolled, and the tape is the
+same. charge() prices steps apart from the transition: the quadratic
+stage cost of a state and its realized inputs, and the constraint signals
+whose discounted episode sum estimates the constraint slack. It takes any
+leading shape, so training charges each step's worker batch and
+evaluation a whole episode at once.
 
 All randomness is exogenous: it never depends on the actions. So reset()
 draws a whole episode of it up front, one noise tape per row from that
@@ -32,7 +34,7 @@ generator is read in a fixed order:
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -319,70 +321,60 @@ class WirelessControlEnv:
             channel=state.h + tape.channel_noise[t], plant=state.x + tape.plant_noise[t]
         )
 
-    def _where(self, t: int, *bad: np.ndarray) -> str:
-        """The place an error names: step t, and for batched rows the first
-        row that any of the masks bad (batch shape leading) flags."""
-        if not self.batch_shape:
-            return f"step {t}"
-        rows = np.logical_or.reduce(
-            [mask.reshape(self.batch_shape + (-1,)).any(axis=-1) for mask in bad]
-        )
-        return f"step {t}, row {int(np.flatnonzero(rows)[0])}"
+    def _where(self, t: int, bad: np.ndarray) -> str:
+        """The place an error names: for bad (T, ...) flagging entries of T
+        steps from step t (batch shape after the step axis), the first step
+        with a flagged entry, and for batched rows its first flagged row."""
+        first = np.unravel_index(np.argmax(bad), bad.shape)
+        where = f"step {t + int(first[0])}"
+        return f"{where}, row {int(first[1])}" if self.batch_shape else where
 
-    def lottery(self, start: SystemState, alphas: np.ndarray) -> np.ndarray:
-        """Which packets arrive (T, ..., m) on the T steps from start.t to the
-        end of its tape, given every step's allocations alphas (T, ..., m),
-        rolled in one call: each step's delivery uniforms below the success
+    def lottery(self, state: SystemState, alphas: np.ndarray) -> np.ndarray:
+        """Which packets arrive (T, ..., m) on the T = len(alphas) steps from
+        state.t, which lie on its tape, given each step's allocations alphas
+        (T, ..., m): each step's delivery uniforms below the success
         probability of its gains and allocations, or every packet under
-        force_delivery. For allocations that do not depend on the plant
-        state, computed before the episode; episode() hands step() its row,
-        and each element has the bits step()'s own roll would give it.
-        ValueError naming the first step (and row) whose allocation is not
-        finite and nonnegative."""
-        t0, tape = start.t, start.tape
-        bad = ~(np.isfinite(alphas) & (alphas >= 0.0))
-        if np.count_nonzero(bad):
-            i = int(np.argwhere(bad)[0, 0])
-            raise ValueError(
-                f"{self._where(t0 + i, bad[i])}: allocation is not finite and nonnegative"
-            )
-        probs = delivery_probability(snr(tape.gains[t0 : tape.horizon], alphas))
+        force_delivery. This is the one delivery lottery. step() rolls its own
+        step through it (T = 1); an evaluation episode whose allocations
+        ignore the plant state rolls the rest of the episode before its first
+        step, and episode() hands each step its row. An element's bits do not
+        depend on T. ValueError naming the first step (and row) with a
+        non-finite allocation entry, else the first with a negative one."""
+        t0 = state.t
+        if alphas.shape[1:] != self._alpha_shape:
+            raise ValueError(f"alpha must have shape {self._alpha_shape}, got {alphas.shape[1:]}")
+        if np.count_nonzero(np.isfinite(alphas)) < alphas.size:
+            raise ValueError(f"{self._where(t0, ~np.isfinite(alphas))}: non-finite allocation")
+        steps = slice(t0, t0 + len(alphas))
+        try:
+            probs = delivery_probability(snr(state.tape.gains[steps], alphas))
+        except ValueError as err:
+            if len(alphas) > 1:
+                # the first step with a negative entry, rolled alone, raises naming its own min
+                i = int(np.argmax(alphas < 0.0)) // alphas[0].size
+                self.lottery(replace(state, t=t0 + i), alphas[i : i + 1])
+            raise ValueError(f"{self._where(t0, alphas < 0.0)}: {err}") from err
         if self.force_delivery:
             return np.ones(alphas.shape, dtype=bool)
-        return tape.uniforms[t0:] < probs
+        return state.tape.uniforms[steps] < probs
 
     def step(
         self, state: SystemState, action: JointAction, delivered: Optional[np.ndarray] = None
     ) -> StepResult:
         """The transition from state under action. delivered, when given, is
-        this step's row of lottery(), and step() rolls no lottery of its own.
-        Errors in the action name the step, and for batched rows the first
-        bad row."""
-        alpha = np.asarray(action.alpha, dtype=float)
+        this step's row of an episode's lottery(); else step() rolls this
+        step's lottery through lottery(), which checks the allocation. Errors
+        in the action name the step, and for batched rows the first bad row."""
         u = np.asarray(action.u, dtype=float)
-        if alpha.shape != self._alpha_shape:
-            raise ValueError(f"alpha must have shape {self._alpha_shape}, got {alpha.shape}")
         if u.shape != self._u_shape:
             raise ValueError(f"u must have shape {self._u_shape}, got {u.shape}")
-        if (
-            np.count_nonzero(np.isfinite(alpha)) < alpha.size
-            or np.count_nonzero(np.isfinite(u)) < u.size
-        ):
-            where = self._where(state.t, ~np.isfinite(alpha), ~np.isfinite(u))
-            raise ValueError(f"{where}: action contains non-finite entries")
+        if np.count_nonzero(np.isfinite(u)) < u.size:
+            where = self._where(state.t, ~np.isfinite(u)[None])
+            raise ValueError(f"{where}: non-finite control input")
         t = self._tape_index(state)
         tape = state.tape
-
-        if delivered is None:
-            try:
-                snr_values = snr(state.h, alpha)
-            except ValueError as err:
-                raise ValueError(f"{self._where(t, alpha < 0.0)}: {err}") from err
-            probs = delivery_probability(snr_values)
-            if self.force_delivery:
-                delivered = np.ones(alpha.shape, dtype=bool)
-            else:
-                delivered = tape.uniforms[t] < probs
+        if delivered is None:  # lottery() checks the allocation
+            delivered = self.lottery(state, np.asarray(action.alpha, dtype=float)[None])[0]
         realized_u = u * delivered[..., None]
 
         w = tape.process[t]

@@ -227,6 +227,17 @@ def baseline_policies(bundle: ScenarioBundle) -> dict[str, policies.HeuristicPol
     }
 
 
+def evaluation_policies(bundle: ScenarioBundle, trained: dict[str, TrainedAgents]) -> dict:
+    """The evaluated policies by label, in evaluation.csv's row order: each
+    trained approach's eval_policy_for, then the baselines."""
+    by_label: dict[str, object] = {
+        approach: eval_policy_for(bundle, approach, agents, bundle.cfg.eval_stochastic)
+        for approach, agents in trained.items()
+    }
+    by_label.update(baseline_policies(bundle))
+    return by_label
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -253,7 +264,8 @@ def rollout(
     episode_allocations), the allocations of every step and the episode's
     delivery lottery (env.lottery) are computed once, before the first
     step, and each step's action carries its row; a bad allocation at any
-    step then fails before the first. Each step's pre-step state, realized
+    step then fails before the first. Otherwise each step rolls its own
+    one-step lottery inside env.step. Each step's pre-step state, realized
     input and allocation are kept, and after the last step run (the
     diverging one included) env.charge prices them all at once; the sums
     add the discounted terms in step order from zero, as a per-step loop
@@ -262,20 +274,16 @@ def rollout(
     steps = tape.horizon - t0
     xs = np.empty((steps + 1,) + start.x.shape)
     realized = np.empty((steps, env.m, env.input_dim))
+    alphas = np.empty((steps, env.m))
     channels = tape.gains[t0 : tape.horizon] + tape.channel_noise[t0:]
-    alphas = policies.episode_allocations(policy, channels, t0)
-    if alphas is None:
-        alphas, delivered = np.empty((steps, env.m)), None
-        act = lambda obs, t: policy.act(obs, t, policy_rng)
-    else:
-        delivered = env.lottery(start, alphas)
-        act = lambda obs, t: policy.act(obs, t, policy_rng, alphas[t - t0])
+    fixed = policies.episode_allocations(policy, channels, t0)
+    delivered = None if fixed is None else env.lottery(start, fixed)
+    act = lambda obs, t: policy.act(obs, t, policy_rng, None if fixed is None else fixed[t - t0])
     xs[0] = start.x
     max_norm = _norm(start.x)
     ran, diverged = 0, False
     for _, _, action, res, _ in env.episode(start, act, delivered):
-        if delivered is None:
-            alphas[ran] = action.alpha
+        alphas[ran] = action.alpha
         realized[ran] = res.realized_u
         ran += 1
         xs[ran] = res.next_state.x
@@ -543,13 +551,7 @@ def run_experiment(
             float(v) for v in result.dual.multipliers
         ]
 
-    eval_policies: dict[str, object] = {}
-    for approach, agents in trained.items():
-        eval_policies[approach] = eval_policy_for(
-            bundle, approach, agents, cfg.eval_stochastic
-        )
-    eval_policies.update(baseline_policies(bundle))
-
+    eval_policies = evaluation_policies(bundle, trained)
     t0 = time.perf_counter()
     report = evaluate(bundle, eval_policies)
     wall["evaluate"] = time.perf_counter() - t0
@@ -570,12 +572,7 @@ def evaluate_run(out_dir: str) -> RunResult:
     for approach in cfg.train_approaches:
         expected = learner.build_agents(env, cfg, approach, None)
         trained[approach] = load_agents(os.path.join(out_dir, "checkpoints", approach), expected)
-    eval_policies: dict[str, object] = {
-        approach: eval_policy_for(bundle, approach, agents, cfg.eval_stochastic)
-        for approach, agents in trained.items()
-    }
-    eval_policies.update(baseline_policies(bundle))
-    report = evaluate(bundle, eval_policies)
+    report = evaluate(bundle, evaluation_policies(bundle, trained))
     write_eval_csv(os.path.join(out_dir, "evaluation.csv"), cfg, report)
     return RunResult(
         cfg=cfg, bundle=bundle, trained=trained, report=report, out_dir=out_dir

@@ -8,8 +8,9 @@ Proves:
   5.  Validation rejects inconsistent settings, and every enum key names
       itself and the bad value; every numeric key states its bound in its
       table row unless it is one of the few with none; an override of the
-      wrong kind names the key and its kind, and configs share no list with
-      the defaults
+      wrong kind names the key and its kind, configs share no list with
+      the defaults, and inf or nan in any float key or list entry is
+      refused naming the key
   6.  config_lines round-trips through the parser for every preset, and
       load_config(text=...) reads an out_dir holding spaces and commas; a
       given string value holding `#` or a line break is refused, naming
@@ -22,6 +23,7 @@ Proves:
 """
 from __future__ import annotations
 
+import math
 import os
 import re
 import subprocess
@@ -200,6 +202,23 @@ def test_validation_rejections():
         for bad in (0, -1):
             with pytest.raises(ConfigError, match=re.escape(key)):
                 load_config(overrides={key: bad})
+    # inf and nan passed the bounds, or had none, and failed late with no key
+    # named (at step 0, in the Riccati iteration or in CostWeights)
+    floats = [key for key, kind, *_ in _TABLE if "float" in kind]
+    for key in floats:
+        lists = "_list" in KEY_SPECS[key][1]
+        for bad in (math.inf, -math.inf, math.nan):
+            value = [1.1, bad, 1.1] if lists else bad
+            overrides = {"scenario": "custom", "plants.count": 3, key: value}
+            if key == "channel.positions":
+                overrides[key] = [0.5] * 5 + [bad]
+            with pytest.raises(ConfigError, match="^" + re.escape(key) + " must be finite, got "):
+                load_config(overrides=overrides)
+    with pytest.raises(ConfigError, match=r"^alloc\.total must be finite, got inf$"):
+        load_config(text="alloc.total = inf")
+    message = "plants.a_values must be finite, got [1.1, nan, 1.1]"
+    with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+        load_config(text="plants.count = 3\nplants.a_values = 1.1 nan 1.1")
 
 
 # numeric keys whose range is a relation between keys, or that take any value

@@ -42,8 +42,8 @@ Proves:
   21.  Charging a stacked (T, ...) trajectory at once equals T per-step
        charges bitwise, at batch () and (B,), for every constraint kind
   22.  A bad action names its step, and at batch (B,) the first bad row:
-       non-finite entries and a negative allocation in step(), and an
-       allocation that is not finite and nonnegative in lottery(), which
+       a non-finite allocation or control input and a negative allocation
+       in step(), and the same allocation texts from lottery(), which
        names the first bad step of the episode
   23.  The transition einsum is np.einsum bitwise at batch (), (B,) and
        (T, B), both NumPy's C einsum and the np.einsum fallback
@@ -433,14 +433,14 @@ def test_step_checks_keep_their_messages(rngs):
         for idx in np.ndindex(*batch + (3,)):
             bad_alpha = alpha.copy()
             bad_alpha[idx] = bad
-            raises("action contains non-finite entries", bad_alpha, u)
+            raises("non-finite allocation", bad_alpha, u)
             bad_u = u.copy()
             bad_u[idx + (2,)] = bad
-            raises("action contains non-finite entries", alpha, bad_u)
+            raises("non-finite control input", alpha, bad_u)
     # non-finite wins over negative, as the checks run in that order
     mixed = alpha.copy()
     mixed[..., 0], mixed[..., 1] = -1.0, np.nan
-    raises("action contains non-finite entries", mixed, u)
+    raises("non-finite allocation", mixed, u)
     negative = alpha.copy()
     negative[..., -1] = -0.25
     raises("negative allocation: min entry -2.500e-01", negative, u)
@@ -547,22 +547,24 @@ def test_action_errors_name_the_step_and_row(rngs):
     for bad in (np.nan, np.inf, -np.inf):
         bad_alpha, bad_u = alpha.copy(), u.copy()
         bad_alpha[last + (1,)] = bad
-        raises(f"step 2{at(2)}: action contains non-finite entries", bad_alpha, u)
+        raises(f"step 2{at(2)}: non-finite allocation", bad_alpha, u)
         bad_u[middle + (0, 2)] = bad
-        raises(f"step 2{at(1)}: action contains non-finite entries", bad_alpha, bad_u)
+        raises(f"step 2{at(1)}: non-finite control input", bad_alpha, bad_u)
     negative = alpha.copy()
     negative[last + (0,)] = -0.25
     raises(f"step 2{at(2)}: negative allocation: min entry -2.500e-01", negative, u)
 
     # lottery() checks every step's allocation before the first; the first bad step is named
     alphas = np.ones((3,) + batch + (3,))
-    with pytest.raises(ValueError, match=f"^step 2{at(0)}: allocation"):
+    with pytest.raises(ValueError, match=f"^step 2{at(0)}: non-finite allocation$"):
         env.lottery(state, np.full((3,) + batch + (3,), np.nan))
     for bad in (np.nan, np.inf, -np.inf, -1e-300):
         bad_alphas = alphas.copy()
-        bad_alphas[(2,) + last + (0,)] = bad
+        # a larger negative entry at the later step: the first bad step's own min is named
+        bad_alphas[(2,) + last + (0,)] = 2.0 * bad
         bad_alphas[(1,) + middle + (2,)] = bad
-        message = f"step 3{at(1)}: allocation is not finite and nonnegative"
+        fault = "negative allocation: min entry -1.000e-300"
+        message = f"step 3{at(1)}: {fault if np.isfinite(bad) else 'non-finite allocation'}"
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             env.lottery(state, bad_alphas)
     # a negative zero is no negative allocation

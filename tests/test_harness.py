@@ -22,7 +22,8 @@ Proves:
        divergence match the oracle, and a bad allocation fails before the
        first step naming its step, where the per-step path names it too
  Group 3: Artifacts and round trips
-   9.  run_experiment writes config, logs, checkpoints, evaluation, manifest
+   9.  run_experiment writes config, logs, checkpoints, evaluation, manifest;
+       the learned approaches are evaluated first, then the baselines
   10.  Training logs and evaluation are bitwise repeatable across reruns
   11.  evaluate_run reproduces the stored evaluation byte for byte, also in a
        run directory whose path holds a space and a comma, and every
@@ -38,7 +39,7 @@ Proves:
        HeadSpec field and checkpoint file name pinned
  Group 4: Command line
   16.  train/evaluate/baselines/gradcheck all exit zero on a tiny run
-  17.  Config errors exit 2 with a one-line message
+  17.  Config errors exit 2 with a one-line message, a non-finite value too
 """
 from __future__ import annotations
 
@@ -334,7 +335,7 @@ def test_up_front_rollout_matches_oracle(tmp_path):
     with pytest.raises(ValueError, match="^step 7: negative allocation: min entry -1.000e"):
         harness.rollout(env, start, bad_policy, None)
     bad.state_free = True
-    with pytest.raises(ValueError, match="^step 7: allocation is not finite and nonnegative$"):
+    with pytest.raises(ValueError, match="^step 7: negative allocation: min entry -1.000e"):
         harness.rollout(env, dataclasses.replace(start, x=start.x * 1e20), bad_policy, None)
 
 
@@ -358,8 +359,11 @@ def test_run_experiment_artifacts(tmp_path):
     trained = result.trained["alloc_lqr"]
     agents = harness.load_agents(str(out / "checkpoints" / "alloc_lqr"), trained)
     assert np.array_equal(agents.actor.get_flat(), trained.actor.get_flat())
-    assert "alloc_lqr" in result.report.costs
-    assert "equal" in result.report.costs
+    # learned approaches first, then the baselines, in evaluation.csv's row order too
+    labels = ["alloc_lqr", *cfg.eval_baselines]
+    assert "equal" in labels and list(result.report.costs) == labels
+    rows = (out / "evaluation.csv").read_text().splitlines()[2:]
+    assert [row.split(",")[0] for row in rows[:: cfg.eval_tests]] == labels
 
 
 def test_rerun_bitwise_identical(tmp_path):
@@ -632,5 +636,9 @@ def test_cli_config_error(tmp_path):
         proc = run_cli("train", *args)
         assert proc.returncode == 2
         assert proc.stderr.startswith(f"error: {why}"), proc.stderr
+    # a non-finite value failed as a runtime error, exit 1
+    proc = run_cli("baselines", "--set", "alloc.total=inf")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: alloc.total must be finite, got inf"), proc.stderr
     proc = run_cli("evaluate", "--run", str(tmp_path / "missing"))
     assert proc.returncode in (1, 2)

@@ -22,9 +22,13 @@ Proves:
       lottery tape.uniforms[t] < delivery_probability(snr(h_t, alpha_t))
       bitwise, for every state-free allocator, 1-12 plants, batch shapes ()
       and (B,), every start t0 from 0 to the horizon (t0 = H: empty
-      arrays) and both force_delivery settings; its allocations are the
-      per-step allocator calls', and a step handed its row of the lottery
-      steps as one that rolls its own
+      arrays) and both force_delivery settings; so does the one-step
+      lottery (T = 1) step() rolls; its allocations are the per-step
+      allocator calls', and a step handed its row of the lottery steps as
+      one that rolls its own. An allocation made NaN, +-inf or negative at
+      a drawn step, row and plant (and a later row) fails with one text
+      from lottery() and from step(), naming that step and the first bad
+      row; a negative zero is no bad allocation
 
 The profile is derandomized, so every run tries the same examples.
 """
@@ -323,12 +327,22 @@ def lottery_cases(draw):
         force_delivery=draw(st.booleans()),
         obs_noise_cov=np.full(m * 4, draw(st.sampled_from([0.0, 0.3]))),
     )
-    return m, rows, horizon, draw(st.integers(0, horizon)), allocator, options
+    t0 = draw(st.integers(0, horizon))
+    # a bad entry at (step, row, plant), repeated at a later row; -0.0 is no bad entry
+    first_row = draw(st.integers(0, (rows or 1) - 1))
+    fault = (
+        draw(st.sampled_from([np.nan, np.inf, -np.inf, -0.0]) | finite(-1e3, -1e-300)),
+        draw(st.integers(t0, max(t0, horizon - 1))),
+        first_row,
+        draw(st.integers(first_row, (rows or 1) - 1)),
+        draw(st.integers(0, m - 1)),
+    )
+    return m, rows, horizon, t0, allocator, options, fault
 
 
 @given(case=lottery_cases(), seed=st.integers(0, 2**32 - 1))
 def test_up_front_lottery_equals_per_step_lotteries(case, seed):
-    m, rows, horizon, t0, allocator, options = case
+    m, rows, horizon, t0, allocator, options, (bad, bad_t, first_row, later_row, bad_plant) = case
     plant = PlantModel(
         kind="linear", a_mat=unstable_drift(1.1), b_mat=np.eye(3), process_noise=0.1
     )
@@ -348,6 +362,22 @@ def test_up_front_lottery_equals_per_step_lotteries(case, seed):
     delivered = env.lottery(state, alphas)
     assert alphas.shape == delivered.shape == (horizon - t0,) + env.batch_shape + (m,)
     u = np.random.Generator(np.random.PCG64(seed)).standard_normal(env.batch_shape + (m, 3))
+    bad_alphas = alphas.copy()
+    for r in {first_row, later_row} if t0 < horizon else ():
+        bad_alphas[(bad_t - t0,) + (() if rows is None else (r,)) + (bad_plant,)] = bad
+    if t0 < horizon and not (np.isfinite(bad) and bad >= 0.0):
+        fault = (
+            f"negative allocation: min entry {bad:.3e}" if np.isfinite(bad)
+            else "non-finite allocation"
+        )
+        message = f"step {bad_t}{'' if rows is None else f', row {first_row}'}: {fault}"
+        with pytest.raises(ValueError) as up_front:
+            env.lottery(state, bad_alphas)
+        assert str(up_front.value) == message
+    else:  # a negative zero, or no step to make bad (t0 = H)
+        message = None
+        zeroed = bad_alphas + 0.0  # -0.0 made +0.0: the same success probabilities
+        assert same_bits(env.lottery(state, bad_alphas), env.lottery(state, zeroed))
     for t in range(t0, horizon):
         alpha = np.broadcast_to(allocator(env.observe(state), t), env.batch_shape + (m,))
         assert same_bits(alphas[t - t0], np.ascontiguousarray(alpha)), t
@@ -356,6 +386,12 @@ def test_up_front_lottery_equals_per_step_lotteries(case, seed):
         else:
             want = tape.uniforms[t] < delivery_probability(snr(state.h, alpha))
         assert same_bits(delivered[t - t0], want), t
+        # the one-step roll step() makes, T = 1 of the rest of the tape
+        assert same_bits(env.lottery(state, alpha[None]), want[None]), t
+        if t == bad_t and message is not None:
+            with pytest.raises(ValueError) as per_step:
+                env.step(state, JointAction(alpha=bad_alphas[t - t0], u=u))
+            assert str(per_step.value) == message, t
         own = env.step(state, JointAction(alpha=alpha, u=u))
         handed = env.step(state, JointAction(alpha=alphas[t - t0], u=u), delivered[t - t0])
         for name in ("delivered", "realized_u"):
