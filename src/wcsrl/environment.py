@@ -20,12 +20,13 @@ whose discounted episode sum estimates the constraint slack. It takes any
 leading shape, so training charges each step's worker batch and
 evaluation a whole episode at once.
 
-All randomness is exogenous: it never depends on the actions. So reset()
-draws a whole episode of it up front, one noise tape per row from that
+All randomness is exogenous: it never depends on the actions. So the
+environment holds no generator: reset() takes the episode's generators
+and draws a whole episode up front, one noise tape per row from that
 row's own generator, and observe() and step() are pure array functions
-of the state, the action and the tape; episode() is the one loop that
-calls them, for training, pretraining and evaluation alike. Each row's
-generator is read in a fixed order:
+of the state, the action and the tape, which alone holds the gains;
+episode() is the one loop that calls them, for training, pretraining and
+evaluation alike. Each row's generator is read in a fixed order:
 
     reset:      initial state, then the channel gains
     every step: observation noise, delivery uniforms (skipped under
@@ -66,20 +67,21 @@ class NoiseTape:
     gains (H+1, ..., m) at reset and after each step, observation noise
     (H, ..., obs_dim), delivery uniforms (H, ..., m) or None under
     force_delivery, and process noise (H, ..., m, p), each plant's standard
-    normal draws scaled by its standard deviation. channel_noise
-    and plant_noise view the observation noise split the way observe()
-    adds it: (H, ..., m) and (H, ..., m, p)."""
+    normal draws scaled by its standard deviation. channel, each step's gains
+    plus its channel noise (H, ..., m), is added once and read-only;
+    plant_noise views the plant part of the observation noise, (H, ..., m, p)."""
 
     gains: np.ndarray
     obs: np.ndarray
     uniforms: Optional[np.ndarray]
     process: np.ndarray
-    channel_noise: np.ndarray = field(init=False, repr=False)
+    channel: np.ndarray = field(init=False, repr=False)
     plant_noise: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         m = self.gains.shape[-1]
-        self.channel_noise = self.obs[..., :m]
+        self.channel = self.gains[: self.horizon] + self.obs[..., :m]
+        self.channel.flags.writeable = False
         self.plant_noise = self.obs[..., m:].reshape(self.process.shape)
 
     @property
@@ -89,11 +91,10 @@ class NoiseTape:
 
 @dataclass
 class SystemState:
-    """True joint state: plant states x (..., m, p), channel gains h (..., m),
-    the episode's noise tape and the step t that reads it next."""
+    """True joint state: plant states x (batch + (m, p)), the episode's
+    noise tape, which holds the gains, and the step t that reads it next."""
 
     x: np.ndarray
-    h: np.ndarray
     tape: NoiseTape
     t: int = 0
 
@@ -167,6 +168,15 @@ class ConstraintSpec:
         return outside - (1.0 - gamma) * self.region_budget
 
 
+def _where(state: SystemState, bad: np.ndarray) -> str:
+    """The place an error names: for bad (T, ...) flagging entries of T
+    steps from state.t (state's batch shape after the step axis), the first
+    step with a flagged entry, and for batched rows its first flagged row."""
+    first = np.unravel_index(np.argmax(bad), bad.shape)
+    where = f"step {state.t + int(first[0])}"
+    return f"{where}, row {int(first[1])}" if state.x.ndim > 2 else where
+
+
 @dataclass
 class StepResult:
     """Per-row transition of one step: the next state, which plants' packets
@@ -179,14 +189,14 @@ class StepResult:
 
 
 class WirelessControlEnv:
-    """Transition kernel and observation model for a batch of rows.
-
-    rng is one generator (a single row: empty batch shape) or a sequence
-    of them (one row each: batch shape (B,)). reset() fills each row's
-    noise tape from that row's generator in the order the module docstring
-    gives, so a row's trajectory depends on its own seed alone, and B rows
-    step exactly as B single-row environments on the same generators would.
-    observe() and step() read the tape and never draw.
+    """Transition kernel and observation model for a batch of rows; it
+    holds no generator. reset(horizon, rng) takes one generator (a single
+    row: empty batch shape) or a sequence of them (one row each: batch
+    shape (B,)) and fills each row's noise tape from that row's generator
+    in the order the module docstring gives, so a row's trajectory depends
+    on its own seed alone, and B rows step exactly as B single-row episodes
+    on the same generators would. observe() and step() read the tape and
+    the batch shape from the state, and never draw.
     """
 
     def __init__(
@@ -194,7 +204,6 @@ class WirelessControlEnv:
         plants: list[PlantModel],
         channel: ChannelModel,
         weights: CostWeights,
-        rng: np.random.Generator | Sequence[np.random.Generator],
         gamma: float = 0.99,
         constraint: Optional[ConstraintSpec] = None,
         obs_noise_cov: Optional[np.ndarray] = None,
@@ -218,13 +227,6 @@ class WirelessControlEnv:
             raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
         if init_kind not in ("normal", "uniform", "zero"):
             raise ValueError(f"unknown init_kind {init_kind!r}")
-        if isinstance(rng, np.random.Generator):
-            self.rngs, self.batch_shape = [rng], ()
-        else:
-            self.rngs = list(rng)
-            if not self.rngs:
-                raise ValueError("need at least one generator")
-            self.batch_shape = (len(self.rngs),)
 
         self.plants = plants
         self.channel = channel
@@ -239,9 +241,6 @@ class WirelessControlEnv:
         self.state_dim = plants[0].state_dim
         self.input_dim = plants[0].input_dim
         self.obs_dim = self.m * (1 + self.state_dim)
-        # the action shapes step() accepts
-        self._alpha_shape = self.batch_shape + (self.m,)
-        self._u_shape = self._alpha_shape + (self.input_dim,)
         if weights.q.shape[0] != self.state_dim:
             raise ValueError("cost state weight does not match plant state dimension")
         if weights.r.shape[0] != self.input_dim:
@@ -275,18 +274,24 @@ class WirelessControlEnv:
     def n_signals(self) -> int:
         return self.constraint.n_components(self.m) if self.constraint is not None else 0
 
-    def reset(self, horizon: int) -> SystemState:
-        """Start an episode of `horizon` steps: draw every row's initial state
-        and noise tape from its generator."""
+    def reset(
+        self, horizon: int, rng: np.random.Generator | Sequence[np.random.Generator]
+    ) -> SystemState:
+        """Start an episode of `horizon` steps: draw each row's initial state
+        and noise tape from its generator, rng (one row) or rng[i] (row i)."""
         if horizon < 0:
             raise ValueError(f"horizon must be nonnegative, got {horizon}")
-        m, p, batch = self.m, self.state_dim, self.batch_shape
+        single = isinstance(rng, np.random.Generator)
+        rngs = [rng] if single else list(rng)
+        if not rngs:
+            raise ValueError("need at least one generator")
+        m, p, batch = self.m, self.state_dim, () if single else (len(rngs),)
         x0 = np.zeros(batch + (m, p))
         gains = np.empty((horizon + 1,) + batch + (m,))
         obs = np.empty((horizon,) + batch + (self.obs_dim,))
         uniforms = None if self.force_delivery else np.empty((horizon,) + batch + (m,))
         z = np.empty((horizon,) + batch + (m, p))
-        for row, rng in zip(np.ndindex(*batch), self.rngs):
+        for row, rng in zip(np.ndindex(*batch), rngs):
             if self.init_kind == "normal":
                 x0[row] = self.init_scale * rng.standard_normal((m, p))
             elif self.init_kind == "uniform":
@@ -304,7 +309,7 @@ class WirelessControlEnv:
         obs *= self._obs_noise_std
         z *= self._process_std
         tape = NoiseTape(gains=gains, obs=obs, uniforms=uniforms, process=z)
-        return SystemState(x=x0, h=gains[0], tape=tape, t=0)
+        return SystemState(x=x0, tape=tape, t=0)
 
     def _tape_index(self, state: SystemState) -> int:
         if state.t >= state.tape.horizon:
@@ -317,17 +322,7 @@ class WirelessControlEnv:
     def observe(self, state: SystemState) -> Observation:
         t = self._tape_index(state)
         tape = state.tape
-        return Observation(
-            channel=state.h + tape.channel_noise[t], plant=state.x + tape.plant_noise[t]
-        )
-
-    def _where(self, t: int, bad: np.ndarray) -> str:
-        """The place an error names: for bad (T, ...) flagging entries of T
-        steps from step t (batch shape after the step axis), the first step
-        with a flagged entry, and for batched rows its first flagged row."""
-        first = np.unravel_index(np.argmax(bad), bad.shape)
-        where = f"step {t + int(first[0])}"
-        return f"{where}, row {int(first[1])}" if self.batch_shape else where
+        return Observation(channel=tape.channel[t], plant=state.x + tape.plant_noise[t])
 
     def lottery(self, state: SystemState, alphas: np.ndarray) -> np.ndarray:
         """Which packets arrive (T, ..., m) on the T = len(alphas) steps from
@@ -341,10 +336,10 @@ class WirelessControlEnv:
         depend on T. ValueError naming the first step (and row) with a
         non-finite allocation entry, else the first with a negative one."""
         t0 = state.t
-        if alphas.shape[1:] != self._alpha_shape:
-            raise ValueError(f"alpha must have shape {self._alpha_shape}, got {alphas.shape[1:]}")
+        if alphas.shape[1:] != state.x.shape[:-1]:
+            raise ValueError(f"alpha must have shape {state.x.shape[:-1]}, got {alphas.shape[1:]}")
         if np.count_nonzero(np.isfinite(alphas)) < alphas.size:
-            raise ValueError(f"{self._where(t0, ~np.isfinite(alphas))}: non-finite allocation")
+            raise ValueError(f"{_where(state, ~np.isfinite(alphas))}: non-finite allocation")
         steps = slice(t0, t0 + len(alphas))
         try:
             probs = delivery_probability(snr(state.tape.gains[steps], alphas))
@@ -353,7 +348,7 @@ class WirelessControlEnv:
                 # the first step with a negative entry, rolled alone, raises naming its own min
                 i = int(np.argmax(alphas < 0.0)) // alphas[0].size
                 self.lottery(replace(state, t=t0 + i), alphas[i : i + 1])
-            raise ValueError(f"{self._where(t0, alphas < 0.0)}: {err}") from err
+            raise ValueError(f"{_where(state, alphas < 0.0)}: {err}") from err
         if self.force_delivery:
             return np.ones(alphas.shape, dtype=bool)
         return state.tape.uniforms[steps] < probs
@@ -366,10 +361,11 @@ class WirelessControlEnv:
         step's lottery through lottery(), which checks the allocation. Errors
         in the action name the step, and for batched rows the first bad row."""
         u = np.asarray(action.u, dtype=float)
-        if u.shape != self._u_shape:
-            raise ValueError(f"u must have shape {self._u_shape}, got {u.shape}")
+        u_shape = state.x.shape[:-1] + (self.input_dim,)
+        if u.shape != u_shape:
+            raise ValueError(f"u must have shape {u_shape}, got {u.shape}")
         if np.count_nonzero(np.isfinite(u)) < u.size:
-            where = self._where(state.t, ~np.isfinite(u)[None])
+            where = _where(state, ~np.isfinite(u)[None])
             raise ValueError(f"{where}: non-finite control input")
         t = self._tape_index(state)
         tape = state.tape
@@ -386,7 +382,7 @@ class WirelessControlEnv:
             next_x = dynamics.cartpole_step(state.x, realized_u[..., 0], w)
 
         return StepResult(
-            next_state=SystemState(x=next_x, h=tape.gains[t + 1], tape=tape, t=t + 1),
+            next_state=SystemState(x=next_x, tape=tape, t=t + 1),
             delivered=delivered,
             realized_u=realized_u,
         )

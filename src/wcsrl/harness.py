@@ -8,9 +8,11 @@ fixed_sources gives the rest.
 Randomness is split into three independent streams derived from the
 experiment seed: [seed, 0] draws the scenario (placements, plant
 parameters), [seed, 1, k] drives training of the k-th approach, and
-[seed, 2] drives evaluation. Evaluation pairs policies by data: each
-(test, realization) cell draws one noise tape, and every policy's episode
-in that cell replays it, so comparisons see identical noise.
+[seed, 2] drives evaluation; each episode hands its generators to the
+reset of the scenario's environment (ScenarioBundle.env). Evaluation
+pairs policies by data: each (test, realization) cell draws one noise
+tape, and every policy's episode in that cell replays it, so comparisons
+see identical noise.
 """
 from __future__ import annotations
 
@@ -67,14 +69,12 @@ class ScenarioBundle:
     def m(self) -> int:
         return len(self.plants)
 
-    def env_factory(
-        self, rng: np.random.Generator, force_delivery: bool = False
-    ) -> WirelessControlEnv:
+    def env(self, force_delivery: bool = False) -> WirelessControlEnv:
+        """The scenario's environment; its episodes' generators go to reset()."""
         return WirelessControlEnv(
             plants=self.plants,
             channel=self.channel,
             weights=self.weights,
-            rng=rng,
             gamma=self.cfg.train_gamma,
             constraint=self.constraint,
             obs_noise_cov=self.obs_noise,
@@ -207,8 +207,8 @@ def train_approach(
     """Train approach on stream [seed, 1, approach_index] from bundle.cfg."""
     allocator, controller = fixed_sources(bundle, approach)
     seq = np.random.SeedSequence([bundle.cfg.seed, 1, approach_index])
-    factory = lambda rng: bundle.env_factory(rng, force_delivery=allocator is not None)
-    return learner.train(factory, bundle.cfg, approach, seq, controller, allocator, progress)
+    env = bundle.env(force_delivery=allocator is not None)
+    return learner.train(env, bundle.cfg, approach, seq, controller, allocator, progress)
 
 
 def eval_policy_for(
@@ -259,32 +259,33 @@ def rollout(
     """One evaluation episode, env.episode from start over its whole noise
     tape: discounted cost and constraint sums, the largest joint state norm
     seen, and whether the state left the representable region (cost then
-    saturates at DIVERGENCE_COST). The env is a single row. When the
+    saturates at DIVERGENCE_COST). start is a single row. When the
     policy's allocation ignores the plant state (policies.
     episode_allocations), the allocations of every step and the episode's
     delivery lottery (env.lottery) are computed once, before the first
     step, and each step's action carries its row; a bad allocation at any
     step then fails before the first. Otherwise each step rolls its own
     one-step lottery inside env.step. Each step's pre-step state, realized
-    input and allocation are kept, and after the last step run (the
-    diverging one included) env.charge prices them all at once; the sums
-    add the discounted terms in step order from zero, as a per-step loop
-    adds them."""
-    t0, tape = start.t, start.tape
-    steps = tape.horizon - t0
+    input, allocation and discount are kept, and after the last step run
+    (the diverging one included) env.charge prices them all at once; the
+    sums add the discounted terms in step order from zero, as a per-step
+    loop adds them."""
+    t0 = start.t
+    steps = start.tape.horizon - t0
     xs = np.empty((steps + 1,) + start.x.shape)
     realized = np.empty((steps, env.m, env.input_dim))
     alphas = np.empty((steps, env.m))
-    channels = tape.gains[t0 : tape.horizon] + tape.channel_noise[t0:]
-    fixed = policies.episode_allocations(policy, channels, t0)
+    discs = np.empty(steps)
+    fixed = policies.episode_allocations(policy, start.tape.channel[t0:], t0)
     delivered = None if fixed is None else env.lottery(start, fixed)
     act = lambda obs, t: policy.act(obs, t, policy_rng, None if fixed is None else fixed[t - t0])
     xs[0] = start.x
     max_norm = _norm(start.x)
     ran, diverged = 0, False
-    for _, _, action, res, _ in env.episode(start, act, delivered):
+    for _, _, action, res, disc in env.episode(start, act, delivered):
         alphas[ran] = action.alpha
         realized[ran] = res.realized_u
+        discs[ran] = disc
         ran += 1
         xs[ran] = res.next_state.x
         norm = _norm(res.next_state.x)
@@ -295,12 +296,8 @@ def rollout(
             diverged = True
             break
     _, stage, signals = env.charge(xs[:ran], realized[:ran], alphas[:ran])
-    # the running product gamma^t, as env.episode's discount
-    disc = np.full(ran, env.gamma)
-    disc[:1] = 1.0
-    disc = np.multiply.accumulate(disc)
-    cost = float(_sum_from_zero(disc * stage))
-    signals = _sum_from_zero(disc[:, None] * signals)
+    cost = float(_sum_from_zero(discs[:ran] * stage))
+    signals = _sum_from_zero(discs[:ran, None] * signals)
     if diverged or not math.isfinite(cost):
         return RolloutStats(DIVERGENCE_COST, signals, max_norm, True)
     return RolloutStats(cost, signals, max_norm, False)
@@ -353,8 +350,8 @@ def evaluate(bundle: ScenarioBundle, eval_policies: dict) -> EvalReport:
     restarts policy sampling for each policy. Every policy's episode in the
     cell replays that tape, so all of them see the same initial states,
     fading, delivery lottery and observation noise. Realizations within a
-    test start from fresh initial states. Cells go one at a time, so only
-    one tape is held.
+    test start from fresh initial states. Cells go one at a time, each a
+    reset of one environment, so only one tape is held.
     """
     cfg = bundle.cfg
     n_tests, group, horizon = cfg.eval_tests, cfg.eval_group, cfg.eval_horizon
@@ -362,17 +359,16 @@ def evaluate(bundle: ScenarioBundle, eval_policies: dict) -> EvalReport:
     for test_seq in np.random.SeedSequence([cfg.seed, 2]).spawn(n_tests):
         cells.append([real_seq.spawn(2) for real_seq in test_seq.spawn(group)])
 
-    n_sig = bundle.constraint.n_components(bundle.m) if bundle.constraint else 0
+    env = bundle.env()
     shape = (n_tests, group)
     costs = {label: np.zeros(shape) for label in eval_policies}
-    signals = {label: np.zeros(shape + (n_sig,)) for label in eval_policies}
+    signals = {label: np.zeros(shape + (env.n_signals,)) for label in eval_policies}
     max_norms = {label: np.zeros(shape) for label in eval_policies}
     diverged = {label: np.zeros(shape, dtype=bool) for label in eval_policies}
     for j in range(n_tests):
         for k in range(group):
             env_seq, pol_seq = cells[j][k]
-            env = bundle.env_factory(np.random.Generator(np.random.PCG64(env_seq)))
-            start = env.reset(horizon)
+            start = env.reset(horizon, np.random.Generator(np.random.PCG64(env_seq)))
             for label, policy in eval_policies.items():
                 pol_rng = np.random.Generator(np.random.PCG64(pol_seq))
                 stats = rollout(env, start, policy, pol_rng)
@@ -567,7 +563,7 @@ def evaluate_run(out_dir: str) -> RunResult:
     """Re-evaluate a finished run from its saved config and checkpoints."""
     cfg = config_mod.load_config(path=os.path.join(out_dir, "config.txt"))
     bundle = build_scenario(cfg)
-    env = bundle.env_factory(np.random.default_rng(0))  # for its dimensions only
+    env = bundle.env()
     trained = {}
     for approach in cfg.train_approaches:
         expected = learner.build_agents(env, cfg, approach, None)

@@ -23,9 +23,10 @@ plants draw, record and update in one call per step; each member still
 learns from its own plant's cost alone, and only the access-point agent
 sees the constraint penalty.
 
-The N workers are the N rows of one batched environment, and an episode
-is one pass of WirelessControlEnv.episode, the loop pretraining and
-evaluation step through too. Each step, one call to
+The N workers are the N rows of one batched environment: each episode
+resets it on the N worker generators, and is one pass of
+WirelessControlEnv.episode, the loop pretraining and evaluation step
+through too. Each step, one call to
 policies.compose_action forms the actions of all workers, with the
 halves the agents do not learn from one call to the fixed allocator or
 controller. The pending segment update runs inside that call: after the
@@ -309,7 +310,8 @@ def build_agents(
 
 def pretrain_allocation(
     actor: GaussianActor,
-    rows_env: Callable[[int], WirelessControlEnv],
+    env: WirelessControlEnv,
+    env_rng: np.random.Generator,
     cfg: ExperimentConfig,
     controller: policies.Controller,
     rng: np.random.Generator,
@@ -318,16 +320,17 @@ def pretrain_allocation(
     (policies.heuristic_allocator's control_aware, at the baselines' power).
 
     Rolls the fewest whole episodes E that give at least max(512, 4 *
-    train.pretrain_batch) observations under that heuristic, as the rows of
-    rows_env(E), and fits the deterministic allocation output to its
-    choices by minibatch MSE steps (train.pretrain_iters, train.pretrain_lr).
+    train.pretrain_batch) observations under that heuristic, as E rows of
+    env reset on env_rng (row after row, each continuing its stream), and
+    fits the deterministic allocation output to its choices by minibatch
+    MSE steps (train.pretrain_iters, train.pretrain_lr) drawn from rng.
     """
     heuristic = policies.ActionSources(
         allocator=policies.heuristic_allocator("control_aware", cfg), controller=controller
     )
-    env = rows_env(-(-max(512, 4 * cfg.train_pretrain_batch) // cfg.train_horizon))
+    episodes = -(-max(512, 4 * cfg.train_pretrain_batch) // cfg.train_horizon)
     act = lambda obs, t: policies.compose_action(heuristic, obs, t)
-    loop = env.episode(env.reset(cfg.train_horizon), act)
+    loop = env.episode(env.reset(cfg.train_horizon, [env_rng] * episodes), act)
     obs_steps, target_steps = zip(*((obs.stacked(), action.alpha) for _, obs, action, *_ in loop))
     # (H, E, ...) -> episode-major rows
     obs_mat = np.stack(obs_steps, axis=1).reshape(-1, env.obs_dim)
@@ -340,7 +343,7 @@ def pretrain_allocation(
 
 
 def train(
-    env_factory: Callable[[np.random.Generator | list[np.random.Generator]], WirelessControlEnv],
+    env: WirelessControlEnv,
     cfg: ExperimentConfig,
     approach: str,
     seed: int | np.random.SeedSequence,
@@ -351,15 +354,15 @@ def train(
     """Train approach (a key of APPROACHES) with the primal-dual loop under
     cfg's train.* and alloc.* keys and return the trained agents.
 
-    env_factory(rng) builds an environment around rng: training steps one
-    around the list of worker generators, one batch row per worker, and
-    pretraining one whose rows all hold worker 0's generator. When allocation
-    (control) is not learned, alloc_provider (control_provider) supplies
-    that half of the action for the whole worker batch; both default to
-    zero actions when absent. Pretraining runs only beside fixed control,
-    and warm episodes only where the approach warms up; elsewhere those
-    keys are ignored. seed may be a SeedSequence so callers can keep
-    training streams separate from scenario or evaluation draws.
+    Each episode resets env on the worker generators, one row per worker;
+    pretraining resets it on rows that all hold worker 0's generator. When
+    allocation (control) is not learned, alloc_provider (control_provider)
+    supplies that half of the action for the whole worker batch, and
+    without it the first step fails with compose_action's "no fixed
+    source" error. Pretraining runs only beside fixed control, and warm
+    episodes only where the approach warms up; elsewhere those keys are
+    ignored. seed may be a SeedSequence so callers can keep training
+    streams separate from scenario or evaluation draws.
     """
     if approach not in APPROACHES:
         raise ValueError(f"unknown approach {approach!r}")
@@ -375,7 +378,6 @@ def train(
     pretrain_rng = np.random.Generator(np.random.PCG64(seq.spawn(1)[0]))
 
     worker_rngs = [np.random.Generator(np.random.PCG64(s)) for s in worker_seqs]
-    env = env_factory(worker_rngs)
     if abs(env.gamma - cfg.train_gamma) > 1e-12:
         raise ValueError(
             f"environment discount {env.gamma} does not match train.gamma {cfg.train_gamma}"
@@ -383,7 +385,6 @@ def train(
     # the fixed heuristic allocators are sized from plants.count
     if env.m != cfg.plants_count:
         raise ValueError(f"environment has {env.m} plants, plants.count is {cfg.plants_count}")
-    m = env.m
     n_sig = env.n_signals
     n = cfg.train_workers
 
@@ -394,14 +395,13 @@ def train(
         rc_agent = SegmentAgent(agents.rc_actor, agents.rc_critic, cfg)
     seg_agents = [ag for ag in (ap_agent, rc_agent) if ag is not None]
 
-    controller = control_provider or policies.zero_controller(m, env.input_dim)
     if cfg.train_pretrain_iters > 0 and spec.control == "fixed":
         # rows drawn in turn from worker 0's generator, which training continues
-        rows_env = lambda rows: env_factory([worker_rngs[0]] * rows)
-        pretrain_allocation(agents.actor, rows_env, cfg, controller, pretrain_rng)
+        pretrain_allocation(agents.actor, env, worker_rngs[0], cfg, control_provider, pretrain_rng)
 
-    allocator = alloc_provider or policies.zero_allocator(m)
-    sources = policies.ActionSources(agents.actor, agents.rc_actor, allocator, controller)
+    sources = policies.ActionSources(
+        agents.actor, agents.rc_actor, alloc_provider, control_provider
+    )
     warm_sources = sources
     if warm_episodes > 0:
         # the allocation actor sits out under the equal baseline's power
@@ -426,7 +426,7 @@ def train(
 
         ep_pen = np.zeros(n)
         ep_sig = np.zeros((n, n_sig))
-        state = env.reset(cfg.train_horizon)
+        state = env.reset(cfg.train_horizon, worker_rngs)
         x = state.x  # the pre-step state each step is charged on
         for t, _, action, res, disc in env.episode(state, act):
             per_plant, stage, signals = env.charge(x, res.realized_u, action.alpha)

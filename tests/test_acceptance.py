@@ -282,11 +282,11 @@ def test_joint_policy_stabilizes_small_initial_states(codesign_study):
     rng = np.random.default_rng(2026)
     # episodes start from x0 ~ N(0, I) rescaled to joint norm 0.1
     cfg = dataclasses.replace(bundle.cfg, plants_init="normal", plants_init_scale=1.0)
-    env = dataclasses.replace(bundle, cfg=cfg).env_factory(rng)
+    env = dataclasses.replace(bundle, cfg=cfg).env()
     bound, horizon, n_traj = 50.0, 100, 200
     peaks = np.empty(n_traj)
     for k in range(n_traj):
-        start = env.reset(horizon)
+        start = env.reset(horizon, rng)
         start = dataclasses.replace(start, x=start.x * (0.1 / np.linalg.norm(start.x)))
         peaks[k] = harness.rollout(env, start, policy, rng).max_norm
     frac = float(np.mean(peaks < bound))

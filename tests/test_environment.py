@@ -26,8 +26,9 @@ Proves:
   15.  The tape holds the documented draw order of the row's generator,
        each plant's process draws scaled by the root of its own variance
   16.  observe() and step() never draw; stepping past the tape raises
-  17.  B rows reset, observe and step bitwise like B single-row environments
-       on the same generators: linear and cart-pole plants, sum_power,
+  17.  B rows reset, observe and step bitwise like B single-row episodes
+       of one environment on the same generators, every row's tape that of
+       its single-row episode: linear and cart-pole plants, sum_power,
        region and no constraint, force_delivery on and off
   18.  Every action check raises its own message at batch () and (B,): a
        wrong alpha or u shape, a non-finite alpha or u entry (NaN, +inf,
@@ -47,6 +48,11 @@ Proves:
        names the first bad step of the episode
   23.  The transition einsum is np.einsum bitwise at batch (), (B,) and
        (T, B), both NumPy's C einsum and the np.einsum fallback
+  24.  A tape's gains alone drive both the observed channel and the
+       delivery lottery: gains chosen on the tape show in observe() and
+       decide which packets arrive
+  25.  The tape's channel observations, added once for the whole tape, are
+       each step's gains plus its channel noise bitwise, and read-only
 """
 from __future__ import annotations
 
@@ -65,7 +71,6 @@ from oracles import apply_switched_input, linear_step, penalized_cost, quadratic
 
 def make_env(
     m=2,
-    rng_seed=0,
     constraint=None,
     obs_noise=None,
     gamma=0.99,
@@ -87,7 +92,6 @@ def make_env(
         plants=plants,
         channel=channel,
         weights=CostWeights(q=np.eye(3), r=np.eye(3)),
-        rng=np.random.Generator(np.random.PCG64(rng_seed)),
         gamma=gamma,
         constraint=constraint,
         obs_noise_cov=obs_noise,
@@ -96,9 +100,20 @@ def make_env(
     )
 
 
-def state_at(env, x, h):
-    """A one-step episode of env with its state replaced by (x, h)."""
-    return replace(env.reset(1), x=np.asarray(x, dtype=float), h=np.asarray(h, dtype=float))
+def gen(seed):
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def with_gains(state, gains):
+    """state on its tape with every step's channel gains replaced by gains."""
+    gains = np.broadcast_to(np.asarray(gains, dtype=float), state.tape.gains.shape)
+    return replace(state, tape=replace(state.tape, gains=gains.copy()))
+
+
+def state_at(env, x, gains):
+    """A one-step episode of env at plant states x, on a tape whose channel
+    gains are gains at every step."""
+    return with_gains(replace(env.reset(1, gen(0)), x=np.asarray(x, dtype=float)), gains)
 
 
 # Group 1 -------------------------------------------------------------------
@@ -185,7 +200,7 @@ def test_constraint_kinds():
 def test_switched_actuation_in_step():
     env = make_env(m=2)
     state = state_at(env, np.ones((2, 3)), [100.0, 0.0])
-    # plant 0: huge snr, certain delivery; plant 1: zero power, certain drop
+    # plant 0: huge snr, certain delivery; plant 1: zero gain and power, certain drop
     action = JointAction(alpha=np.array([100.0, 0.0]), u=5.0 * np.ones((2, 3)))
     res = env.step(state, action)
     assert res.delivered[0]
@@ -261,8 +276,8 @@ def test_observation_layout():
 
 def test_observation_noise_variance():
     var = np.concatenate([np.full(2, 4.0), np.full(6, 0.25)])
-    env = make_env(m=2, obs_noise=var, rng_seed=3, init_kind="zero")
-    state = replace(env.reset(20_000), h=np.zeros(2))
+    env = make_env(m=2, obs_noise=var, init_kind="zero")
+    state = with_gains(env.reset(20_000, gen(3)), 0.0)
     obs = [env.observe(replace(state, t=t)) for t in range(20_000)]
     chan = np.array([o.channel for o in obs])
     plant = np.array([o.plant.ravel() for o in obs])
@@ -274,8 +289,8 @@ def test_observation_noise_variance():
 def test_trajectory_determinism():
     costs = []
     for _ in range(2):
-        env = make_env(m=2, rng_seed=77, process_noise=0.1, obs_noise=np.full(8, 1.0))
-        state = env.reset(25)
+        env = make_env(m=2, process_noise=0.1, obs_noise=np.full(8, 1.0))
+        state = env.reset(25, gen(77))
         total = 0.0
         for t in range(25):
             env.observe(state)
@@ -289,10 +304,10 @@ def test_trajectory_determinism():
 
 def test_reset_init_kinds():
     env = make_env(m=2, init_kind="zero")
-    assert np.array_equal(env.reset(1).x, np.zeros((2, 3)))
-    env_u = make_env(m=2, init_kind="uniform", rng_seed=5)
+    assert np.array_equal(env.reset(1, gen(0)).x, np.zeros((2, 3)))
+    env_u = make_env(m=2, init_kind="uniform")
     env_u.init_scale = 0.05
-    x0 = env_u.reset(1).x
+    x0 = env_u.reset(1, gen(5)).x
     assert np.all(np.abs(x0) <= 0.05)
     assert np.any(x0 != 0)
 
@@ -300,9 +315,9 @@ def test_reset_init_kinds():
 # Group 4 -------------------------------------------------------------------
 
 
-def make_rows_env(kind, constraint, force_delivery, rngs):
+def noisy_env(kind, constraint, force_delivery):
     """An m=3 environment of the given plant kind with process and
-    observation noise, around one generator or a list of them."""
+    observation noise."""
     m = 3
     if kind == "linear":
         plants = [
@@ -327,7 +342,6 @@ def make_rows_env(kind, constraint, force_delivery, rngs):
         plants=plants,
         channel=ChannelModel(distances=np.linspace(0.8, 1.6, m)),
         weights=CostWeights(q=np.diag(np.arange(1.0, p + 1)), r=0.1 * np.eye(q)),
-        rng=rngs,
         constraint=specs[constraint],
         obs_noise_cov=obs_noise,
         init_kind="uniform" if kind == "cartpole" else "normal",
@@ -336,19 +350,20 @@ def make_rows_env(kind, constraint, force_delivery, rngs):
     )
 
 
-def gen(seed):
-    return np.random.Generator(np.random.PCG64(seed))
+def batch_of(rngs):
+    """The batch shape of an episode reset on rngs."""
+    return () if isinstance(rngs, np.random.Generator) else (len(rngs),)
 
 
 def test_tape_holds_documented_draw_order():
-    env = make_rows_env("linear", "region", False, gen(5))
-    horizon = 4
-    state = env.reset(horizon)
+    env = noisy_env("linear", "region", False)
+    horizon, source = 4, gen(5)
+    state = env.reset(horizon, source)
     rng = gen(5)  # replay the documented order by hand
     noise_std = np.sqrt(np.linspace(0.05, 0.5, env.obs_dim))
     process_std = np.sqrt([p.process_noise for p in env.plants])[:, None]
     assert np.array_equal(state.x, 1.0 * rng.standard_normal((3, 3)))
-    assert np.array_equal(state.h, env.channel.sample_gains(rng))
+    assert np.array_equal(state.tape.gains[0], env.channel.sample_gains(rng))
     for t in range(horizon):
         assert np.array_equal(state.tape.obs[t], noise_std * rng.standard_normal(env.obs_dim))
         assert np.array_equal(state.tape.uniforms[t], rng.random(3))
@@ -356,13 +371,13 @@ def test_tape_holds_documented_draw_order():
         assert np.array_equal(state.tape.process[t], w)
         assert np.array_equal(state.tape.gains[t + 1], env.channel.sample_gains(rng))
     # the next episode continues the stream exactly where this one stopped
-    assert np.array_equal(env.reset(1).x, rng.standard_normal((3, 3)))
+    assert np.array_equal(env.reset(1, source).x, rng.standard_normal((3, 3)))
 
 
 def test_observe_and_step_never_draw():
     rngs = [gen(1), gen(2)]
-    env = make_rows_env("linear", "sum_power", False, rngs)
-    state = env.reset(2)
+    env = noisy_env("linear", "sum_power", False)
+    state = env.reset(2, rngs)
     before = [r.bit_generator.state for r in rngs]
     action = JointAction(alpha=np.ones((2, 3)), u=np.zeros((2, 3, 3)))
     for _ in range(2):
@@ -372,7 +387,7 @@ def test_observe_and_step_never_draw():
     with pytest.raises(ValueError, match="past the 2-step noise tape"):
         env.step(state, action)
     with pytest.raises(ValueError, match="alpha must have shape"):
-        env.step(env.reset(1), JointAction(alpha=np.ones(3), u=np.zeros((2, 3, 3))))
+        env.step(env.reset(1, rngs), JointAction(alpha=np.ones(3), u=np.zeros((2, 3, 3))))
 
 
 @pytest.mark.parametrize("force_delivery", [False, True], ids=["lottery", "forced"])
@@ -381,20 +396,25 @@ def test_observe_and_step_never_draw():
 def test_rows_match_single_row_environments(kind, constraint, force_delivery):
     seeds = [11, 12, 13, 14]
     horizon = 6
-    batched = make_rows_env(kind, constraint, force_delivery, [gen(s) for s in seeds])
-    singles = [make_rows_env(kind, constraint, force_delivery, gen(s)) for s in seeds]
-    q = batched.input_dim
+    env = noisy_env(kind, constraint, force_delivery)
+    rngs, single_rngs = [gen(s) for s in seeds], [gen(s) for s in seeds]
+    q = env.input_dim
     act_rng = gen(7)
     for _ in range(2):  # the second episode continues every row's stream
-        state = batched.reset(horizon)
-        single_states = [env.reset(horizon) for env in singles]
+        state = env.reset(horizon, rngs)
+        single_states = [env.reset(horizon, rng) for rng in single_rngs]
+        for i, s in enumerate(single_states):
+            assert np.array_equal(state.x[i], s.x)
+            for name in ("gains", "obs", "uniforms", "process", "channel"):
+                got, want = getattr(state.tape, name), getattr(s.tape, name)
+                assert (got is want is None) or np.array_equal(got[:, i], want), (i, name)
         for t in range(horizon):
-            obs = batched.observe(state)
+            obs = env.observe(state)
             alpha = np.abs(act_rng.standard_normal((len(seeds), 3)))
             u = np.clip(3.0 * act_rng.standard_normal((len(seeds), 3, q)), -FORCE_LIMIT, FORCE_LIMIT)
-            res = batched.step(state, JointAction(alpha=alpha, u=u))
-            charged = batched.charge(state.x, res.realized_u, alpha)
-            for i, (env, s) in enumerate(zip(singles, single_states)):
+            res = env.step(state, JointAction(alpha=alpha, u=u))
+            charged = env.charge(state.x, res.realized_u, alpha)
+            for i, s in enumerate(single_states):
                 one_obs = env.observe(s)
                 assert np.array_equal(obs.channel[i], one_obs.channel)
                 assert np.array_equal(obs.plant[i], one_obs.plant)
@@ -405,10 +425,9 @@ def test_rows_match_single_row_environments(kind, constraint, force_delivery):
                 for got, want in zip(charged, one_charged):
                     assert np.array_equal(got[i], want), (t, i)
                 assert np.array_equal(res.next_state.x[i], one.next_state.x)
-                assert np.array_equal(res.next_state.h[i], one.next_state.h)
                 single_states[i] = one.next_state
             state = res.next_state
-    assert charged[2].shape == (len(seeds), batched.n_signals)
+    assert charged[2].shape == (len(seeds), env.n_signals)
     assert res.delivered.all() or not force_delivery
 
 
@@ -416,9 +435,9 @@ def test_rows_match_single_row_environments(kind, constraint, force_delivery):
 
 @pytest.mark.parametrize("rngs", [gen(3), [gen(3), gen(4)]], ids=["single", "rows"])
 def test_step_checks_keep_their_messages(rngs):
-    env = make_rows_env("linear", "region", False, rngs)
-    batch = env.batch_shape
-    state = env.reset(1)
+    env = noisy_env("linear", "region", False)
+    batch = batch_of(rngs)
+    state = env.reset(1, rngs)
     alpha, u = np.ones(batch + (3,)), np.zeros(batch + (3, 3))
 
     def raises(message, alpha, u, state=state):
@@ -457,9 +476,8 @@ def test_episode_is_the_hand_loop(seeds):
     def rngs():
         return gen(seeds) if isinstance(seeds, int) else [gen(s) for s in seeds]
 
-    env = make_rows_env("linear", "region", False, rngs())
-    twin = make_rows_env("linear", "region", False, rngs())
-    horizon, batch = 7, env.batch_shape
+    env = noisy_env("linear", "region", False)
+    horizon, batch = 7, batch_of(rngs())
     act_rng = gen(8)
     asked = []
 
@@ -468,22 +486,22 @@ def test_episode_is_the_hand_loop(seeds):
         alpha = np.abs(act_rng.standard_normal(batch + (3,)))
         return JointAction(alpha=alpha, u=act_rng.standard_normal(batch + (3, 3)))
 
-    loop = env.episode(env.reset(horizon), act)
+    loop = env.episode(env.reset(horizon, rngs()), act)
     first = next(loop)
     assert asked == [0]  # the next step waits for the consumer
     steps = [first, *loop]
     assert asked == [t for t, *_ in steps] == list(range(horizon))
-    state, disc = twin.reset(horizon), 1.0
+    state, disc = env.reset(horizon, rngs()), 1.0
     for t, obs, action, res, discount in steps:
-        want_obs = twin.observe(state)
+        want_obs = env.observe(state)
         assert np.array_equal(obs.channel, want_obs.channel)
         assert np.array_equal(obs.plant, want_obs.plant)
-        want = twin.step(state, action)
+        want = env.step(state, action)
         for field in ("delivered", "realized_u"):
             assert np.array_equal(getattr(res, field), getattr(want, field)), (t, field)
         assert np.array_equal(res.next_state.x, want.next_state.x)
-        assert discount == disc == pytest.approx(twin.gamma**t, rel=1e-14)
-        disc *= twin.gamma
+        assert discount == disc == pytest.approx(env.gamma**t, rel=1e-14)
+        disc *= env.gamma
         state = want.next_state
 
 
@@ -491,16 +509,16 @@ def test_episode_is_the_hand_loop(seeds):
 @pytest.mark.parametrize("kind", ["linear", "cartpole"])
 def test_diagonal_stage_cost_is_the_einsum(kind, seeds):
     rngs = gen(seeds) if isinstance(seeds, int) else [gen(s) for s in seeds]
-    env = make_rows_env(kind, None, False, rngs)
+    env = noisy_env(kind, None, False)
     q, r = env.weights.q, env.weights.r
     draw = gen(9)
-    state = env.reset(50)
+    state = env.reset(50, rngs)
     for _ in range(50):
         # states from 1e-3 to 1e3 in magnitude; forces inside the actuator interval
         x = draw.standard_normal(state.x.shape) * 10.0 ** draw.uniform(-3, 3, state.x.shape)
         state = replace(state, x=x)
-        alpha = np.abs(draw.standard_normal(env.batch_shape + (3,)))
-        u = np.clip(draw.standard_normal(env.batch_shape + (3, env.input_dim)), -1.0, 1.0)
+        alpha = np.abs(draw.standard_normal(batch_of(rngs) + (3,)))
+        u = np.clip(draw.standard_normal(batch_of(rngs) + (3, env.input_dim)), -1.0, 1.0)
         res = env.step(state, JointAction(alpha=alpha, u=u))
         want = np.einsum("...ij,jk,...ik->...i", x, q, x)
         want += np.einsum("...ij,jk,...ik->...i", res.realized_u, r, res.realized_u)
@@ -512,10 +530,9 @@ def test_diagonal_stage_cost_is_the_einsum(kind, seeds):
 @pytest.mark.parametrize("constraint", ["sum_power", "region", None], ids=str)
 @pytest.mark.parametrize("kind", ["linear", "cartpole"])
 def test_trajectory_charge_is_per_step_charges(kind, constraint, seeds):
-    rngs = gen(seeds) if isinstance(seeds, int) else [gen(s) for s in seeds]
-    env = make_rows_env(kind, constraint, False, rngs)
+    env = noisy_env(kind, constraint, False)
     draw = gen(10)
-    horizon, batch = 12, env.batch_shape
+    horizon, batch = 12, () if isinstance(seeds, int) else (len(seeds),)
     xs = draw.standard_normal((horizon,) + batch + (3, env.state_dim))
     xs[::3] = 0.0  # exact zeros, and entries of both signs around the region edge
     us = np.clip(draw.standard_normal((horizon,) + batch + (3, env.input_dim)), -1.0, 1.0)
@@ -530,10 +547,10 @@ def test_trajectory_charge_is_per_step_charges(kind, constraint, seeds):
 
 @pytest.mark.parametrize("rngs", [gen(3), [gen(3), gen(4), gen(5)]], ids=["single", "rows"])
 def test_action_errors_name_the_step_and_row(rngs):
-    env = make_rows_env("linear", "region", False, rngs)
-    batch = env.batch_shape
+    env = noisy_env("linear", "region", False)
+    batch = batch_of(rngs)
     alpha, u = np.ones(batch + (3,)), np.zeros(batch + (3, 3))
-    state = env.reset(5)
+    state = env.reset(5, rngs)
     for _ in range(2):
         state = env.step(state, JointAction(alpha=alpha, u=u)).next_state
     # the last row's allocation and the middle row's input go bad: the middle row is named
@@ -583,3 +600,38 @@ def test_transition_einsum_is_np_einsum(batch):
     for einsum in (environment._einsum, fallback):
         got = einsum("ijk,...ik->...ij", a, x)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rngs", [gen(6), [gen(6), gen(7)]], ids=["single", "rows"])
+def test_tape_gains_drive_observation_and_lottery(rngs):
+    env = make_env(m=2, obs_noise=np.full(8, 0.5))
+    horizon, batch = 4, batch_of(rngs)
+    # no gain where the drawn one is largest, a huge one elsewhere: certain drop or arrival
+    drawn = env.reset(horizon, rngs)
+    chosen = np.where(drawn.tape.gains == drawn.tape.gains.max(axis=-1, keepdims=True), 0.0, 1e6)
+    state = with_gains(drawn, chosen)
+    action = JointAction(alpha=np.ones(batch + (2,)), u=np.ones(batch + (2, 3)))
+    for t in range(horizon):
+        obs = env.observe(state)
+        assert np.array_equal(obs.channel, chosen[t] + state.tape.obs[t][..., :2])
+        assert np.array_equal(obs.plant, state.x + state.tape.plant_noise[t])
+        res = env.step(state, action)
+        assert np.array_equal(res.delivered, chosen[t] > 0.0)
+        assert np.array_equal(env.lottery(state, action.alpha[None])[0], chosen[t] > 0.0)
+        state = res.next_state
+
+
+@pytest.mark.parametrize("rngs", [gen(41), [gen(41), gen(42), gen(43)]], ids=["single", "rows"])
+@pytest.mark.parametrize("kind", ["linear", "cartpole"])
+def test_tape_channel_is_each_steps_add(kind, rngs):
+    env = noisy_env(kind, "region", False)
+    tape = env.reset(17, rngs).tape
+    # gains from 1e-300 to 1e300 beside the drawn noise
+    scaled = replace(tape, gains=tape.gains * np.logspace(-300, 300, 3))
+    for tape in (tape, scaled):
+        assert tape.channel.shape == tape.gains[:-1].shape
+        for t in range(tape.horizon):
+            want = tape.gains[t] + tape.obs[t][..., :3]
+            assert tape.channel[t].tobytes() == want.tobytes(), t
+        with pytest.raises(ValueError, match="read-only"):
+            tape.channel[0] += 1.0

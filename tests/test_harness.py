@@ -232,13 +232,13 @@ def test_rollout_matches_oracle(tmp_path):
     cfg = tiny_config(tmp_path, **{"plants.count": 4, "eval.horizon": 30})
     bundle = harness.build_scenario(cfg)
     eval_policies = harness.baseline_policies(bundle)
+    env = bundle.env()
     for seed in range(3):
-        env = bundle.env_factory(np.random.default_rng(seed))
-        start = env.reset(cfg.eval_horizon)
+        start = env.reset(cfg.eval_horizon, np.random.default_rng(seed))
         small = dataclasses.replace(start, x=start.x * (0.1 / np.linalg.norm(start.x)))
         # a start part way through the tape, and one with no step left
-        later = dataclasses.replace(start, t=11, h=start.tape.gains[11])
-        done = dataclasses.replace(start, t=cfg.eval_horizon, h=start.tape.gains[-1])
+        later = dataclasses.replace(start, t=11)
+        done = dataclasses.replace(start, t=cfg.eval_horizon)
         for name, policy in eval_policies.items():
             for begin in (start, small, later, done):
                 got = harness.rollout(env, begin, policy, np.random.default_rng(0))
@@ -252,8 +252,8 @@ def test_rollout_matches_oracle(tmp_path):
     cfg = tiny_config(tmp_path, **{"plants.a_values": [3.0, 3.0], "eval.horizon": 60})
     bundle = harness.build_scenario(cfg)
     runaway = policies.HeuristicPolicy(policies.zero_allocator(2), policies.zero_controller(2, 3))
-    env = bundle.env_factory(np.random.default_rng(1))
-    start = env.reset(cfg.eval_horizon)
+    env = bundle.env()
+    start = env.reset(cfg.eval_horizon, np.random.default_rng(1))
     got = harness.rollout(env, start, runaway, np.random.default_rng(0))
     assert got.diverged and got.cost == harness.DIVERGENCE_COST
     assert same_stats(got, oracles.rollout(env, start, runaway, np.random.default_rng(0)))
@@ -279,27 +279,26 @@ def counted(allocator):
 
 
 def up_front(policy, start):
-    tape = start.tape
-    channels = tape.gains[start.t : tape.horizon] + tape.channel_noise[start.t :]
+    channels = start.tape.channel[start.t :]
     return policies.episode_allocations(policy, channels, start.t) is not None
 
 
 def test_up_front_rollout_matches_oracle(tmp_path):
     cfg = tiny_config(tmp_path, **{"plants.count": 4, "eval.horizon": 30})
     bundle = harness.build_scenario(cfg)
-    env = bundle.env_factory(np.random.default_rng(7))
+    env = bundle.env()
     agents = learner.build_agents(env, cfg, "control_only", np.random.default_rng(3))
     candidates = {
         **harness.baseline_policies(bundle),
         "control_only": harness.eval_policy_for(bundle, "control_only", agents, stochastic=True),
     }
-    which = {name: up_front(p, env.reset(1)) for name, p in candidates.items()}
+    start = env.reset(1, np.random.default_rng(7))
+    which = {name: up_front(p, start) for name, p in candidates.items()}
     assert which == {"equal": True, "round_robin": True, "channel_aware": True,
                      "control_aware": False, "all_on": True, "control_only": True}
     for seed in range(3):
-        env = bundle.env_factory(np.random.default_rng(seed))
-        start = env.reset(cfg.eval_horizon)
-        later = dataclasses.replace(start, t=11, h=start.tape.gains[11])
+        start = env.reset(cfg.eval_horizon, np.random.default_rng(seed))
+        later = dataclasses.replace(start, t=11)
         for name, policy in candidates.items():
             for begin in (start, later):
                 got = harness.rollout(env, begin, policy, np.random.default_rng(seed))
@@ -318,8 +317,8 @@ def test_up_front_rollout_matches_oracle(tmp_path):
     runaway = policies.HeuristicPolicy(
         policies.make_allocator("zero", 2, 1, 1.0), policies.zero_controller(2, 3)
     )
-    env = bundle.env_factory(np.random.default_rng(1))
-    start = env.reset(cfg.eval_horizon)
+    env = bundle.env()
+    start = env.reset(cfg.eval_horizon, np.random.default_rng(1))
     nan_start = dataclasses.replace(start, x=np.where(np.eye(2, 3) > 0, np.inf, 1.0))
     for begin in (start, nan_start):
         assert up_front(runaway, begin)

@@ -22,7 +22,9 @@ Proves:
   14.  Warm episodes freeze the allocation actor; warm episodes and
        pretraining leave the run bitwise unchanged wherever the approach
        does not use them; an unknown approach, and an environment whose
-       discount or plant count differs from the config, are rejected
+       discount or plant count differs from the config, are rejected; an
+       approach given no fixed source for a half it does not learn fails
+       before its first step, naming that half
   15.  Lagrangian ceiling raises TrainingDivergedError, and a non-finite
        plant state raises it at the step it appears, naming the worker
   16.  One power rule, per allocation head and constraint kind, gives the
@@ -42,6 +44,7 @@ from wcsrl.config import load_config
 from wcsrl.dynamics import CostWeights, PlantModel, unstable_drift
 from wcsrl.environment import ConstraintSpec, WirelessControlEnv
 from wcsrl.learner import (
+    APPROACHES,
     SegmentAgent,
     TrainingDivergedError,
     DualState,
@@ -56,7 +59,7 @@ from wcsrl.wireless import ChannelModel
 from oracles import dual_descent
 
 
-def env_factory_for(m=2, gamma=0.99, constraint="region", a_mat=None):
+def env_for(m=2, gamma=0.99, constraint="region", a_mat=None):
     plants = [
         PlantModel(
             kind="linear",
@@ -72,18 +75,18 @@ def env_factory_for(m=2, gamma=0.99, constraint="region", a_mat=None):
     else:
         spec = ConstraintSpec(kind="sum_power", power_budget=25.0 * m)
 
-    def factory(rng):
-        return WirelessControlEnv(
-            plants=plants,
-            channel=channel,
-            weights=CostWeights(q=np.eye(3), r=np.eye(3)),
-            rng=rng,
-            gamma=gamma,
-            constraint=spec,
-            obs_noise_cov=np.full(m * 4, 0.5),
-        )
+    return WirelessControlEnv(
+        plants=plants,
+        channel=channel,
+        weights=CostWeights(q=np.eye(3), r=np.eye(3)),
+        gamma=gamma,
+        constraint=spec,
+        obs_noise_cov=np.full(m * 4, 0.5),
+    )
 
-    return factory
+
+# Riccati-free fixed control for alloc_lqr runs on env_for's 2 plants
+ZERO_CONTROL = policies.zero_controller(2, 3)
 
 
 # Group 1 -------------------------------------------------------------------
@@ -296,7 +299,7 @@ def same_outputs(a, b):
 
 
 def test_train_smoke_and_log():
-    result = train(env_factory_for(), small_config(), "alloc_lqr", seed=101)
+    result = train(env_for(), small_config(), "alloc_lqr", 101, ZERO_CONTROL)
     assert len(result.log) == 3
     assert result.agents.actor is not None
     assert result.agents.rc_actor is None
@@ -307,17 +310,17 @@ def test_train_smoke_and_log():
 
 
 def test_train_bitwise_repeatable():
-    r1 = train(env_factory_for(), small_config(), "alloc_lqr", seed=55)
-    r2 = train(env_factory_for(), small_config(), "alloc_lqr", seed=55)
+    r1 = train(env_for(), small_config(), "alloc_lqr", 55, ZERO_CONTROL)
+    r2 = train(env_for(), small_config(), "alloc_lqr", 55, ZERO_CONTROL)
     assert np.array_equal(r1.agents.actor.get_flat(), r2.agents.actor.get_flat())
     assert [row.lagrangian for row in r1.log] == [row.lagrangian for row in r2.log]
-    r3 = train(env_factory_for(), small_config(), "alloc_lqr", seed=56)
+    r3 = train(env_for(), small_config(), "alloc_lqr", 56, ZERO_CONTROL)
     assert not np.array_equal(r1.agents.actor.get_flat(), r3.agents.actor.get_flat())
 
 
 def test_train_separate_topology():
     cfg = small_config({"alloc.head": "softplus"})
-    result = train(env_factory_for(constraint="sum_power"), cfg, "codesign", seed=7)
+    result = train(env_for(constraint="sum_power"), cfg, "codesign", seed=7)
     assert result.agents.actor is not None
     assert result.agents.rc_actor.net.members == (2,)
     assert result.agents.rc_critic.members == (2,)
@@ -329,15 +332,15 @@ def test_train_separate_topology():
 
 
 def test_warm_episodes_freeze_allocation_actor():
-    factory = env_factory_for(constraint="sum_power")
+    env = env_for(constraint="sum_power")
     all_warm = train(
-        factory,
+        env,
         small_config({"alloc.head": "softplus", "train.episodes": 2, "train.warm_episodes": 2}),
         "codesign",
         seed=9,
     )
     one_ep = train(
-        factory,
+        env,
         small_config({"alloc.head": "softplus", "train.episodes": 1, "train.warm_episodes": 1}),
         "codesign",
         seed=9,
@@ -362,40 +365,60 @@ USES = {
 }
 
 
+def zero_halves(approach):
+    """Zero actions for the halves approach does not learn: (control, allocation)."""
+    spec = APPROACHES[approach]
+    controller = ZERO_CONTROL if spec.control == "fixed" else None
+    return controller, None if spec.learn_alloc else policies.zero_allocator(2)
+
+
 @pytest.mark.parametrize("approach", list(USES))
 def test_approach_ignores_keys_it_does_not_use(approach):
-    factory = env_factory_for(constraint="sum_power")
+    env = env_for(constraint="sum_power")
     common = {"alloc.head": "softplus", "train.episodes": 2}
-    plain = run_outputs(train(factory, small_config(common), approach, seed=9))
+    plain = run_outputs(train(env, small_config(common), approach, 9, *zero_halves(approach)))
     for key, value in (("train.warm_episodes", 2), ("train.pretrain_iters", 5)):
-        result = train(factory, small_config({**common, key: value}), approach, seed=9)
+        cfg = small_config({**common, key: value})
+        result = train(env, cfg, approach, 9, *zero_halves(approach))
         assert same_outputs(run_outputs(result), plain) == (key not in USES[approach]), key
+
+
+@pytest.mark.parametrize("approach", ["alloc_lqr", "control_only"])
+def test_missing_fixed_half_fails_at_first_step(approach):
+    env = env_for(constraint="sum_power")
+    steps = []
+    step = env.step
+    env.step = lambda state, action: steps.append(state.t) or step(state, action)
+    what = "control input" if approach == "alloc_lqr" else "allocation"
+    with pytest.raises(ValueError, match=f"policy produces no {what} and has no fixed source"):
+        train(env, small_config({"alloc.head": "softplus"}), approach, seed=9)
+    assert steps == []
 
 
 def test_unknown_approach_rejected():
     with pytest.raises(ValueError, match="unknown approach 'mystery'"):
-        train(env_factory_for(), small_config(), "mystery", seed=3)
+        train(env_for(), small_config(), "mystery", seed=3)
 
 
 def test_environment_must_match_config():
     with pytest.raises(ValueError, match="environment discount 0.9 does not match train.gamma"):
-        train(env_factory_for(gamma=0.9), small_config(), "alloc_lqr", seed=3)
+        train(env_for(gamma=0.9), small_config(), "alloc_lqr", 3, ZERO_CONTROL)
     with pytest.raises(ValueError, match="environment has 3 plants, plants.count is 2"):
-        train(env_factory_for(m=3), small_config(), "codesign", seed=3)
+        train(env_for(m=3), small_config(), "codesign", seed=3)
 
 
 def test_lagrangian_ceiling_raises():
     with pytest.raises(TrainingDivergedError):
-        train(env_factory_for(), small_config({"train.ceiling": 1e-6}), "alloc_lqr", seed=3)
+        train(env_for(), small_config({"train.ceiling": 1e-6}), "alloc_lqr", 3, ZERO_CONTROL)
 
 
 def test_nonfinite_state_raises_at_its_step():
     # x1 = 1e200 x0 is still finite; x2 = 1e400 x0 overflows in step 1 of episode 0
-    factory = env_factory_for(a_mat=1e200 * np.eye(3))
+    env = env_for(a_mat=1e200 * np.eye(3))
     # the per-diagonal stage cost x * q * x overflows on the same step
     with pytest.warns(RuntimeWarning, match="overflow"):
         with pytest.raises(TrainingDivergedError, match="episode 0, step 1, worker 0") as info:
-            train(factory, small_config(), "alloc_lqr", seed=3)
+            train(env, small_config(), "alloc_lqr", 3, ZERO_CONTROL)
     assert info.value.episode == 0
 
 
@@ -446,17 +469,18 @@ def test_heuristic_power_rule(head, kind, power):
     bundle = harness.build_scenario(cfg)
     equal = np.full(4, power / 4)
 
-    env = bundle.env_factory(np.random.default_rng(0))
-    obs = env.observe(env.reset(1))
+    env = bundle.env()
+    obs = env.observe(env.reset(1, np.random.default_rng(0)))
     control_only, _ = harness.fixed_sources(bundle, "control_only")
     assert np.array_equal(control_only(obs, 0), equal)
     assert np.array_equal(harness.baseline_policies(bundle)["equal"].act(obs, 0, None).alpha, equal)
 
     # the pretraining target: control_aware over alloc.n_active = 2 plants
     recorder = TargetRecorder()
-    rows_env = lambda rows: bundle.env_factory([np.random.default_rng(0)] * rows)
     controller = bundle.riccati_controller()
-    pretrain_allocation(recorder, rows_env, cfg, controller, np.random.default_rng(1))
+    pretrain_allocation(
+        recorder, env, np.random.default_rng(0), cfg, controller, np.random.default_rng(1)
+    )
     assert len(recorder.targets) == 2
     for target in recorder.targets:
         ranked = np.sort(target, axis=-1)
@@ -466,26 +490,22 @@ def test_heuristic_power_rule(head, kind, power):
     # the warm-up: every step of the one (warm) episode sends equal power
     sent = []
 
-    def recording_factory(rng):
-        env = bundle.env_factory(rng)
-        step = env.step
-        env.step = lambda state, action: sent.append(action.alpha) or step(state, action)
-        return env
-
-    train(recording_factory, cfg, "codesign", seed=4)
+    step = env.step
+    env.step = lambda state, action: sent.append(action.alpha) or step(state, action)
+    train(env, cfg, "codesign", seed=4)
     assert len(sent) == cfg.train_horizon
     for alpha in sent:
         assert np.array_equal(alpha, np.broadcast_to(equal, alpha.shape))
 
 
-def sequential_pool(env, cfg, controller):
-    """The pretraining pool gathered one single-row episode at a time on env,
-    step by step, until it holds max(512, 4 * train.pretrain_batch) rows."""
+def sequential_pool(env, rng, cfg, controller):
+    """The pretraining pool gathered one single-row episode of env on rng at a
+    time, step by step, until it holds max(512, 4 * train.pretrain_batch) rows."""
     allocator = policies.heuristic_allocator("control_aware", cfg)
     heuristic = policies.ActionSources(allocator=allocator, controller=controller)
     obs_rows, targets = [], []
     while len(obs_rows) < max(512, 4 * cfg.train_pretrain_batch):
-        state = env.reset(cfg.train_horizon)
+        state = env.reset(cfg.train_horizon, rng)
         for t in range(cfg.train_horizon):
             obs = env.observe(state)
             action = policies.compose_action(heuristic, obs, t)
@@ -520,11 +540,11 @@ def test_pretraining_rows_pool_sequential_episodes(scenario, horizon, batch):
     bundle = harness.build_scenario(cfg)
     controller = bundle.riccati_controller()
     recorder, shared = TargetRecorder(), np.random.default_rng(4)
-    rows_env = lambda rows: bundle.env_factory([shared] * rows)
-    pretrain_allocation(recorder, rows_env, cfg, controller, np.random.default_rng(1))
+    env = bundle.env()
+    pretrain_allocation(recorder, env, shared, cfg, controller, np.random.default_rng(1))
 
     alone = np.random.default_rng(4)
-    obs_mat, target_mat = sequential_pool(bundle.env_factory(alone), cfg, controller)
+    obs_mat, target_mat = sequential_pool(env, alone, cfg, controller)
     assert shared.bit_generator.state == alone.bit_generator.state
     # replay the minibatch draws; together they read every row of the pool
     draws, seen = np.random.default_rng(1), []

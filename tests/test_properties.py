@@ -10,7 +10,7 @@ Proves:
   3.  The environment's per-diagonal stage cost equals the three-operand
       einsum for finite states of any batch shape
   4.  B rows of one environment reset, observe and step bitwise like B
-      single-row environments on the same generators, for any B, m, plant
+      single-row episodes on the same generators, for any B, m, plant
       kind and linear state and input size, per-plant process-noise
       variances that include 0, any constraint, with and without
       force_delivery, and feasible actions
@@ -19,7 +19,7 @@ Proves:
       none, batch shapes () and (B,), and states holding exact zeros and
       entries of both signs
   6.  An episode's delivery lottery rolled up front equals the per-step
-      lottery tape.uniforms[t] < delivery_probability(snr(h_t, alpha_t))
+      lottery tape.uniforms[t] < delivery_probability(snr(gains_t, alpha_t))
       bitwise, for every state-free allocator, 1-12 plants, batch shapes ()
       and (B,), every start t0 from 0 to the horizon (t0 = H: empty
       arrays) and both force_delivery settings; so does the one-step
@@ -166,9 +166,9 @@ def test_diagonal_stage_cost_is_the_einsum(case, seed):
         plants=[plant] * m,
         channel=ChannelModel(distances=np.linspace(0.5, 1.5, m)),
         weights=weights,
-        rng=gens[0] if rows is None else gens,
     )
-    res = env.step(replace(env.reset(1), x=x), JointAction(alpha=alpha, u=u))
+    start = env.reset(1, gens[0] if rows is None else gens)
+    res = env.step(replace(start, x=x), JointAction(alpha=alpha, u=u))
     want = np.einsum("...ij,jk,...ik->...i", x, weights.q, x)
     want += np.einsum("...ij,jk,...ik->...i", res.realized_u, weights.r, res.realized_u)
     assert np.array_equal(env.charge(x, res.realized_u, alpha)[0], want)
@@ -218,34 +218,31 @@ def test_rows_equal_single_row_environments(case, seed):
     m, p, q = len(plants), plants[0].state_dim, plants[0].input_dim
     aux = np.random.Generator(np.random.PCG64([seed, rows]))
     obs_var = np.where(aux.random(m * (1 + p)) < 0.3, 0.0, aux.random(m * (1 + p)))
-
-    def make(rng):
-        return WirelessControlEnv(
-            plants=plants,
-            channel=ChannelModel(distances=np.linspace(0.8, 1.6, m)),
-            weights=CostWeights(q=np.diag(np.arange(1.0, p + 1)), r=0.1 * np.eye(q)),
-            rng=rng,
-            obs_noise_cov=obs_var,
-            **options,
-        )
+    env = WirelessControlEnv(
+        plants=plants,
+        channel=ChannelModel(distances=np.linspace(0.8, 1.6, m)),
+        weights=CostWeights(q=np.diag(np.arange(1.0, p + 1)), r=0.1 * np.eye(q)),
+        obs_noise_cov=obs_var,
+        **options,
+    )
 
     def gens():
         return [np.random.Generator(np.random.PCG64([seed, k])) for k in range(rows)]
 
-    batched = make(gens())
-    singles = [make(g) for g in gens()]
+    rngs, single_rngs = gens(), gens()
     for _ in range(2):  # the second episode continues every row's stream
-        state = batched.reset(horizon)
-        single_states = [env.reset(horizon) for env in singles]
-        for i, (env, s) in enumerate(zip(singles, single_states)):
+        state = env.reset(horizon, rngs)
+        single_states = [env.reset(horizon, g) for g in single_rngs]
+        for i, s in enumerate(single_states):
             assert same_bits(state.tape.process[:, i], s.tape.process)
+            assert same_bits(state.tape.gains[:, i], s.tape.gains)
         for _ in range(horizon):
-            obs = batched.observe(state)
+            obs = env.observe(state)
             alpha = np.abs(aux.standard_normal((rows, m)))
             u = np.clip(3.0 * aux.standard_normal((rows, m, q)), -FORCE_LIMIT, FORCE_LIMIT)
-            res = batched.step(state, JointAction(alpha=alpha, u=u))
-            charged = batched.charge(state.x, res.realized_u, alpha)
-            for i, (env, s) in enumerate(zip(singles, single_states)):
+            res = env.step(state, JointAction(alpha=alpha, u=u))
+            charged = env.charge(state.x, res.realized_u, alpha)
+            for i, s in enumerate(single_states):
                 one_obs = env.observe(s)
                 assert same_bits(obs.channel[i], one_obs.channel)
                 assert same_bits(obs.plant[i], one_obs.plant)
@@ -255,7 +252,6 @@ def test_rows_equal_single_row_environments(case, seed):
                 for got, want in zip(charged, env.charge(s.x, one.realized_u, alpha[i])):
                     assert same_bits(got[i], want)
                 assert same_bits(res.next_state.x[i], one.next_state.x)
-                assert same_bits(res.next_state.h[i], one.next_state.h)
                 single_states[i] = one.next_state
             state = res.next_state
 
@@ -291,12 +287,10 @@ def charge_cases(draw):
 @given(case=charge_cases())
 def test_trajectory_charge_equals_per_step_charges(case):
     plants, rows, weights, constraint, gamma, x, u, alpha = case
-    gens = [np.random.Generator(np.random.PCG64(k)) for k in range(rows or 1)]
     env = WirelessControlEnv(
         plants=plants,
         channel=ChannelModel(distances=np.linspace(0.5, 1.5, len(plants))),
         weights=weights,
-        rng=gens[0] if rows is None else gens,
         gamma=gamma,
         constraint=constraint,
     )
@@ -351,17 +345,16 @@ def test_up_front_lottery_equals_per_step_lotteries(case, seed):
         plants=[plant] * m,
         channel=ChannelModel(distances=np.linspace(0.3, 2.5, m)),
         weights=CostWeights(q=np.eye(3), r=np.eye(3)),
-        rng=gens[0] if rows is None else gens,
         **options,
     )
-    start = env.reset(horizon)
-    tape = start.tape
-    state = replace(start, t=t0, h=tape.gains[t0])
+    start = env.reset(horizon, gens[0] if rows is None else gens)
+    tape, batch = start.tape, start.x.shape[:-2]
+    state = replace(start, t=t0)
     policy = HeuristicPolicy(allocator, zero_controller(m, 3))
-    alphas = episode_allocations(policy, tape.gains[t0:horizon] + tape.channel_noise[t0:], t0)
+    alphas = episode_allocations(policy, tape.channel[t0:], t0)
     delivered = env.lottery(state, alphas)
-    assert alphas.shape == delivered.shape == (horizon - t0,) + env.batch_shape + (m,)
-    u = np.random.Generator(np.random.PCG64(seed)).standard_normal(env.batch_shape + (m, 3))
+    assert alphas.shape == delivered.shape == (horizon - t0,) + batch + (m,)
+    u = np.random.Generator(np.random.PCG64(seed)).standard_normal(batch + (m, 3))
     bad_alphas = alphas.copy()
     for r in {first_row, later_row} if t0 < horizon else ():
         bad_alphas[(bad_t - t0,) + (() if rows is None else (r,)) + (bad_plant,)] = bad
@@ -379,12 +372,12 @@ def test_up_front_lottery_equals_per_step_lotteries(case, seed):
         zeroed = bad_alphas + 0.0  # -0.0 made +0.0: the same success probabilities
         assert same_bits(env.lottery(state, bad_alphas), env.lottery(state, zeroed))
     for t in range(t0, horizon):
-        alpha = np.broadcast_to(allocator(env.observe(state), t), env.batch_shape + (m,))
+        alpha = np.broadcast_to(allocator(env.observe(state), t), batch + (m,))
         assert same_bits(alphas[t - t0], np.ascontiguousarray(alpha)), t
         if env.force_delivery:
             want = np.ones(alpha.shape, dtype=bool)
         else:
-            want = tape.uniforms[t] < delivery_probability(snr(state.h, alpha))
+            want = tape.uniforms[t] < delivery_probability(snr(tape.gains[t], alpha))
         assert same_bits(delivered[t - t0], want), t
         # the one-step roll step() makes, T = 1 of the rest of the tape
         assert same_bits(env.lottery(state, alpha[None]), want[None]), t
