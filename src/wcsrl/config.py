@@ -343,9 +343,12 @@ def _validate(cfg: ExperimentConfig) -> None:
         if limit is None:
             continue
         if isinstance(limit, tuple):
-            for name in entries:
+            for i, name in enumerate(entries):
                 if name not in limit:
                     raise ConfigError(f"unknown {key} {name!r}; pick one of {limit}")
+                # a repeat would train twice over its own artifacts, or evaluate once
+                if name in entries[:i]:
+                    raise ConfigError(f"{key} lists {name!r} more than once")
         elif value is not None and not all(_BOUNDS[limit](v, 0) for v in entries):
             raise ConfigError(f"{key} must be {limit}, got {value!r}")
     if cfg.plants_a_values is not None and len(cfg.plants_a_values) != m:

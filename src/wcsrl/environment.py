@@ -21,16 +21,18 @@ leading shape, so training charges each step's worker batch and
 evaluation a whole episode at once.
 
 All randomness is exogenous: it never depends on the actions. So the
-environment holds no generator: reset() takes the episode's generators
-and draws a whole episode up front, one noise tape per row from that
-row's own generator, and observe() and step() are pure array functions
-of the state, the action and the tape, which alone holds the gains;
-episode() is the one loop that calls them, for training, pretraining and
-evaluation alike. Each row's generator is read in a fixed order:
+environment holds no generator and no per-episode setting: reset() takes
+the episode's generators and whether the episode forces delivery (every
+packet arrives), and draws a whole episode up front, one noise tape per
+row from that row's own generator. observe() and step() are pure array
+functions of the state, the action and the tape, which alone holds the
+gains and says whether delivery is forced; episode() is the one loop that
+calls them, for training, pretraining and evaluation alike. Each row's
+generator is read in a fixed order:
 
     reset:      initial state, then the channel gains
-    every step: observation noise, delivery uniforms (skipped under
-                force_delivery), process noise, then the next gains
+    every step: observation noise, delivery uniforms (skipped when the
+                episode forces delivery), process noise, then the next gains
 """
 from __future__ import annotations
 
@@ -65,11 +67,12 @@ _einsum = _c_einsum()
 class NoiseTape:
     """One episode of exogenous randomness for every row, time first:
     gains (H+1, ..., m) at reset and after each step, observation noise
-    (H, ..., obs_dim), delivery uniforms (H, ..., m) or None under
-    force_delivery, and process noise (H, ..., m, p), each plant's standard
-    normal draws scaled by its standard deviation. channel, each step's gains
-    plus its channel noise (H, ..., m), is added once and read-only;
-    plant_noise views the plant part of the observation noise, (H, ..., m, p)."""
+    (H, ..., obs_dim), delivery uniforms (H, ..., m), or None when the
+    episode forces delivery, and process noise (H, ..., m, p), each plant's
+    standard normal draws scaled by its standard deviation. channel, each
+    step's gains plus its channel noise (H, ..., m), is added once and
+    read-only; plant_noise views the plant part of the observation noise,
+    (H, ..., m, p)."""
 
     gains: np.ndarray
     obs: np.ndarray
@@ -209,7 +212,6 @@ class WirelessControlEnv:
         obs_noise_cov: Optional[np.ndarray] = None,
         init_kind: str = "normal",
         init_scale: float = 1.0,
-        force_delivery: bool = False,
     ) -> None:
         if not plants:
             raise ValueError("need at least one plant")
@@ -235,7 +237,6 @@ class WirelessControlEnv:
         self.constraint = constraint
         self.init_kind = init_kind
         self.init_scale = init_scale
-        self.force_delivery = force_delivery
 
         self.m = len(plants)
         self.state_dim = plants[0].state_dim
@@ -275,10 +276,15 @@ class WirelessControlEnv:
         return self.constraint.n_components(self.m) if self.constraint is not None else 0
 
     def reset(
-        self, horizon: int, rng: np.random.Generator | Sequence[np.random.Generator]
+        self,
+        horizon: int,
+        rng: np.random.Generator | Sequence[np.random.Generator],
+        force_delivery: bool = False,
     ) -> SystemState:
         """Start an episode of `horizon` steps: draw each row's initial state
-        and noise tape from its generator, rng (one row) or rng[i] (row i)."""
+        and noise tape from its generator, rng (one row) or rng[i] (row i).
+        An episode that forces delivery draws no delivery uniforms, and every
+        packet of it arrives."""
         if horizon < 0:
             raise ValueError(f"horizon must be nonnegative, got {horizon}")
         single = isinstance(rng, np.random.Generator)
@@ -289,7 +295,7 @@ class WirelessControlEnv:
         x0 = np.zeros(batch + (m, p))
         gains = np.empty((horizon + 1,) + batch + (m,))
         obs = np.empty((horizon,) + batch + (self.obs_dim,))
-        uniforms = None if self.force_delivery else np.empty((horizon,) + batch + (m,))
+        uniforms = None if force_delivery else np.empty((horizon,) + batch + (m,))
         z = np.empty((horizon,) + batch + (m, p))
         for row, rng in zip(np.ndindex(*batch), rngs):
             if self.init_kind == "normal":
@@ -311,10 +317,13 @@ class WirelessControlEnv:
         tape = NoiseTape(gains=gains, obs=obs, uniforms=uniforms, process=z)
         return SystemState(x=x0, tape=tape, t=0)
 
-    def _tape_index(self, state: SystemState) -> int:
-        if state.t >= state.tape.horizon:
+    def _tape_index(self, state: SystemState, steps: int = 1) -> int:
+        """state.t, once the `steps` steps from it are known to lie on the tape;
+        else ValueError naming the first step past it and the tape's length."""
+        horizon = state.tape.horizon
+        if state.t + steps > horizon:
             raise ValueError(
-                f"step {state.t} is past the {state.tape.horizon}-step noise tape; "
+                f"step {max(state.t, horizon)} is past the {horizon}-step noise tape; "
                 "reset with a longer horizon"
             )
         return state.t
@@ -328,14 +337,16 @@ class WirelessControlEnv:
         """Which packets arrive (T, ..., m) on the T = len(alphas) steps from
         state.t, which lie on its tape, given each step's allocations alphas
         (T, ..., m): each step's delivery uniforms below the success
-        probability of its gains and allocations, or every packet under
-        force_delivery. This is the one delivery lottery. step() rolls its own
-        step through it (T = 1); an evaluation episode whose allocations
-        ignore the plant state rolls the rest of the episode before its first
-        step, and episode() hands each step its row. An element's bits do not
-        depend on T. ValueError naming the first step (and row) with a
-        non-finite allocation entry, else the first with a negative one."""
-        t0 = state.t
+        probability of its gains and allocations, or every packet when the
+        episode forces delivery (its tape holds no uniforms). This is the one
+        delivery lottery. step() rolls its own step through it (T = 1); an
+        evaluation episode whose allocations ignore the plant state rolls the
+        rest of the episode before its first step, and episode() hands each
+        step its row. An element's bits do not depend on T. ValueError
+        naming the first step past the tape, else the first step (and row)
+        with a non-finite allocation entry, else the first with a negative
+        one."""
+        t0 = self._tape_index(state, len(alphas))
         if alphas.shape[1:] != state.x.shape[:-1]:
             raise ValueError(f"alpha must have shape {state.x.shape[:-1]}, got {alphas.shape[1:]}")
         if np.count_nonzero(np.isfinite(alphas)) < alphas.size:
@@ -349,7 +360,7 @@ class WirelessControlEnv:
                 i = int(np.argmax(alphas < 0.0)) // alphas[0].size
                 self.lottery(replace(state, t=t0 + i), alphas[i : i + 1])
             raise ValueError(f"{_where(state, alphas < 0.0)}: {err}") from err
-        if self.force_delivery:
+        if state.tape.uniforms is None:
             return np.ones(alphas.shape, dtype=bool)
         return state.tape.uniforms[steps] < probs
 

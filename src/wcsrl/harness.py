@@ -2,8 +2,10 @@
 paired-seed evaluation against baselines, and artifact writing.
 
 Training and evaluation read every setting from the resolved config
-(ScenarioBundle.cfg); the approach name picks what is learned, and
-fixed_sources gives the rest.
+(ScenarioBundle.cfg). A scenario builds its one environment and its one
+Riccati controller once (build_scenario), and training, pretraining and
+evaluation of every approach and baseline share them; the approach name
+picks what is learned, and learner.fixed_halves gives the rest.
 
 Randomness is split into three independent streams derived from the
 experiment seed: [seed, 0] draws the scenario (placements, plant
@@ -16,9 +18,7 @@ see identical noise.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
-import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -52,41 +52,18 @@ DIVERGENCE_COST = 1e12
 
 @dataclass
 class ScenarioBundle:
-    """Everything derived from a config plus the scenario random stream."""
+    """Everything derived from a config plus the scenario random stream:
+    the scenario's one environment, whose episodes' generators go to its
+    reset(), and its one Riccati controller (per-plant gains lqr_gains),
+    clipped to the plants' actuator interval."""
 
     cfg: ExperimentConfig
-    plants: list
     positions: np.ndarray
     distances: np.ndarray
-    channel: ChannelModel
-    weights: CostWeights
-    constraint: Optional[ConstraintSpec]
-    obs_noise: np.ndarray
+    env: WirelessControlEnv
+    controller: policies.Controller
     lqr_gains: list
     a_values: Optional[np.ndarray]
-
-    @property
-    def m(self) -> int:
-        return len(self.plants)
-
-    def env(self, force_delivery: bool = False) -> WirelessControlEnv:
-        """The scenario's environment; its episodes' generators go to reset()."""
-        return WirelessControlEnv(
-            plants=self.plants,
-            channel=self.channel,
-            weights=self.weights,
-            gamma=self.cfg.train_gamma,
-            constraint=self.constraint,
-            obs_noise_cov=self.obs_noise,
-            init_kind=self.cfg.plants_init,
-            init_scale=self.cfg.plants_init_scale,
-            force_delivery=force_delivery,
-        )
-
-    def riccati_controller(self) -> policies.Controller:
-        """Riccati control clipped to the plants' actuator interval."""
-        low, high = control_bounds(self.plants[0].kind)
-        return policies.riccati_controller(self.lqr_gains, low, high)
 
 
 def _build_plants(
@@ -165,15 +142,23 @@ def build_scenario(cfg: ExperimentConfig) -> ScenarioBundle:
     else:
         gains = [baselines.lqr_gain(p.a_mat, p.b_mat, weights.q, weights.r) for p in plants]
 
-    return ScenarioBundle(
-        cfg=cfg,
+    env = WirelessControlEnv(
         plants=plants,
-        positions=positions,
-        distances=distances,
         channel=channel,
         weights=weights,
+        gamma=cfg.train_gamma,
         constraint=_constraint_from(cfg),
-        obs_noise=_obs_noise_vector(cfg, m, state_dim),
+        obs_noise_cov=_obs_noise_vector(cfg, m, state_dim),
+        init_kind=cfg.plants_init,
+        init_scale=cfg.plants_init_scale,
+    )
+    low, high = control_bounds(plants[0].kind)
+    return ScenarioBundle(
+        cfg=cfg,
+        positions=positions,
+        distances=distances,
+        env=env,
+        controller=policies.riccati_controller(gains, low, high),
         lqr_gains=gains,
         a_values=a_values,
     )
@@ -183,46 +168,31 @@ def build_scenario(cfg: ExperimentConfig) -> ScenarioBundle:
 # per-approach training setup
 
 
-def fixed_sources(
-    bundle: ScenarioBundle, approach: str
-) -> tuple[Optional[policies.Allocator], Optional[policies.Controller]]:
-    """(allocator, controller) for what approach does not learn (see
-    learner.APPROACHES), None for what it learns: Riccati control when
-    control is fixed, equal power when allocation is not learned. Training
-    beside a fixed allocator runs under guaranteed delivery."""
-    spec = learner.APPROACHES[approach]
-    controller = bundle.riccati_controller() if spec.control == "fixed" else None
-    allocator = None
-    if not spec.learn_alloc:
-        allocator = policies.heuristic_allocator("equal", bundle.cfg)
-    return allocator, controller
-
-
 def train_approach(
     bundle: ScenarioBundle,
     approach: str,
     approach_index: int,
     progress: Optional[Callable[[learner.EpisodeRow], None]] = None,
 ) -> TrainResult:
-    """Train approach on stream [seed, 1, approach_index] from bundle.cfg."""
-    allocator, controller = fixed_sources(bundle, approach)
+    """Train approach on the scenario's environment beside its Riccati
+    controller, on stream [seed, 1, approach_index] from bundle.cfg."""
     seq = np.random.SeedSequence([bundle.cfg.seed, 1, approach_index])
-    env = bundle.env(force_delivery=allocator is not None)
-    return learner.train(env, bundle.cfg, approach, seq, controller, allocator, progress)
+    return learner.train(bundle.env, bundle.cfg, approach, seq, bundle.controller, progress)
 
 
 def eval_policy_for(
     bundle: ScenarioBundle, approach: str, agents: TrainedAgents, stochastic: bool = False
 ) -> policies.AgentPolicy:
     """Wrap trained agents with the fixed action halves they trained with."""
-    allocator, controller = fixed_sources(bundle, approach)
+    allocator, controller = learner.fixed_halves(approach, bundle.cfg, bundle.controller)
     return policies.AgentPolicy(agents, allocator, controller, stochastic)
 
 
 def baseline_policies(bundle: ScenarioBundle) -> dict[str, policies.HeuristicPolicy]:
-    controller = bundle.riccati_controller()
     return {
-        name: policies.HeuristicPolicy(policies.heuristic_allocator(name, bundle.cfg), controller)
+        name: policies.HeuristicPolicy(
+            policies.heuristic_allocator(name, bundle.cfg), bundle.controller
+        )
         for name in bundle.cfg.eval_baselines
     }
 
@@ -351,7 +321,7 @@ def evaluate(bundle: ScenarioBundle, eval_policies: dict) -> EvalReport:
     cell replays that tape, so all of them see the same initial states,
     fading, delivery lottery and observation noise. Realizations within a
     test start from fresh initial states. Cells go one at a time, each a
-    reset of one environment, so only one tape is held.
+    reset of the scenario's environment, so only one tape is held.
     """
     cfg = bundle.cfg
     n_tests, group, horizon = cfg.eval_tests, cfg.eval_group, cfg.eval_horizon
@@ -359,7 +329,7 @@ def evaluate(bundle: ScenarioBundle, eval_policies: dict) -> EvalReport:
     for test_seq in np.random.SeedSequence([cfg.seed, 2]).spawn(n_tests):
         cells.append([real_seq.spawn(2) for real_seq in test_seq.spawn(group)])
 
-    env = bundle.env()
+    env = bundle.env
     shape = (n_tests, group)
     costs = {label: np.zeros(shape) for label in eval_policies}
     signals = {label: np.zeros(shape + (env.n_signals,)) for label in eval_policies}
@@ -454,44 +424,18 @@ def save_agents(dir_path: str, agents: TrainedAgents) -> None:
         neuralnet.save_critic(os.path.join(dir_path, critic_file), critic)
 
 
-_HEAD_FIELDS = [f"head.{f.name}" for f in dataclasses.fields(neuralnet.HeadSpec)]
-
-
-def _load_checked(dir_path: str, name: str, load, expected):
-    """load() one checkpoint file; ValueError naming the file, the field and
-    both values where the stored network differs from expected."""
-    path = os.path.join(dir_path, name)
-    net = load(path)
-    # a critic is an MLP, whose input width is sizes[0]
-    actor = isinstance(expected, neuralnet.GaussianActor)
-    for key in ["obs_dim", "net.sizes", *_HEAD_FIELDS] if actor else ["sizes"]:
-        need, have = operator.attrgetter(key)(expected), operator.attrgetter(key)(net)
-        if need != have:
-            raise ValueError(
-                f"checkpoint {path}: {key} is {have!r}, "
-                f"but the scenario in config.txt needs {need!r}"
-            )
-    return net
-
-
-def load_agents(dir_path: str, expected: TrainedAgents) -> TrainedAgents:
-    """Load exactly the checkpoint files save_agents writes for expected,
-    each checked against its expected network, stacked into its layout."""
-    files = _checkpoint_files(expected)
+def load_agents(dir_path: str, agents: TrainedAgents) -> TrainedAgents:
+    """Fill agents' networks from exactly the checkpoint files save_agents
+    writes for them, each checked against the network it fills (a stacked
+    member through its member(i) view), and return agents."""
+    files = _checkpoint_files(agents)
     want = sorted(name for entry in files for name in entry[:2])
     have = sorted(name for name in os.listdir(dir_path) if name.endswith(".npz"))
     if have != want:
         raise ValueError(f"{dir_path} holds checkpoints {have}, the config trains {want}")
-    actors, critics = [], []
     for actor_file, critic_file, actor, critic in files:
-        actors.append(_load_checked(dir_path, actor_file, neuralnet.load_actor, actor))
-        critics.append(_load_checked(dir_path, critic_file, neuralnet.load_critic, critic))
-    agents = TrainedAgents()
-    if expected.actor is not None:
-        agents.actor, agents.critic = actors.pop(0), critics.pop(0)
-    if expected.rc_actor is not None:
-        agents.rc_actor = neuralnet.GaussianActor.stack(actors)
-        agents.rc_critic = neuralnet.MLP.stack(critics)
+        neuralnet.load_actor(os.path.join(dir_path, actor_file), actor)
+        neuralnet.load_critic(os.path.join(dir_path, critic_file), critic)
     return agents
 
 
@@ -563,11 +507,13 @@ def evaluate_run(out_dir: str) -> RunResult:
     """Re-evaluate a finished run from its saved config and checkpoints."""
     cfg = config_mod.load_config(path=os.path.join(out_dir, "config.txt"))
     bundle = build_scenario(cfg)
-    env = bundle.env()
-    trained = {}
-    for approach in cfg.train_approaches:
-        expected = learner.build_agents(env, cfg, approach, None)
-        trained[approach] = load_agents(os.path.join(out_dir, "checkpoints", approach), expected)
+    trained = {
+        approach: load_agents(
+            os.path.join(out_dir, "checkpoints", approach),
+            learner.build_agents(bundle.env, cfg, approach, None),
+        )
+        for approach in cfg.train_approaches
+    }
     report = evaluate(bundle, evaluation_policies(bundle, trained))
     write_eval_csv(os.path.join(out_dir, "evaluation.csv"), cfg, report)
     return RunResult(

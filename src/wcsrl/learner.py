@@ -12,7 +12,10 @@ keys drive the loop and the updates, and its alloc.* keys, with the
 plants' actuator interval, shape the actor heads.
 
 What each approach learns is said once, in APPROACHES: whether an
-allocation actor is learned, and where control comes from. A joint actor
+allocation actor is learned, and where control comes from. What it
+trains and is evaluated under is said here too, in fixed_halves: equal
+power where allocation is not learned (training then forces delivery)
+and the given controller where control is fixed. A joint actor
 maps the full noisy observation to allocations and/or control inputs.
 With per-plant control, an access-point actor (when allocation is
 learned) maps the full observation to allocations, and the per-plant
@@ -28,8 +31,8 @@ resets it on the N worker generators, and is one pass of
 WirelessControlEnv.episode, the loop pretraining and evaluation step
 through too. Each step, one call to
 policies.compose_action forms the actions of all workers, with the
-halves the agents do not learn from one call to the fixed allocator or
-controller. The pending segment update runs inside that call: after the
+halves the agents do not learn from one call to fixed_halves' allocator
+or controller. The pending segment update runs inside that call: after the
 allocation draw when per-plant actors exist, before the joint actor's.
 """
 from __future__ import annotations
@@ -151,6 +154,18 @@ APPROACHES: dict[str, Approach] = {
     # per-plant controllers under fixed equal power and guaranteed delivery
     "control_only": Approach(learn_alloc=False, control="per_plant"),
 }
+
+
+def fixed_halves(
+    approach: str, cfg: ExperimentConfig, controller: Optional[policies.Controller]
+) -> tuple[Optional[policies.Allocator], Optional[policies.Controller]]:
+    """(allocator, controller) for the action halves approach does not learn,
+    None for those it learns: cfg's equal heuristic where allocation is not
+    learned, and controller where control is fixed. train and evaluation
+    both take them from here."""
+    spec = APPROACHES[approach]
+    allocator = None if spec.learn_alloc else policies.heuristic_allocator("equal", cfg)
+    return allocator, controller if spec.control == "fixed" else None
 
 
 @dataclass
@@ -347,22 +362,22 @@ def train(
     cfg: ExperimentConfig,
     approach: str,
     seed: int | np.random.SeedSequence,
-    control_provider: Optional[policies.Controller] = None,
-    alloc_provider: Optional[policies.Allocator] = None,
+    controller: Optional[policies.Controller] = None,
     progress: Optional[Callable[[EpisodeRow], None]] = None,
 ) -> TrainResult:
     """Train approach (a key of APPROACHES) with the primal-dual loop under
     cfg's train.* and alloc.* keys and return the trained agents.
 
-    Each episode resets env on the worker generators, one row per worker;
-    pretraining resets it on rows that all hold worker 0's generator. When
-    allocation (control) is not learned, alloc_provider (control_provider)
-    supplies that half of the action for the whole worker batch, and
-    without it the first step fails with compose_action's "no fixed
-    source" error. Pretraining runs only beside fixed control, and warm
-    episodes only where the approach warms up; elsewhere those keys are
-    ignored. seed may be a SeedSequence so callers can keep training
-    streams separate from scenario or evaluation draws.
+    Each episode resets env on the worker generators, one row per worker,
+    with forced delivery where allocation is not learned; pretraining
+    resets it on rows that all hold worker 0's generator. fixed_halves
+    supplies the halves of the action the approach does not learn for the
+    whole worker batch: equal power, or controller where control is fixed;
+    with fixed control and no controller the first step fails with
+    compose_action's "no fixed source" error. Pretraining runs only beside
+    fixed control, and warm episodes only where the approach warms up;
+    elsewhere those keys are ignored. seed may be a SeedSequence so callers
+    can keep training streams separate from scenario or evaluation draws.
     """
     if approach not in APPROACHES:
         raise ValueError(f"unknown approach {approach!r}")
@@ -397,10 +412,10 @@ def train(
 
     if cfg.train_pretrain_iters > 0 and spec.control == "fixed":
         # rows drawn in turn from worker 0's generator, which training continues
-        pretrain_allocation(agents.actor, env, worker_rngs[0], cfg, control_provider, pretrain_rng)
+        pretrain_allocation(agents.actor, env, worker_rngs[0], cfg, controller, pretrain_rng)
 
     sources = policies.ActionSources(
-        agents.actor, agents.rc_actor, alloc_provider, control_provider
+        agents.actor, agents.rc_actor, *fixed_halves(approach, cfg, controller)
     )
     warm_sources = sources
     if warm_episodes > 0:
@@ -426,7 +441,7 @@ def train(
 
         ep_pen = np.zeros(n)
         ep_sig = np.zeros((n, n_sig))
-        state = env.reset(cfg.train_horizon, worker_rngs)
+        state = env.reset(cfg.train_horizon, worker_rngs, force_delivery=not spec.learn_alloc)
         x = state.x  # the pre-step state each step is charged on
         for t, _, action, res, disc in env.episode(state, act):
             per_plant, stage, signals = env.charge(x, res.realized_u, action.alpha)

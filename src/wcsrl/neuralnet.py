@@ -20,13 +20,15 @@ written through and never rebound, so a write to any of them or to
 `members + (rows, n_in)`. `members` is empty for a single network; the
 per-plant controller actors and critics run as one network of m members
 each, which has one parameter and gradient row per member and gives each
-member the numbers it would get alone, bit for bit.
+member the numbers it would get alone, bit for bit. A checkpoint loads
+into a network the caller built (load_actor, load_critic), checked
+against it first.
 """
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -504,24 +506,30 @@ def _net_arrays(net: MLP) -> dict:
     return {"sizes": np.array(net.sizes), "activation": np.array("tanh"), **_layer_views(net)}
 
 
-def _stored_sizes(data, kind: str) -> tuple[int, ...]:
-    """The layer sizes of a checkpoint, after checking its format, kind and activation."""
-    if int(data["format"]) != CHECKPOINT_FORMAT:
-        raise ValueError(f"unsupported checkpoint format {int(data['format'])}")
-    if str(data["kind"]) != kind:
-        raise ValueError(f"checkpoint holds a {data['kind']!r}, expected {kind}")
-    if str(data["activation"]) != "tanh":
-        raise ValueError(f"unsupported activation {data['activation']!r}")
-    return tuple(int(s) for s in data["sizes"])
+def _expect(path: str, field: str, have, need) -> None:
+    """ValueError naming the checkpoint, the field and both values where the
+    stored value `have` differs from `need`, the loaded-into network's."""
+    if have != need:
+        raise ValueError(f"checkpoint {path}: {field} is {have!r}, expected {need!r}")
 
 
-def _read_into(data, views: dict) -> None:
+def _check_stored(path: str, data, kind: str, net: MLP) -> None:
+    """The checkpoint's format, kind, activation and layer sizes against net's."""
+    _expect(path, "format", int(data["format"]), CHECKPOINT_FORMAT)
+    _expect(path, "kind", str(data["kind"]), kind)
+    _expect(path, "activation", str(data["activation"]), "tanh")
+    _expect(path, "sizes", tuple(int(s) for s in data["sizes"]), net.sizes)
+
+
+def _read_into(path: str, data, views: dict) -> None:
     """Write the array stored under each key into its view; ValueError
-    naming the key and both shapes where they differ."""
+    naming the checkpoint, the key and both shapes where they differ."""
     for key, view in views.items():
         stored = data[key]
         if stored.shape != view.shape:
-            raise ValueError(f"checkpoint {key} has shape {stored.shape}, expected {view.shape}")
+            raise ValueError(
+                f"checkpoint {path}: {key} has shape {stored.shape}, expected {view.shape}"
+            )
         view[...] = stored
 
 
@@ -536,12 +544,15 @@ def save_actor(path: str, actor: GaussianActor) -> None:
     )
 
 
-def load_actor(path: str) -> GaussianActor:
+def load_actor(path: str, into: GaussianActor) -> None:
+    """Write the actor stored at path into into's views, after checking the
+    stored format, layer sizes and every head field against into's."""
     with np.load(path, allow_pickle=False) as data:
-        sizes = _stored_sizes(data, "actor")
-        actor = GaussianActor(sizes[0], _head_from_arrays(data), hidden=sizes[1:-1])
-        _read_into(data, {"log_std": actor.log_std, **_layer_views(actor.net)})
-    return actor
+        _check_stored(path, data, "actor", into.net)
+        head = _head_from_arrays(data)
+        for f in fields(HeadSpec):
+            _expect(path, f"head.{f.name}", getattr(head, f.name), getattr(into.head, f.name))
+        _read_into(path, data, {"log_std": into.log_std, **_layer_views(into.net)})
 
 
 def save_critic(path: str, critic: MLP) -> None:
@@ -553,12 +564,12 @@ def save_critic(path: str, critic: MLP) -> None:
     )
 
 
-def load_critic(path: str) -> MLP:
+def load_critic(path: str, into: MLP) -> None:
+    """Write the critic stored at path into into's views, after checking the
+    stored format and layer sizes against into's."""
     with np.load(path, allow_pickle=False) as data:
-        sizes = _stored_sizes(data, "critic")
-        critic = MLP((*sizes[:-1], 1))
-        _read_into(data, _layer_views(critic))
-    return critic
+        _check_stored(path, data, "critic", into)
+        _read_into(path, data, _layer_views(into))
 
 
 # ---------------------------------------------------------------------------

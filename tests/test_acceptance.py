@@ -282,7 +282,7 @@ def test_joint_policy_stabilizes_small_initial_states(codesign_study):
     rng = np.random.default_rng(2026)
     # episodes start from x0 ~ N(0, I) rescaled to joint norm 0.1
     cfg = dataclasses.replace(bundle.cfg, plants_init="normal", plants_init_scale=1.0)
-    env = dataclasses.replace(bundle, cfg=cfg).env()
+    env = harness.build_scenario(cfg).env
     bound, horizon, n_traj = 50.0, 100, 200
     peaks = np.empty(n_traj)
     for k in range(n_traj):

@@ -9,8 +9,8 @@ Proves:
       itself and the bad value; every numeric key states its bound in its
       table row unless it is one of the few with none; an override of the
       wrong kind names the key and its kind, configs share no list with
-      the defaults, and inf or nan in any float key or list entry is
-      refused naming the key
+      the defaults, inf or nan in any float key or list entry is refused
+      naming the key, and so is a repeated approach or baseline, naming it
   6.  config_lines round-trips through the parser for every preset, and
       load_config(text=...) reads an out_dir holding spaces and commas; a
       given string value holding `#` or a line break is refused, naming
@@ -187,6 +187,15 @@ def test_validation_rejections():
     load_config(overrides={"scenario": "linear_power", "cost.q": [0.0]})
     with pytest.raises(ConfigError, match=r"plants\.a_low 1\.2 exceeds plants\.a_high 1\.1"):
         load_config(overrides={"plants.a_low": 1.2, "plants.a_high": 1.1})
+    # a repeated approach trained twice over its own artifacts; a repeated
+    # baseline was evaluated once
+    repeats = (
+        ("train.approaches", ["alloc_lqr", "codesign", "alloc_lqr"], "alloc_lqr"),
+        ("eval.baselines", ["equal", "equal"], "equal"),
+    )
+    for key, names, name in repeats:
+        with pytest.raises(ConfigError, match=re.escape(f"{key} lists {name!r} more than once")):
+            load_config(overrides={key: names})
     # counts: caught here, not after training (or, for eval.horizon = 0,
     # never: it wrote all-zero evaluation costs; a zero pretraining batch
     # ran NaN-loss pretraining)

@@ -15,7 +15,8 @@ Proves:
    7.  charge() prices the realized (post-switch) input on the pre-step
        state, as the per-plant oracles do
    8.  Linear batch transition equals per-plant stepping (oracle linear_step)
-   9.  force_delivery short-circuits the lottery
+   9.  An episode reset with force_delivery draws no uniforms and
+       delivers every packet
   10.  Bad actions raise (shape, negative power, non-finite)
  Group 3: Observation and reproducibility
   11.  Observation layout: channel entries first, then plant states
@@ -25,7 +26,8 @@ Proves:
  Group 4: Batched rows and the noise tape
   15.  The tape holds the documented draw order of the row's generator,
        each plant's process draws scaled by the root of its own variance
-  16.  observe() and step() never draw; stepping past the tape raises
+  16.  observe() and step() never draw; stepping past the tape raises, and
+       so does a lottery reaching past it, naming the first step past it
   17.  B rows reset, observe and step bitwise like B single-row episodes
        of one environment on the same generators, every row's tape that of
        its single-row episode: linear and cart-pole plants, sum_power,
@@ -74,7 +76,6 @@ def make_env(
     constraint=None,
     obs_noise=None,
     gamma=0.99,
-    force_delivery=False,
     process_noise=0.0,
     init_kind="normal",
 ):
@@ -96,7 +97,6 @@ def make_env(
         constraint=constraint,
         obs_noise_cov=obs_noise,
         init_kind=init_kind,
-        force_delivery=force_delivery,
     )
 
 
@@ -110,10 +110,11 @@ def with_gains(state, gains):
     return replace(state, tape=replace(state.tape, gains=gains.copy()))
 
 
-def state_at(env, x, gains):
+def state_at(env, x, gains, force_delivery=False):
     """A one-step episode of env at plant states x, on a tape whose channel
     gains are gains at every step."""
-    return with_gains(replace(env.reset(1, gen(0)), x=np.asarray(x, dtype=float)), gains)
+    start = env.reset(1, gen(0), force_delivery)
+    return with_gains(replace(start, x=np.asarray(x, dtype=float)), gains)
 
 
 # Group 1 -------------------------------------------------------------------
@@ -230,9 +231,9 @@ def test_stage_cost_uses_realized_input():
 
 
 def test_batch_transition_matches_per_plant():
-    env = make_env(m=3, force_delivery=True)
+    env = make_env(m=3)
     rng = np.random.Generator(np.random.PCG64(21))
-    state = state_at(env, rng.standard_normal((3, 3)), np.ones(3))
+    state = state_at(env, rng.standard_normal((3, 3)), np.ones(3), force_delivery=True)
     action = JointAction(alpha=np.ones(3), u=rng.standard_normal((3, 3)))
     res = env.step(state, action)
     for i, plant in enumerate(env.plants):
@@ -241,8 +242,9 @@ def test_batch_transition_matches_per_plant():
 
 
 def test_force_delivery():
-    env = make_env(m=2, force_delivery=True)
-    state = state_at(env, np.zeros((2, 3)), np.zeros(2))
+    env = make_env(m=2)
+    state = state_at(env, np.zeros((2, 3)), np.zeros(2), force_delivery=True)
+    assert state.tape.uniforms is None
     res = env.step(state, JointAction(alpha=np.zeros(2), u=np.ones((2, 3))))
     assert res.delivered.all()  # even at zero snr
     assert np.array_equal(res.realized_u, np.ones((2, 3)))
@@ -315,7 +317,7 @@ def test_reset_init_kinds():
 # Group 4 -------------------------------------------------------------------
 
 
-def noisy_env(kind, constraint, force_delivery):
+def noisy_env(kind, constraint):
     """An m=3 environment of the given plant kind with process and
     observation noise."""
     m = 3
@@ -346,7 +348,6 @@ def noisy_env(kind, constraint, force_delivery):
         obs_noise_cov=obs_noise,
         init_kind="uniform" if kind == "cartpole" else "normal",
         init_scale=0.05 if kind == "cartpole" else 1.0,
-        force_delivery=force_delivery,
     )
 
 
@@ -356,7 +357,7 @@ def batch_of(rngs):
 
 
 def test_tape_holds_documented_draw_order():
-    env = noisy_env("linear", "region", False)
+    env = noisy_env("linear", "region")
     horizon, source = 4, gen(5)
     state = env.reset(horizon, source)
     rng = gen(5)  # replay the documented order by hand
@@ -376,7 +377,7 @@ def test_tape_holds_documented_draw_order():
 
 def test_observe_and_step_never_draw():
     rngs = [gen(1), gen(2)]
-    env = noisy_env("linear", "sum_power", False)
+    env = noisy_env("linear", "sum_power")
     state = env.reset(2, rngs)
     before = [r.bit_generator.state for r in rngs]
     action = JointAction(alpha=np.ones((2, 3)), u=np.zeros((2, 3, 3)))
@@ -390,19 +391,30 @@ def test_observe_and_step_never_draw():
         env.step(env.reset(1, rngs), JointAction(alpha=np.ones(3), u=np.zeros((2, 3, 3))))
 
 
+def test_lottery_refuses_steps_past_the_tape():
+    env = noisy_env("linear", "region")
+    start = env.reset(5, gen(3))
+    # (first step, steps): ending one past the tape, starting at its end, longer than it
+    for t0, steps in ((4, 2), (5, 1), (0, 6)):
+        with pytest.raises(ValueError, match=re.escape("step 5 is past the 5-step noise tape")):
+            env.lottery(replace(start, t=t0), np.ones((steps, 3)))
+    assert env.lottery(replace(start, t=4), np.ones((1, 3))).shape == (1, 3)
+    assert env.lottery(replace(start, t=5), np.ones((0, 3))).shape == (0, 3)
+
+
 @pytest.mark.parametrize("force_delivery", [False, True], ids=["lottery", "forced"])
 @pytest.mark.parametrize("constraint", ["sum_power", "region", None], ids=str)
 @pytest.mark.parametrize("kind", ["linear", "cartpole"])
 def test_rows_match_single_row_environments(kind, constraint, force_delivery):
     seeds = [11, 12, 13, 14]
     horizon = 6
-    env = noisy_env(kind, constraint, force_delivery)
+    env = noisy_env(kind, constraint)
     rngs, single_rngs = [gen(s) for s in seeds], [gen(s) for s in seeds]
     q = env.input_dim
     act_rng = gen(7)
     for _ in range(2):  # the second episode continues every row's stream
-        state = env.reset(horizon, rngs)
-        single_states = [env.reset(horizon, rng) for rng in single_rngs]
+        state = env.reset(horizon, rngs, force_delivery)
+        single_states = [env.reset(horizon, rng, force_delivery) for rng in single_rngs]
         for i, s in enumerate(single_states):
             assert np.array_equal(state.x[i], s.x)
             for name in ("gains", "obs", "uniforms", "process", "channel"):
@@ -435,7 +447,7 @@ def test_rows_match_single_row_environments(kind, constraint, force_delivery):
 
 @pytest.mark.parametrize("rngs", [gen(3), [gen(3), gen(4)]], ids=["single", "rows"])
 def test_step_checks_keep_their_messages(rngs):
-    env = noisy_env("linear", "region", False)
+    env = noisy_env("linear", "region")
     batch = batch_of(rngs)
     state = env.reset(1, rngs)
     alpha, u = np.ones(batch + (3,)), np.zeros(batch + (3, 3))
@@ -476,7 +488,7 @@ def test_episode_is_the_hand_loop(seeds):
     def rngs():
         return gen(seeds) if isinstance(seeds, int) else [gen(s) for s in seeds]
 
-    env = noisy_env("linear", "region", False)
+    env = noisy_env("linear", "region")
     horizon, batch = 7, batch_of(rngs())
     act_rng = gen(8)
     asked = []
@@ -509,7 +521,7 @@ def test_episode_is_the_hand_loop(seeds):
 @pytest.mark.parametrize("kind", ["linear", "cartpole"])
 def test_diagonal_stage_cost_is_the_einsum(kind, seeds):
     rngs = gen(seeds) if isinstance(seeds, int) else [gen(s) for s in seeds]
-    env = noisy_env(kind, None, False)
+    env = noisy_env(kind, None)
     q, r = env.weights.q, env.weights.r
     draw = gen(9)
     state = env.reset(50, rngs)
@@ -530,7 +542,7 @@ def test_diagonal_stage_cost_is_the_einsum(kind, seeds):
 @pytest.mark.parametrize("constraint", ["sum_power", "region", None], ids=str)
 @pytest.mark.parametrize("kind", ["linear", "cartpole"])
 def test_trajectory_charge_is_per_step_charges(kind, constraint, seeds):
-    env = noisy_env(kind, constraint, False)
+    env = noisy_env(kind, constraint)
     draw = gen(10)
     horizon, batch = 12, () if isinstance(seeds, int) else (len(seeds),)
     xs = draw.standard_normal((horizon,) + batch + (3, env.state_dim))
@@ -547,7 +559,7 @@ def test_trajectory_charge_is_per_step_charges(kind, constraint, seeds):
 
 @pytest.mark.parametrize("rngs", [gen(3), [gen(3), gen(4), gen(5)]], ids=["single", "rows"])
 def test_action_errors_name_the_step_and_row(rngs):
-    env = noisy_env("linear", "region", False)
+    env = noisy_env("linear", "region")
     batch = batch_of(rngs)
     alpha, u = np.ones(batch + (3,)), np.zeros(batch + (3, 3))
     state = env.reset(5, rngs)
@@ -624,7 +636,7 @@ def test_tape_gains_drive_observation_and_lottery(rngs):
 @pytest.mark.parametrize("rngs", [gen(41), [gen(41), gen(42), gen(43)]], ids=["single", "rows"])
 @pytest.mark.parametrize("kind", ["linear", "cartpole"])
 def test_tape_channel_is_each_steps_add(kind, rngs):
-    env = noisy_env(kind, "region", False)
+    env = noisy_env(kind, "region")
     tape = env.reset(17, rngs).tape
     # gains from 1e-300 to 1e300 beside the drawn noise
     scaled = replace(tape, gains=tape.gains * np.logspace(-300, 300, 3))

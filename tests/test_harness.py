@@ -28,8 +28,13 @@ Proves:
   11.  evaluate_run reproduces the stored evaluation byte for byte, also in a
        run directory whose path holds a space and a comma, and every
        evaluation.csv cell is the report's statistic
-  12.  save/load round-trips access-point plus per-plant agents; each per-plant
-       checkpoint holds the bytes a standalone copy of its member saves to
+  11b. run_experiment on three approaches, and evaluate_run, each build
+       one environment and one Riccati controller; evaluate_run builds each
+       network once, and loads the checkpoints into those networks
+  12.  save/load round-trips every approach's agents into fresh networks,
+       bitwise for every network and stacked member, and returns the
+       networks it was given; each per-plant checkpoint holds the bytes a
+       standalone copy of its member saves to
   13.  evaluate_run names the checkpoint, field and values on a config mismatch
        of an actor or a critic, and both file lists when a checkpoint is
        stray or missing
@@ -43,6 +48,7 @@ Proves:
 """
 from __future__ import annotations
 
+import collections
 import dataclasses
 import os
 import shutil
@@ -56,6 +62,7 @@ import wcsrl
 from wcsrl import config as config_mod
 from wcsrl import harness, learner, neuralnet, policies
 from wcsrl.dynamics import control_bounds
+from wcsrl.environment import WirelessControlEnv
 from wcsrl.learner import TrainedAgents
 import oracles
 
@@ -102,9 +109,10 @@ def test_scenario_build_repeatable_and_pinnable(tmp_path):
 def test_obs_noise_blocks(tmp_path):
     cfg = tiny_config(tmp_path, **{"obs.noise": 1.0, "obs.noise_channel": 4.0})
     b = harness.build_scenario(cfg)
-    assert np.allclose(b.obs_noise[:2], 4.0, atol=1e-15)
-    assert np.allclose(b.obs_noise[2:], 1.0, atol=1e-15)
-    assert b.obs_noise.shape == (2 * (1 + 3),)
+    variances = np.square(b.env._obs_noise_std)
+    assert np.allclose(variances[:2], 4.0, atol=1e-15)
+    assert np.allclose(variances[2:], 1.0, atol=1e-15)
+    assert variances.shape == (2 * (1 + 3),)
 
 
 def test_cartpole_scenario_wiring(tmp_path):
@@ -112,13 +120,13 @@ def test_cartpole_scenario_wiring(tmp_path):
         overrides={"scenario": "cartpole_codesign", "seed": 1, "plants.count": 2}
     )
     b = harness.build_scenario(cfg)
-    assert control_bounds(b.plants[0].kind) == (-10.0, 10.0)
+    assert control_bounds(b.env.plants[0].kind) == (-10.0, 10.0)
     assert control_bounds("linear") == (None, None)
-    assert (b.plants[0].state_dim, b.plants[0].input_dim) == (4, 1)
+    assert (b.env.state_dim, b.env.input_dim) == (4, 1)
     assert len(b.lqr_gains) == 2
     assert np.array_equal(b.lqr_gains[0], b.lqr_gains[1])
     # the clipped Riccati controller respects the actuator interval
-    ctrl = b.riccati_controller()
+    ctrl = b.controller
     obs = type("O", (), {})()
     from wcsrl.environment import Observation
 
@@ -160,7 +168,7 @@ def test_paired_seeds_identical_policies(tmp_path):
     cfg = tiny_config(tmp_path, **{"eval.group": 3, "eval.horizon": 10})
     bundle = harness.build_scenario(cfg)
     mk = lambda: policies.HeuristicPolicy(
-        policies.heuristic_allocator("equal", cfg), bundle.riccati_controller()
+        policies.heuristic_allocator("equal", cfg), bundle.controller
     )
     report = harness.evaluate(bundle, {"a": mk(), "b": mk()})
     assert np.array_equal(report.costs["a"], report.costs["b"])
@@ -182,7 +190,7 @@ def test_equal_power_beats_none(tmp_path):
         },
     )
     bundle = harness.build_scenario(cfg)
-    ctrl = bundle.riccati_controller()
+    ctrl = bundle.controller
     report = harness.evaluate(
         bundle,
         {
@@ -232,7 +240,7 @@ def test_rollout_matches_oracle(tmp_path):
     cfg = tiny_config(tmp_path, **{"plants.count": 4, "eval.horizon": 30})
     bundle = harness.build_scenario(cfg)
     eval_policies = harness.baseline_policies(bundle)
-    env = bundle.env()
+    env = bundle.env
     for seed in range(3):
         start = env.reset(cfg.eval_horizon, np.random.default_rng(seed))
         small = dataclasses.replace(start, x=start.x * (0.1 / np.linalg.norm(start.x)))
@@ -246,13 +254,13 @@ def test_rollout_matches_oracle(tmp_path):
                 assert not got.diverged and same_stats(got, want), (seed, name, begin.t)
             got = harness.rollout(env, done, policy, np.random.default_rng(0))
             assert got.cost == 0.0 and not got.diverged
-            assert got.signals.shape == (bundle.m,) and not got.signals.any()
+            assert got.signals.shape == (bundle.env.m,) and not got.signals.any()
 
     # an unstable plant left open loop passes the divergence limit mid-episode
     cfg = tiny_config(tmp_path, **{"plants.a_values": [3.0, 3.0], "eval.horizon": 60})
     bundle = harness.build_scenario(cfg)
     runaway = policies.HeuristicPolicy(policies.zero_allocator(2), policies.zero_controller(2, 3))
-    env = bundle.env()
+    env = bundle.env
     start = env.reset(cfg.eval_horizon, np.random.default_rng(1))
     got = harness.rollout(env, start, runaway, np.random.default_rng(0))
     assert got.diverged and got.cost == harness.DIVERGENCE_COST
@@ -286,7 +294,7 @@ def up_front(policy, start):
 def test_up_front_rollout_matches_oracle(tmp_path):
     cfg = tiny_config(tmp_path, **{"plants.count": 4, "eval.horizon": 30})
     bundle = harness.build_scenario(cfg)
-    env = bundle.env()
+    env = bundle.env
     agents = learner.build_agents(env, cfg, "control_only", np.random.default_rng(3))
     candidates = {
         **harness.baseline_policies(bundle),
@@ -307,7 +315,7 @@ def test_up_front_rollout_matches_oracle(tmp_path):
 
     # the allocator runs once per episode, not once per step
     rr = counted(policies.heuristic_allocator("round_robin", cfg))
-    policy = policies.HeuristicPolicy(rr, bundle.riccati_controller())
+    policy = policies.HeuristicPolicy(rr, bundle.controller)
     harness.rollout(env, start, policy, None)
     assert rr.calls == 1
 
@@ -317,7 +325,7 @@ def test_up_front_rollout_matches_oracle(tmp_path):
     runaway = policies.HeuristicPolicy(
         policies.make_allocator("zero", 2, 1, 1.0), policies.zero_controller(2, 3)
     )
-    env = bundle.env()
+    env = bundle.env
     start = env.reset(cfg.eval_horizon, np.random.default_rng(1))
     nan_start = dataclasses.replace(start, x=np.where(np.eye(2, 3) > 0, np.inf, 1.0))
     for begin in (start, nan_start):
@@ -330,7 +338,7 @@ def test_up_front_rollout_matches_oracle(tmp_path):
     def bad(obs, t):
         return np.where((np.asarray(t) == 7)[..., None], -1.0, 1.0) * np.ones(2)
 
-    bad_policy = policies.HeuristicPolicy(bad, bundle.riccati_controller())
+    bad_policy = policies.HeuristicPolicy(bad, bundle.controller)
     with pytest.raises(ValueError, match="^step 7: negative allocation: min entry -1.000e"):
         harness.rollout(env, start, bad_policy, None)
     bad.state_free = True
@@ -354,9 +362,10 @@ def test_run_experiment_artifacts(tmp_path):
     manifest = (out / "manifest.txt").read_text()
     assert "train.alloc_lqr.wall_seconds" in manifest
     assert "scenario.a_values" in manifest
-    # checkpoints reload and reproduce the policy's actions
+    # checkpoints reload into fresh networks
     trained = result.trained["alloc_lqr"]
-    agents = harness.load_agents(str(out / "checkpoints" / "alloc_lqr"), trained)
+    fresh = learner.build_agents(result.bundle.env, cfg, "alloc_lqr", None)
+    agents = harness.load_agents(str(out / "checkpoints" / "alloc_lqr"), fresh)
     assert np.array_equal(agents.actor.get_flat(), trained.actor.get_flat())
     # learned approaches first, then the baselines, in evaluation.csv's row order too
     labels = ["alloc_lqr", *cfg.eval_baselines]
@@ -399,6 +408,36 @@ def test_evaluate_run_in_a_path_with_space_and_comma(tmp_path):
     assert (run / "evaluation.csv").read_bytes() == first
 
 
+def test_each_run_object_is_built_once(tmp_path, monkeypatch):
+    built = collections.Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            built[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for owner, attr, name in (
+        (WirelessControlEnv, "__init__", "env"),
+        (policies, "riccati_controller", "riccati"),
+        (neuralnet.MLP, "__init__", "network"),
+    ):
+        monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
+    approaches = ["codesign", "control_only", "alloc_lqr"]
+    cfg = tiny_config(
+        tmp_path / "run",
+        **{"scenario": "linear_codesign", "plants.count": 3, "train.approaches": approaches},
+    )
+    harness.run_experiment(cfg)
+    assert built["env"] == 1 and built["riccati"] == 1
+    built.clear()
+    harness.evaluate_run(str(tmp_path / "run"))
+    # actor and critic networks: codesign's access-point pair and 3 per-plant
+    # pairs, control_only's 3 per-plant pairs and alloc_lqr's one pair
+    assert built == {"env": 1, "riccati": 1, "network": 2 * (1 + 3 + 3 + 1)}
+
+
 def test_eval_csv_cells_match_report(tmp_path):
     # region signals, one per plant; stochastic policies
     result = harness.run_experiment(tiny_config(tmp_path / "run", **{"eval.stochastic": True}))
@@ -419,29 +458,38 @@ def test_eval_csv_cells_match_report(tmp_path):
         assert int(cells[-1]) == report.diverged[label][int(j)].sum()
 
 
-def test_save_load_separate_agents(tmp_path):
+@pytest.mark.parametrize("approach", list(learner.APPROACHES))
+def test_save_load_separate_agents(tmp_path, approach):
     cfg = tiny_config(
         tmp_path,
         **{
             "scenario": "linear_codesign",
-            "train.approaches": ["codesign"],
+            "train.approaches": [approach],
             "train.pretrain_iters": 0,
         },
     )
     bundle = harness.build_scenario(cfg)
-    result = harness.train_approach(bundle, "codesign", 0)
+    trained = harness.train_approach(bundle, approach, 0).agents
     path = str(tmp_path / "ckpt")
-    harness.save_agents(path, result.agents)
-    loaded = harness.load_agents(path, result.agents)
-    assert np.array_equal(loaded.actor.get_flat(), result.agents.actor.get_flat())
-    assert loaded.rc_actor.net.members == (2,)
-    for i in range(2):
-        a, b = loaded.rc_actor.member(i), result.agents.rc_actor.member(i)
-        assert np.array_equal(a.get_flat(), b.get_flat())
+    harness.save_agents(path, trained)
+    # loaded into fresh zero networks, which it fills and returns
+    fresh = learner.build_agents(bundle.env, cfg, approach, None)
+    assert harness.load_agents(path, fresh) is fresh
+    for name, net in vars(trained).items():
+        got = getattr(fresh, name)
+        assert (got is None) == (net is None), name
+        if net is None:
+            continue
+        assert got.params.tobytes() == net.params.tobytes(), name
+        for i in range(net.members[0] if net.members else 0):
+            assert got.member(i).params.tobytes() == net.member(i).params.tobytes(), (name, i)
+    if trained.rc_actor is None:
+        return
+    assert fresh.rc_actor.members == fresh.rc_critic.members == (2,)
 
     # each member file is what a standalone actor/critic with member i's
     # parameters saves to, byte for byte
-    rc_actor, rc_critic = result.agents.rc_actor, result.agents.rc_critic
+    rc_actor, rc_critic = trained.rc_actor, trained.rc_critic
     for i in range(2):
         actor = neuralnet.GaussianActor(rc_actor.obs_dim, rc_actor.head, cfg.train_hidden)
         actor.set_flat(rc_actor.get_flat()[i].copy())
@@ -453,11 +501,12 @@ def test_save_load_separate_agents(tmp_path):
             standalone = (tmp_path / f"standalone_{kind}.npz").read_bytes()
             assert (tmp_path / "ckpt" / f"rc_{kind}_{i}.npz").read_bytes() == standalone
 
-    # a per-plant checkpoint that cannot be stacked is named, not a shape error
+    # a per-plant checkpoint of another shape is named, not a shape error
     odd = neuralnet.GaussianActor(rc_actor.obs_dim, rc_actor.head, (3,))
     neuralnet.save_actor(os.path.join(path, "rc_actor_1.npz"), odd)
-    with pytest.raises(ValueError, match=r"rc_actor_1\.npz: net\.sizes is \(5, 3, 3\)"):
-        harness.load_agents(path, result.agents)
+    message = r"rc_actor_1\.npz: sizes is \(5, 3, 3\), expected \(5, 64, 64, 3\)"
+    with pytest.raises(ValueError, match=message):
+        harness.load_agents(path, fresh)
 
 
 def test_evaluate_run_rejects_mismatched_checkpoint(tmp_path):
@@ -473,22 +522,23 @@ def test_evaluate_run_rejects_mismatched_checkpoint(tmp_path):
         return str(info.value)
 
     cases = [
-        ("plants.count = 2", "plants.count = 3", "obs_dim is 8", "needs 12"),
-        ("train.hidden = 64 64", "train.hidden = 8", "net.sizes is (8, 64, 64, 3)",
-         "needs (8, 8, 3)"),
-        ("alloc.total = 2", "alloc.total = 3", "head.alpha_total is 2.0", "needs 3.0"),
+        ("plants.count = 2", "plants.count = 3", "sizes is (8, 64, 64, 3)",
+         "expected (12, 64, 64, 4)"),
+        ("train.hidden = 64 64", "train.hidden = 8", "sizes is (8, 64, 64, 3)",
+         "expected (8, 8, 3)"),
+        ("alloc.total = 2", "alloc.total = 3", "head.alpha_total is 2.0", "expected 3.0"),
     ]
     for old, new, have, need in cases:
         assert old in text
         config_path.write_text(text.replace(old, new))
-        assert rejection() == f"checkpoint {actor}: {have}, but the scenario in config.txt {need}"
+        assert rejection() == f"checkpoint {actor}: {have}, {need}"
 
     # a critic, an MLP, is checked on its sizes
     config_path.write_text(text)
     critic = os.path.join(ckpt, "critic.npz")
     neuralnet.save_critic(critic, neuralnet.MLP((8, 5, 1)))
-    have, need = "sizes is (8, 5, 1)", "needs (8, 64, 64, 1)"
-    assert rejection() == f"checkpoint {critic}: {have}, but the scenario in config.txt {need}"
+    have, need = "sizes is (8, 5, 1)", "expected (8, 64, 64, 1)"
+    assert rejection() == f"checkpoint {critic}: {have}, {need}"
 
     # a stray checkpoint file, then a missing one, under the original config
     trains = "the config trains ['actor.npz', 'critic.npz']"

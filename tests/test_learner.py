@@ -23,8 +23,9 @@ Proves:
        pretraining leave the run bitwise unchanged wherever the approach
        does not use them; an unknown approach, and an environment whose
        discount or plant count differs from the config, are rejected; an
-       approach given no fixed source for a half it does not learn fails
-       before its first step, naming that half
+       approach with fixed control given no controller fails before its
+       first step, naming that half; every episode, pretraining's too,
+       forces delivery exactly where allocation is not learned
   15.  Lagrangian ceiling raises TrainingDivergedError, and a non-finite
        plant state raises it at the step it appears, naming the worker
   16.  One power rule, per allocation head and constraint kind, gives the
@@ -39,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from wcsrl import harness, policies
+from wcsrl import harness, learner, policies
 from wcsrl.config import load_config
 from wcsrl.dynamics import CostWeights, PlantModel, unstable_drift
 from wcsrl.environment import ConstraintSpec, WirelessControlEnv
@@ -365,34 +366,45 @@ USES = {
 }
 
 
-def zero_halves(approach):
-    """Zero actions for the halves approach does not learn: (control, allocation)."""
-    spec = APPROACHES[approach]
-    controller = ZERO_CONTROL if spec.control == "fixed" else None
-    return controller, None if spec.learn_alloc else policies.zero_allocator(2)
-
-
 @pytest.mark.parametrize("approach", list(USES))
 def test_approach_ignores_keys_it_does_not_use(approach):
     env = env_for(constraint="sum_power")
     common = {"alloc.head": "softplus", "train.episodes": 2}
-    plain = run_outputs(train(env, small_config(common), approach, 9, *zero_halves(approach)))
+    plain = run_outputs(train(env, small_config(common), approach, 9, ZERO_CONTROL))
     for key, value in (("train.warm_episodes", 2), ("train.pretrain_iters", 5)):
         cfg = small_config({**common, key: value})
-        result = train(env, cfg, approach, 9, *zero_halves(approach))
+        result = train(env, cfg, approach, 9, ZERO_CONTROL)
         assert same_outputs(run_outputs(result), plain) == (key not in USES[approach]), key
 
 
-@pytest.mark.parametrize("approach", ["alloc_lqr", "control_only"])
+# the allocation of an approach that does not learn it is always equal power
+@pytest.mark.parametrize("approach", ["alloc_lqr"])
 def test_missing_fixed_half_fails_at_first_step(approach):
     env = env_for(constraint="sum_power")
     steps = []
     step = env.step
     env.step = lambda state, action: steps.append(state.t) or step(state, action)
-    what = "control input" if approach == "alloc_lqr" else "allocation"
-    with pytest.raises(ValueError, match=f"policy produces no {what} and has no fixed source"):
+    with pytest.raises(ValueError, match="policy produces no control input and has no fixed"):
         train(env, small_config({"alloc.head": "softplus"}), approach, seed=9)
     assert steps == []
+
+
+@pytest.mark.parametrize("approach", list(USES))
+def test_delivery_forced_where_allocation_is_not_learned(approach):
+    env = env_for(constraint="sum_power")
+    forced = []
+
+    def reset(*args, **kwargs):
+        start = WirelessControlEnv.reset(env, *args, **kwargs)
+        forced.append(start.tape.uniforms is None)
+        return start
+
+    env.reset = reset
+    cfg = small_config({"alloc.head": "softplus", "train.pretrain_iters": 2})
+    train(env, cfg, approach, 9, ZERO_CONTROL)
+    # pretraining (alloc_lqr) resets once more than the episodes
+    assert len(forced) >= cfg.train_episodes
+    assert set(forced) == {not APPROACHES[approach].learn_alloc}
 
 
 def test_unknown_approach_rejected():
@@ -469,17 +481,16 @@ def test_heuristic_power_rule(head, kind, power):
     bundle = harness.build_scenario(cfg)
     equal = np.full(4, power / 4)
 
-    env = bundle.env()
+    env = bundle.env
     obs = env.observe(env.reset(1, np.random.default_rng(0)))
-    control_only, _ = harness.fixed_sources(bundle, "control_only")
+    control_only, _ = learner.fixed_halves("control_only", cfg, bundle.controller)
     assert np.array_equal(control_only(obs, 0), equal)
     assert np.array_equal(harness.baseline_policies(bundle)["equal"].act(obs, 0, None).alpha, equal)
 
     # the pretraining target: control_aware over alloc.n_active = 2 plants
     recorder = TargetRecorder()
-    controller = bundle.riccati_controller()
     pretrain_allocation(
-        recorder, env, np.random.default_rng(0), cfg, controller, np.random.default_rng(1)
+        recorder, env, np.random.default_rng(0), cfg, bundle.controller, np.random.default_rng(1)
     )
     assert len(recorder.targets) == 2
     for target in recorder.targets:
@@ -538,9 +549,8 @@ def test_pretraining_rows_pool_sequential_episodes(scenario, horizon, batch):
     }
     cfg = load_config(overrides=overrides)
     bundle = harness.build_scenario(cfg)
-    controller = bundle.riccati_controller()
+    controller, env = bundle.controller, bundle.env
     recorder, shared = TargetRecorder(), np.random.default_rng(4)
-    env = bundle.env()
     pretrain_allocation(recorder, env, shared, cfg, controller, np.random.default_rng(1))
 
     alone = np.random.default_rng(4)

@@ -15,9 +15,12 @@ Proves:
  Group 3: Sampling and persistence
   10.  sample() transforms of the raw draw agree with transform()
   11.  Deterministic given the generator state
-  12.  Checkpoint save/load round-trips actor and critic bitwise; a stored
-       critic of another output width is refused
-  13.  Loading a mis-shaped stored array names its key and both shapes
+  12.  Checkpoint save/load round-trips actor and critic bitwise into
+       networks built beforehand; a stored critic of another output width,
+       an actor of another head field and a critic loaded as an actor are
+       refused, naming the file, the field and both values
+  13.  Loading a mis-shaped stored array names the file, its key and both
+       shapes
   14.  Optimizers take the expected first step in place (sgd exact,
        rmsprop scale); in-place RMSProp is the returned-copy form bitwise
  Group 4: Member-stacked networks, bitwise against m separate ones
@@ -33,6 +36,7 @@ Proves:
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -213,7 +217,8 @@ def test_checkpoint_roundtrip(tmp_path):
     actor = GaussianActor(8, head, (16, 16), rng)
     path = str(tmp_path / "actor.npz")
     save_actor(path, actor)
-    loaded = load_actor(path)
+    loaded = GaussianActor(8, head, (16, 16))
+    assert load_actor(path, loaded) is None
     assert np.array_equal(loaded.get_flat(), actor.get_flat())
     assert loaded.head == actor.head
     obs = rng.standard_normal((2, 8))
@@ -225,14 +230,19 @@ def test_checkpoint_roundtrip(tmp_path):
     critic = MLP((8, 16, 16, 1), rng)
     cpath = str(tmp_path / "critic.npz")
     save_critic(cpath, critic)
-    cloaded = load_critic(cpath)
-    assert cloaded.sizes == critic.sizes
+    cloaded = MLP(critic.sizes)
+    load_critic(cpath, cloaded)
     assert np.array_equal(cloaded.get_flat(), critic.get_flat())
     assert np.array_equal(cloaded.forward(obs)[0], critic.forward(obs)[0])
-    # a critic has one output, whatever width a stored network has
+    # the stored sizes and head are checked against the network loaded into
     save_critic(cpath, MLP((8, 16, 2), rng))
-    with pytest.raises(ValueError, match=re.escape("w1 has shape (16, 2), expected (16, 1)")):
-        load_critic(cpath)
+    with pytest.raises(ValueError, match=re.escape("sizes is (8, 16, 2), expected (8, 16, 1)")):
+        load_critic(cpath, MLP((8, 16, 1)))
+    other = GaussianActor(8, replace(head, alpha_total=3.0), (16, 16))
+    with pytest.raises(ValueError, match=re.escape("head.alpha_total is 2.0, expected 3.0")):
+        load_actor(path, other)
+    with pytest.raises(ValueError, match=re.escape(f"checkpoint {cpath}: kind is 'critic'")):
+        load_actor(cpath, loaded)
 
 
 @pytest.mark.parametrize(
@@ -257,8 +267,13 @@ def test_checkpoint_names_misshaped_array(tmp_path, load, key, bad):
     want = arrays[key].shape
     arrays[key] = bad
     np.savez(path, **arrays)
-    with pytest.raises(ValueError, match=re.escape(f"{key} has shape {bad.shape}, expected {want}")):
-        load(path)
+    if load is load_actor:
+        into = GaussianActor(4, HeadSpec(n_plants=1, control_dim=3), (8,))
+    else:
+        into = MLP((4, 8, 1))
+    message = f"checkpoint {path}: {key} has shape {bad.shape}, expected {want}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load(path, into)
 
 
 def test_optimizer_steps():

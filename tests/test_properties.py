@@ -198,13 +198,14 @@ def rows_cases(draw):
         ]
     else:
         plants = [PlantModel(kind="cartpole", process_noise=v) for v in variances]
+    constraint = CONSTRAINTS[draw(st.sampled_from(sorted(CONSTRAINTS, key=str)))]
+    force_delivery = draw(st.booleans())
     options = dict(
-        constraint=CONSTRAINTS[draw(st.sampled_from(sorted(CONSTRAINTS, key=str)))],
-        force_delivery=draw(st.booleans()),
+        constraint=constraint,
         init_kind=draw(st.sampled_from(["normal", "uniform", "zero"])),
         init_scale=0.05 if kind == "cartpole" else 1.0,
     )
-    return plants, options, draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    return plants, options, force_delivery, draw(st.integers(1, 5)), draw(st.integers(1, 5))
 
 
 def same_bits(a, b) -> bool:
@@ -214,7 +215,7 @@ def same_bits(a, b) -> bool:
 
 @given(case=rows_cases(), seed=st.integers(0, 2**32 - 1))
 def test_rows_equal_single_row_environments(case, seed):
-    plants, options, rows, horizon = case
+    plants, options, force_delivery, rows, horizon = case
     m, p, q = len(plants), plants[0].state_dim, plants[0].input_dim
     aux = np.random.Generator(np.random.PCG64([seed, rows]))
     obs_var = np.where(aux.random(m * (1 + p)) < 0.3, 0.0, aux.random(m * (1 + p)))
@@ -231,8 +232,8 @@ def test_rows_equal_single_row_environments(case, seed):
 
     rngs, single_rngs = gens(), gens()
     for _ in range(2):  # the second episode continues every row's stream
-        state = env.reset(horizon, rngs)
-        single_states = [env.reset(horizon, g) for g in single_rngs]
+        state = env.reset(horizon, rngs, force_delivery)
+        single_states = [env.reset(horizon, g, force_delivery) for g in single_rngs]
         for i, s in enumerate(single_states):
             assert same_bits(state.tape.process[:, i], s.tape.process)
             assert same_bits(state.tape.gains[:, i], s.tape.gains)
@@ -317,10 +318,8 @@ def lottery_cases(draw):
         draw(st.integers(1, m)),
         draw(st.sampled_from([1e-6, 1.0]) | finite(1e-6, 1e3)),
     )
-    options = dict(
-        force_delivery=draw(st.booleans()),
-        obs_noise_cov=np.full(m * 4, draw(st.sampled_from([0.0, 0.3]))),
-    )
+    force_delivery = draw(st.booleans())
+    obs_noise_cov = np.full(m * 4, draw(st.sampled_from([0.0, 0.3])))
     t0 = draw(st.integers(0, horizon))
     # a bad entry at (step, row, plant), repeated at a later row; -0.0 is no bad entry
     first_row = draw(st.integers(0, (rows or 1) - 1))
@@ -331,12 +330,13 @@ def lottery_cases(draw):
         draw(st.integers(first_row, (rows or 1) - 1)),
         draw(st.integers(0, m - 1)),
     )
-    return m, rows, horizon, t0, allocator, options, fault
+    return m, rows, horizon, t0, allocator, force_delivery, obs_noise_cov, fault
 
 
 @given(case=lottery_cases(), seed=st.integers(0, 2**32 - 1))
 def test_up_front_lottery_equals_per_step_lotteries(case, seed):
-    m, rows, horizon, t0, allocator, options, (bad, bad_t, first_row, later_row, bad_plant) = case
+    m, rows, horizon, t0, allocator, force_delivery, obs_noise_cov, where = case
+    bad, bad_t, first_row, later_row, bad_plant = where
     plant = PlantModel(
         kind="linear", a_mat=unstable_drift(1.1), b_mat=np.eye(3), process_noise=0.1
     )
@@ -345,9 +345,9 @@ def test_up_front_lottery_equals_per_step_lotteries(case, seed):
         plants=[plant] * m,
         channel=ChannelModel(distances=np.linspace(0.3, 2.5, m)),
         weights=CostWeights(q=np.eye(3), r=np.eye(3)),
-        **options,
+        obs_noise_cov=obs_noise_cov,
     )
-    start = env.reset(horizon, gens[0] if rows is None else gens)
+    start = env.reset(horizon, gens[0] if rows is None else gens, force_delivery)
     tape, batch = start.tape, start.x.shape[:-2]
     state = replace(start, t=t0)
     policy = HeuristicPolicy(allocator, zero_controller(m, 3))
@@ -374,7 +374,7 @@ def test_up_front_lottery_equals_per_step_lotteries(case, seed):
     for t in range(t0, horizon):
         alpha = np.broadcast_to(allocator(env.observe(state), t), batch + (m,))
         assert same_bits(alphas[t - t0], np.ascontiguousarray(alpha)), t
-        if env.force_delivery:
+        if force_delivery:
             want = np.ones(alpha.shape, dtype=bool)
         else:
             want = tape.uniforms[t] < delivery_probability(snr(tape.gains[t], alpha))
