@@ -54,15 +54,14 @@ DIVERGENCE_COST = 1e12
 class ScenarioBundle:
     """Everything derived from a config plus the scenario random stream:
     the scenario's one environment, whose episodes' generators go to its
-    reset(), and its one Riccati controller (per-plant gains lqr_gains),
-    clipped to the plants' actuator interval."""
+    reset(), and its one Riccati controller, clipped to the plants'
+    actuator interval."""
 
     cfg: ExperimentConfig
     positions: np.ndarray
     distances: np.ndarray
     env: WirelessControlEnv
     controller: policies.Controller
-    lqr_gains: list
     a_values: Optional[np.ndarray]
 
 
@@ -159,7 +158,6 @@ def build_scenario(cfg: ExperimentConfig) -> ScenarioBundle:
         distances=distances,
         env=env,
         controller=policies.riccati_controller(gains, low, high),
-        lqr_gains=gains,
         a_values=a_values,
     )
 

@@ -388,9 +388,9 @@ def train(
     else:
         seq = np.random.SeedSequence(seed)
     worker_seqs = seq.spawn(cfg.train_workers)
-    init_rng = np.random.Generator(np.random.PCG64(seq.spawn(1)[0]))
-    sample_rng = np.random.Generator(np.random.PCG64(seq.spawn(1)[0]))
-    pretrain_rng = np.random.Generator(np.random.PCG64(seq.spawn(1)[0]))
+    init_rng, sample_rng, pretrain_rng = (
+        np.random.Generator(np.random.PCG64(s)) for s in seq.spawn(3)
+    )
 
     worker_rngs = [np.random.Generator(np.random.PCG64(s)) for s in worker_seqs]
     if abs(env.gamma - cfg.train_gamma) > 1e-12:

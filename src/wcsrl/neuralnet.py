@@ -20,14 +20,16 @@ written through and never rebound, so a write to any of them or to
 `members + (rows, n_in)`. `members` is empty for a single network; the
 per-plant controller actors and critics run as one network of m members
 each, which has one parameter and gradient row per member and gives each
-member the numbers it would get alone, bit for bit. A checkpoint loads
-into a network the caller built (load_actor, load_critic), checked
-against it first.
+member the numbers it would get alone, bit for bit. A checkpoint is
+one map of a network's settings and parameter views (_checkpoint):
+save_actor and save_critic write it, and load_actor and load_critic
+check a file against the map of the network they fill, then fill it.
 """
 from __future__ import annotations
 
 import copy
 import math
+import zipfile
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
@@ -392,11 +394,8 @@ class GaussianActor(_Params):
         if self.head.alloc is None:
             raise ValueError("actor has no allocation head")
         mean, cache = self.net.forward(obs)
+        alloc = self.transform(mean)[0]
         raw_alloc = mean[:, : self.head.alloc_raw_dim]
-        if self.head.alloc == "simplex":
-            alloc = simplex_layer(raw_alloc, self.head.alpha_total)
-        else:
-            alloc = positive_layer(raw_alloc)
         n = mean.shape[0]
         diff = alloc - targets
         loss = float((diff**2).sum() / n)
@@ -467,109 +466,70 @@ def clip_global_norm(grad: np.ndarray, max_norm: float) -> np.ndarray:
 CHECKPOINT_FORMAT = 1
 
 
-def _head_to_arrays(head: HeadSpec) -> dict:
-    return {
-        "head_n_plants": np.array(head.n_plants),
-        "head_alloc": np.array(head.alloc or ""),
-        "head_alpha_total": np.array(np.nan if head.alpha_total is None else head.alpha_total),
-        "head_control_dim": np.array(head.control_dim),
-        "head_control_low": np.array(np.nan if head.control_low is None else head.control_low),
-        "head_control_high": np.array(np.nan if head.control_high is None else head.control_high),
-    }
-
-
-def _head_from_arrays(data) -> HeadSpec:
-    alloc = str(data["head_alloc"])
-    low = float(data["head_control_low"])
-    high = float(data["head_control_high"])
-    total = float(data["head_alpha_total"])
-    return HeadSpec(
-        n_plants=int(data["head_n_plants"]),
-        alloc=alloc or None,
-        alpha_total=None if np.isnan(total) else total,
-        control_dim=int(data["head_control_dim"]),
-        control_low=None if np.isnan(low) else low,
-        control_high=None if np.isnan(high) else high,
-    )
-
-
-def _layer_views(net: MLP) -> dict:
-    """net's weight and bias views under their checkpoint keys w{l}, b{l}."""
-    out = {}
-    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        out[f"w{l}"] = w
-        out[f"b{l}"] = b
+def _checkpoint(net) -> dict:
+    """What a checkpoint of net, a GaussianActor or an MLP critic, holds, by
+    key in stored order: each setting as a Python value (an unset head field
+    as NaN or ""), each parameter as net's view (log_std, w{l}, b{l}). save_*
+    writes this map; load_* checks a file against it and fills its views."""
+    actor = isinstance(net, GaussianActor)
+    mlp = net.net if actor else net
+    out = {"format": CHECKPOINT_FORMAT, "kind": "actor" if actor else "critic"}
+    out.update({"log_std": net.log_std} if actor else {}, sizes=mlp.sizes, activation="tanh")
+    for l, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        out[f"w{l}"], out[f"b{l}"] = w, b
+    for f in fields(HeadSpec) if actor else ():
+        value = getattr(net.head, f.name)
+        out[f"head_{f.name}"] = ("" if f.name == "alloc" else np.nan) if value is None else value
     return out
 
 
-def _net_arrays(net: MLP) -> dict:
-    return {"sizes": np.array(net.sizes), "activation": np.array("tanh"), **_layer_views(net)}
+def _setting(stored: np.ndarray):
+    """A stored setting as an error names it: a tuple for an array, None if unset."""
+    value = stored.tolist()
+    if isinstance(value, list):
+        return tuple(value)
+    return None if value == "" or value != value else value
 
 
-def _expect(path: str, field: str, have, need) -> None:
-    """ValueError naming the checkpoint, the field and both values where the
-    stored value `have` differs from `need`, the loaded-into network's."""
-    if have != need:
-        raise ValueError(f"checkpoint {path}: {field} is {have!r}, expected {need!r}")
-
-
-def _check_stored(path: str, data, kind: str, net: MLP) -> None:
-    """The checkpoint's format, kind, activation and layer sizes against net's."""
-    _expect(path, "format", int(data["format"]), CHECKPOINT_FORMAT)
-    _expect(path, "kind", str(data["kind"]), kind)
-    _expect(path, "activation", str(data["activation"]), "tanh")
-    _expect(path, "sizes", tuple(int(s) for s in data["sizes"]), net.sizes)
-
-
-def _read_into(path: str, data, views: dict) -> None:
-    """Write the array stored under each key into its view; ValueError
-    naming the checkpoint, the key and both shapes where they differ."""
-    for key, view in views.items():
-        stored = data[key]
-        if stored.shape != view.shape:
-            raise ValueError(
-                f"checkpoint {path}: {key} has shape {stored.shape}, expected {view.shape}"
-            )
-        view[...] = stored
+def _load(path: str, into) -> None:
+    """Check every setting stored at path against into's, format and kind
+    first, then each parameter's shape, and copy the parameters into into's
+    views. A difference, a missing key or a file that is not an npz archive
+    is a ValueError naming the file."""
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            stored = {key: data[key] for key in data.files}
+    except (EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"checkpoint {path}: {exc}") from None
+    # the settings, then the parameters (views), each in stored order
+    want = sorted(_checkpoint(into).items(), key=lambda item: isinstance(item[1], np.ndarray))
+    for key, value in want:
+        if key not in stored:
+            raise ValueError(f"checkpoint {path}: {key} is missing")
+        have = stored[key]
+        if isinstance(value, np.ndarray):
+            if have.shape != value.shape:
+                raise ValueError(
+                    f"checkpoint {path}: {key} has shape {have.shape}, expected {value.shape}"
+                )
+            value[...] = have
+        else:
+            have, need = _setting(have), _setting(np.asarray(value))
+            if have != need:
+                field = key.replace("head_", "head.")
+                raise ValueError(f"checkpoint {path}: {field} is {have!r}, expected {need!r}")
 
 
 def save_actor(path: str, actor: GaussianActor) -> None:
-    np.savez(
-        path,
-        format=np.array(CHECKPOINT_FORMAT),
-        kind=np.array("actor"),
-        log_std=actor.log_std,
-        **_net_arrays(actor.net),
-        **_head_to_arrays(actor.head),
-    )
-
-
-def load_actor(path: str, into: GaussianActor) -> None:
-    """Write the actor stored at path into into's views, after checking the
-    stored format, layer sizes and every head field against into's."""
-    with np.load(path, allow_pickle=False) as data:
-        _check_stored(path, data, "actor", into.net)
-        head = _head_from_arrays(data)
-        for f in fields(HeadSpec):
-            _expect(path, f"head.{f.name}", getattr(head, f.name), getattr(into.head, f.name))
-        _read_into(path, data, {"log_std": into.log_std, **_layer_views(into.net)})
+    np.savez(path, **_checkpoint(actor))
 
 
 def save_critic(path: str, critic: MLP) -> None:
-    np.savez(
-        path,
-        format=np.array(CHECKPOINT_FORMAT),
-        kind=np.array("critic"),
-        **_net_arrays(critic),
-    )
+    np.savez(path, **_checkpoint(critic))
 
 
-def load_critic(path: str, into: MLP) -> None:
-    """Write the critic stored at path into into's views, after checking the
-    stored format and layer sizes against into's."""
-    with np.load(path, allow_pickle=False) as data:
-        _check_stored(path, data, "critic", into)
-        _read_into(path, data, _layer_views(into))
+# one loader for both kinds: the stored kind is checked against into's
+load_actor = load_critic = _load
 
 
 # ---------------------------------------------------------------------------

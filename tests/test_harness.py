@@ -45,6 +45,8 @@ Proves:
  Group 4: Command line
   16.  train/evaluate/baselines/gradcheck all exit zero on a tiny run
   17.  Config errors exit 2 with a one-line message, a non-finite value too
+  18.  evaluate on a checkpoint missing a key, or cut short, exits 1 with a
+       one-line message naming the file
 """
 from __future__ import annotations
 
@@ -60,9 +62,9 @@ import pytest
 
 import wcsrl
 from wcsrl import config as config_mod
-from wcsrl import harness, learner, neuralnet, policies
-from wcsrl.dynamics import control_bounds
-from wcsrl.environment import WirelessControlEnv
+from wcsrl import baselines, harness, learner, neuralnet, policies
+from wcsrl.dynamics import cartpole_linearization, control_bounds
+from wcsrl.environment import Observation, WirelessControlEnv
 from wcsrl.learner import TrainedAgents
 import oracles
 
@@ -123,15 +125,16 @@ def test_cartpole_scenario_wiring(tmp_path):
     assert control_bounds(b.env.plants[0].kind) == (-10.0, 10.0)
     assert control_bounds("linear") == (None, None)
     assert (b.env.state_dim, b.env.input_dim) == (4, 1)
-    assert len(b.lqr_gains) == 2
-    assert np.array_equal(b.lqr_gains[0], b.lqr_gains[1])
+    # both plants are driven by the one gain of the linearized cart-pole: the
+    # same small state, which no input bound clips, gives -K x on each
+    gain = baselines.lqr_gain(*cartpole_linearization(), b.env.weights.q, b.env.weights.r)
+    x = np.array([0.01, -0.02, 0.03, -0.01])
+    u = b.controller(Observation(channel=np.ones(2), plant=np.stack([x, x])), 0)
+    assert np.all(np.abs(u) < 10.0)
+    assert np.array_equal(u, np.stack([-gain @ x, -gain @ x]))
     # the clipped Riccati controller respects the actuator interval
-    ctrl = b.controller
-    obs = type("O", (), {})()
-    from wcsrl.environment import Observation
-
     big = Observation(channel=np.ones(2), plant=np.full((2, 4), 5.0))
-    u = ctrl(big, 0)
+    u = b.controller(big, 0)
     assert np.array_equal(u, np.full((2, 1), 10.0))
 
 
@@ -691,3 +694,24 @@ def test_cli_config_error(tmp_path):
     assert proc.stderr.startswith("error: alloc.total must be finite, got inf"), proc.stderr
     proc = run_cli("evaluate", "--run", str(tmp_path / "missing"))
     assert proc.returncode in (1, 2)
+
+
+def test_cli_evaluate_rejects_damaged_checkpoint(tmp_path):
+    run = tmp_path / "run"
+    harness.run_experiment(tiny_config(run))
+    ckpt = run / "checkpoints" / "alloc_lqr"
+    actor, critic = ckpt / "actor.npz", ckpt / "critic.npz"
+    with np.load(actor) as data:
+        arrays = {key: value for key, value in data.items() if key != "head_n_plants"}
+    kept = actor.read_bytes()
+    np.savez(actor, **arrays)
+    proc = run_cli("evaluate", "--run", str(run), "--quiet")
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: checkpoint {actor}: head_n_plants is missing\n"
+    actor.write_bytes(kept)
+    blob = critic.read_bytes()
+    critic.write_bytes(blob[: len(blob) // 2])
+    proc = run_cli("evaluate", "--run", str(run), "--quiet")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: checkpoint {critic}: "), proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr

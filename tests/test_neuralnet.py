@@ -21,6 +21,8 @@ Proves:
        refused, naming the file, the field and both values
   13.  Loading a mis-shaped stored array names the file, its key and both
        shapes
+  13b. A checkpoint missing a key, cut short or empty is a ValueError
+       naming the file (and the key), the network left untouched
   14.  Optimizers take the expected first step in place (sgd exact,
        rmsprop scale); in-place RMSProp is the returned-copy form bitwise
  Group 4: Member-stacked networks, bitwise against m separate ones
@@ -274,6 +276,36 @@ def test_checkpoint_names_misshaped_array(tmp_path, load, key, bad):
     message = f"checkpoint {path}: {key} has shape {bad.shape}, expected {want}"
     with pytest.raises(ValueError, match=re.escape(message)):
         load(path, into)
+
+
+@pytest.mark.parametrize(
+    "kind, damage", [("actor", "missing_key"), ("actor", "empty"), ("critic", "cut_short")]
+)
+def test_unreadable_checkpoint_names_the_file(tmp_path, kind, damage):
+    rng = np.random.Generator(np.random.PCG64(77))
+    file = tmp_path / f"{kind}.npz"
+    path = str(file)
+    if kind == "actor":
+        # a bounded control head, whose stored control_low the missing-key case drops
+        head = HeadSpec(n_plants=1, control_dim=1, control_low=-10.0, control_high=10.0)
+        save_actor(path, GaussianActor(6, head, (8,), rng))
+        load, into = load_actor, GaussianActor(6, head, (8,))
+    else:
+        save_critic(path, MLP((6, 8, 1), rng))
+        load, into = load_critic, MLP((6, 8, 1))
+    message = f"checkpoint {path}: "
+    if damage == "missing_key":
+        with np.load(path) as data:
+            arrays = {key: value for key, value in data.items() if key != "head_control_low"}
+        np.savez(path, **arrays)
+        message += "head_control_low is missing"
+    else:
+        blob = file.read_bytes()
+        file.write_bytes(blob[: len(blob) // 2] if damage == "cut_short" else b"")
+    before = into.get_flat()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load(path, into)
+    assert np.array_equal(into.get_flat(), before)
 
 
 def test_optimizer_steps():
